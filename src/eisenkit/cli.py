@@ -32,7 +32,6 @@ from .eisenstein import (
 )
 from .errors import (
     ConvergenceWarning,
-    DivergenceError,
     EisenkitError,
     InvalidTypeError,
     PlaceDataError,
@@ -200,7 +199,7 @@ def cmd_fe_check(args) -> dict:
                 defect = abs(scattering_ratio(s) * scattering_ratio(1.0 - s) - 1.0)
             row["defect"] = defect
             defects.append(defect)
-        except (PoleError, DivergenceError) as exc:
+        except PoleError as exc:
             row["skipped"] = f"{type(exc).__name__}: pole exclusion"
             skipped += 1
         rows.append(row)

@@ -125,6 +125,21 @@ def test_fe_check_skips_pole_points_and_continues(capsys):
     assert report["rows"][1]["defect"] < 1e-10
 
 
+def test_fe_check_mode_bound_failure_exits_nonzero(capsys, monkeypatch):
+    # only pole exclusions are skipped; an evaluator that misses its target
+    # must fail the run, not become a skipped row
+    from eisenkit import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 2)
+    code, out, err = run_cli(
+        ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--terms", "1", "--format", "json"],
+        capsys,
+    )
+    assert code != 0
+    assert out == ""
+    assert "DivergenceError" in err
+
+
 def test_fe_check_xi_sweep(capsys):
     code, out, _ = run_cli(["fe-check", "--check", "xi", "--format", "json"], capsys)
     assert code == 0

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import oracles
+from eisenkit import eisenstein
 from eisenkit.eisenstein import (
     HalfPlanePoint,
     SpectralParameter,
@@ -152,6 +153,70 @@ def test_modular_inversion_invariance():
     w = -1.0 / z
     policy = TruncationPolicy(fourier_terms=40)
     assert abs(eval_fourier(w, 2.5, policy).value - eval_fourier(z, 2.5, policy).value) < 1e-6
+
+
+def test_fourier_near_cusp_matches_mpmath():
+    # seeded points close to the real axis, where only the SL2(Z) pullback
+    # makes a few modes enough; the reference does its own pullback
+    pytest.importorskip("mpmath")
+    rng = random.Random(41)
+    for _ in range(24):
+        z = complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(1e-4), math.log(0.1))))
+        for s in (2.5, complex(3, 1), complex(0.3, 2), complex(1.7, -4)):
+            want = oracles.eisenstein_mpmath(z, s)
+            assert abs(eval_fourier(z, s).value - want) < 1e-8 * abs(want), (z, s)
+
+
+def test_fourier_near_cusp_frozen_values():
+    # frozen from oracles.eisenstein_mpmath at 30 digits
+    assert abs(eval_fourier(0.3 + 0.003j, 2.5).value - 20.51470112443987) < 1e-12 * 20.5
+    assert abs(eval_fourier(0.123 + 0.0007j, 2.5).value - 9.627509572450284) < 1e-12 * 9.6
+
+
+def _random_sl2z(rng: random.Random, bound: int):
+    # (a, b; c, d) with a d - b c = 1, c != 0 and entries at most bound
+    while True:
+        c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if c != 0 and math.gcd(c, d) == 1:
+            break
+    a = pow(d, -1, abs(c)) if abs(c) > 1 else 0
+    b = (a * d - 1) // c
+    assert a * d - b * c == 1 and max(abs(a), abs(b)) <= bound
+    return a, b, c, d
+
+
+def test_fourier_is_sl2z_invariant():
+    rng = random.Random(17)
+    z0 = complex(0.21, 1.13)
+    for _ in range(10):
+        a, b, c, d = _random_sl2z(rng, 50)
+        w = (a * z0 + b) / (c * z0 + d)
+        for s in (2.5, complex(3, 1)):
+            want = eval_fourier(z0, s).value
+            assert abs(eval_fourier(w, s).value - want) < 1e-10 * abs(want), ((a, b, c, d), s)
+
+
+def test_pullback_lands_in_fundamental_domain():
+    rng = random.Random(23)
+    for _ in range(300):
+        x = rng.choice((1.0, 1e3, 1e6)) * rng.uniform(-1.0, 1.0)
+        y = 10.0 ** rng.uniform(-8.0, 1.0)
+        xp, yp = eisenstein._pullback(x, y)
+        assert abs(xp) <= 0.5 and abs(complex(xp, yp)) >= 1.0 - 1e-12, (x, y)
+    # points already inside keep their coordinates exactly
+    assert eisenstein._pullback(0.3, 1.2) == (0.3, 1.2)
+    assert eisenstein._pullback(1.3, 1.2) == (1.3 - 1.0, 1.2)
+
+
+def test_fourier_raises_at_mode_bound(monkeypatch):
+    # at z = 0.3+1.2i, s = 2.5 the first mode below the target is n = 5
+    policy = TruncationPolicy(fourier_terms=1)
+    assert eval_fourier(0.3 + 1.2j, 2.5, policy).value
+    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 3)
+    with pytest.raises(DivergenceError):
+        eval_fourier(0.3 + 1.2j, 2.5, policy)
+    # the policy count raises the bound along with it
+    assert eval_fourier(0.3 + 1.2j, 2.5, TruncationPolicy(fourier_terms=10)).value
 
 
 def test_pole_exclusions_propagate():
