@@ -20,7 +20,6 @@ cli
 
 __version__ = "0.1.0"
 
-from ._kernels import backend as kernel_backend
 from .eisenstein import (
     HalfPlanePoint,
     SeriesValue,
@@ -35,6 +34,7 @@ from .eisenstein import (
     scattering_ratio,
 )
 from .errors import (
+    AccuracyError,
     ConvergenceWarning,
     DivergenceError,
     DomainError,
@@ -76,6 +76,12 @@ from .special_functions import (
     xi_completed,
     zeta,
 )
+
+
+def kernel_backend() -> str:
+    """Name of the kernel implementation: always 'numpy'."""
+    return "numpy"
+
 
 __all__ = [
     "__version__",
@@ -126,6 +132,7 @@ __all__ = [
     "PoleError",
     "DomainError",
     "DivergenceError",
+    "AccuracyError",
     "InvalidTypeError",
     "ResourceError",
     "PlaceDataError",

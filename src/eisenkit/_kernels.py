@@ -1,7 +1,4 @@
-"""Pure-Python (numpy) implementations of the hot kernels.
-
-Same signatures and same mathematical conventions as the compiled module
-``_speedups``; whichever is importable gets picked in ``__init__``.
+"""Hot-loop kernels in numpy: the coprime lattice sum and the K-Bessel trapezoid.
 
 The lattice kernels return the half-lattice sum
 
@@ -18,29 +15,8 @@ import numpy as np
 _CHUNK = 128  # m-rows per block, keeps peak memory ~ CHUNK*(2R+1) doubles
 
 
-def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
-    s = complex(s_re, s_im)
-    ns = np.arange(-radius, radius + 1, dtype=np.int64)
-    abs_ns = np.abs(ns)
-    total = 0.0 + 0.0j
-    for m0 in range(1, radius + 1, _CHUNK):
-        ms = np.arange(m0, min(m0 + _CHUNK, radius + 1), dtype=np.int64)
-        cop = np.gcd(ms[:, None], abs_ns[None, :]) == 1
-        mm, nn = np.broadcast_arrays(ms[:, None], ns[None, :])
-        mf = mm[cop].astype(np.float64)
-        nf = nn[cop].astype(np.float64)
-        u = mf * x + nf
-        w = u * u + (mf * y) ** 2
-        logw = np.log(w)
-        if s_im == 0.0:
-            total += np.exp(-s_re * logw).sum()
-        else:
-            total += np.exp(-s * logw).sum()
-    return 1.0 + total
-
-
-def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int):
-    """lattice_sum at many x values sharing one coprime enumeration."""
+def _lattice_sums(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """S at every x in ``xs``, all sharing one coprime enumeration."""
     s = complex(s_re, s_im)
     xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros(xs.shape[0], dtype=np.complex128)
@@ -52,16 +28,25 @@ def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int):
         mm, nn = np.broadcast_arrays(ms[:, None], ns[None, :])
         mf = mm[cop].astype(np.float64)
         nf = nn[cop].astype(np.float64)
-        my2 = (mf * y) ** 2
         for i, xv in enumerate(xs):
             u = mf * xv + nf
-            logw = np.log(u * u + my2)
+            logw = np.log(u * u + (mf * y) ** 2)
             if s_im == 0.0:
                 out[i] += np.exp(-s_re * logw).sum()
             else:
                 out[i] += np.exp(-s * logw).sum()
     out += 1.0
     return out
+
+
+def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
+    """S at one x."""
+    return complex(_lattice_sums((x,), y, s_re, s_im, radius)[0])
+
+
+def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """S at many x values sharing one coprime enumeration."""
+    return _lattice_sums(xs, y, s_re, s_im, radius)
 
 
 def bessel_k_trapezoid(a: float, b: float, y: float, h: float, nsteps: int) -> complex:

@@ -4,8 +4,9 @@ products from place data, and decomposition tables.
 Commands: eval, fourier, fe-check, xi, euler, decompose.  Every command is
 deterministic for fixed arguments, emits text, JSON, or CSV, and exits with
 0 on success, 2 on usage/precondition errors, 3 on data errors, and 4 on
-numeric failures (poles, overflow).  Complex numbers are written as a single
-token like ``0.3+2i`` (no spaces; ``j`` also accepted).
+numeric failures (poles, overflow, an evaluator bound reached short of its
+accuracy target).  Complex numbers are written as a single token like
+``0.3+2i`` (no spaces; ``j`` also accepted).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 import warnings
 
 from . import __version__
-from ._kernels import backend
 from .eisenstein import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
@@ -31,6 +31,7 @@ from .eisenstein import (
     scattering_ratio,
 )
 from .errors import (
+    AccuracyError,
     ConvergenceWarning,
     EisenkitError,
     InvalidTypeError,
@@ -110,7 +111,7 @@ def _print_defaults(args) -> None:
         "defaults: "
         f"radius={args.radius} terms={args.terms} "
         f"nodes={getattr(args, 'nodes', DEFAULT_TRUNCATION.quadrature_nodes)} "
-        f"format={args.format} kernel_backend={backend()}",
+        f"format={args.format}",
         file=sys.stderr,
     )
 
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
     except (PlaceDataError, OSError) as exc:
         _emit_error(exc, args.format)
         return EXIT_DATA
-    except (PoleError, OverflowError) as exc:
+    except (PoleError, AccuracyError, OverflowError) as exc:
         _emit_error(exc, args.format)
         return EXIT_NUMERIC
     except (EisenkitError, ValueError) as exc:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DivergenceError, DomainError, PoleError
+from .errors import AccuracyError, DivergenceError, DomainError, PoleError
 from .special_functions import DEFAULT_ACCURACY, bessel_k, sigma_power, xi_completed
 
 #: Parameter values where the expansion's xi factors hit poles.
@@ -161,7 +161,7 @@ def _pullback(x: float, y: float) -> tuple[float, float]:
         if p * p + (a * big_y) ** 2 >= norm:  # |z'| >= 1
             return re_num / norm, big_y * den / norm
         a, b, c, d = -c, -d, a, b
-    raise DivergenceError(f"SL2(Z) pullback of {x}+{y}i did not finish in {_PULLBACK_STEPS} steps")
+    raise AccuracyError(f"SL2(Z) pullback of {x}+{y}i did not finish in {_PULLBACK_STEPS} steps")
 
 
 def _cpow(base: float, expo: complex) -> complex:
@@ -269,7 +269,7 @@ def eval_fourier(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesV
     for any z.  At least ``policy.fourier_terms`` modes are summed, then more
     until the last one falls below the accuracy target; the returned tail
     bound is the geometric-series bound seeded by that last mode.  Raises
-    DivergenceError if max(``policy.fourier_terms``, 512) modes do not reach
+    AccuracyError if max(``policy.fourier_terms``, 512) modes do not reach
     the target, rather than return a value that missed it.
     """
     pt = _as_point(z)
@@ -286,7 +286,7 @@ def eval_fourier(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesV
         if n >= policy.fourier_terms and last_mag <= target:
             break
     else:
-        raise DivergenceError(
+        raise AccuracyError(
             f"eval_fourier: mode {n_max} at z' = {x}+{y}i, s = {sv} is {last_mag:.3g}, "
             f"above the target {target:.3g}"
         )

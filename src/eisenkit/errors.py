@@ -1,8 +1,10 @@
 """Exception and warning types shared across the toolkit.
 
 Numeric routines refuse to return garbage: anything evaluated inside a pole
-exclusion disk raises PoleError, divergent series raise DivergenceError, and
-values that would leave double range raise the builtin OverflowError.
+exclusion disk raises PoleError, divergent series raise DivergenceError, an
+evaluator that stops at its bound short of its accuracy target raises
+AccuracyError, and values that would leave double range raise the builtin
+OverflowError.
 """
 
 
@@ -20,6 +22,10 @@ class DomainError(EisenkitError):
 
 class DivergenceError(EisenkitError):
     """Series or product evaluated where it does not converge."""
+
+
+class AccuracyError(DivergenceError):
+    """Evaluator reached its bound short of its accuracy target."""
 
 
 class InvalidTypeError(EisenkitError):

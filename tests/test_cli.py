@@ -135,9 +135,9 @@ def test_fe_check_mode_bound_failure_exits_nonzero(capsys, monkeypatch):
         ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--terms", "1", "--format", "json"],
         capsys,
     )
-    assert code != 0
+    assert code == 4
     assert out == ""
-    assert "DivergenceError" in err
+    assert "AccuracyError" in err
 
 
 def test_fe_check_xi_sweep(capsys):

@@ -24,7 +24,7 @@ from eisenkit.eisenstein import (
     lattice_term,
     scattering_ratio,
 )
-from eisenkit.errors import DivergenceError, DomainError, PoleError
+from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -213,10 +213,17 @@ def test_fourier_raises_at_mode_bound(monkeypatch):
     policy = TruncationPolicy(fourier_terms=1)
     assert eval_fourier(0.3 + 1.2j, 2.5, policy).value
     monkeypatch.setattr(eisenstein, "_MODE_BOUND", 3)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(AccuracyError):
         eval_fourier(0.3 + 1.2j, 2.5, policy)
     # the policy count raises the bound along with it
     assert eval_fourier(0.3 + 1.2j, 2.5, TruncationPolicy(fourier_terms=10)).value
+
+
+def test_fourier_raises_at_pullback_step_bound(monkeypatch):
+    # 0.3+0.01i needs more than one translate-and-invert step
+    monkeypatch.setattr(eisenstein, "_PULLBACK_STEPS", 1)
+    with pytest.raises(AccuracyError, match="pullback"):
+        eval_fourier(0.3 + 0.01j, 2.5)
 
 
 def test_pole_exclusions_propagate():
