@@ -69,7 +69,6 @@ from .root_systems import (
     weyl_order_closed_form,
 )
 from .special_functions import (
-    AccuracyPolicy,
     bessel_k,
     gamma,
     sigma_power,
@@ -87,7 +86,6 @@ __all__ = [
     "__version__",
     "kernel_backend",
     # special functions
-    "AccuracyPolicy",
     "gamma",
     "zeta",
     "xi_completed",

@@ -60,14 +60,3 @@ def prime_power_base(q: int) -> int | None:
         return None
     return fac[0][0]
 
-
-def prime_powers_up_to(n: int) -> list[int]:
-    """All prime powers p^k <= n (k >= 1), ascending, by sieve."""
-    out = []
-    for p in primes_up_to(n):
-        q = p
-        while q <= n:
-            out.append(q)
-            q *= p
-    out.sort()
-    return out

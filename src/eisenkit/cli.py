@@ -67,7 +67,6 @@ def format_complex(value: complex) -> str:
 def _policy_from_args(args) -> TruncationPolicy:
     return TruncationPolicy(
         lattice_radius=args.radius,
-        fourier_terms=args.terms,
         quadrature_nodes=getattr(args, "nodes", DEFAULT_TRUNCATION.quadrature_nodes),
     )
 
@@ -107,13 +106,8 @@ def _emit(report: dict, fmt: str, stream) -> None:
 
 
 def _print_defaults(args) -> None:
-    print(
-        "defaults: "
-        f"radius={args.radius} terms={args.terms} "
-        f"nodes={getattr(args, 'nodes', DEFAULT_TRUNCATION.quadrature_nodes)} "
-        f"format={args.format}",
-        file=sys.stderr,
-    )
+    settings = " ".join(f"{key}={value}" for key, value in vars(args).items() if key != "func")
+    print(f"defaults: {settings}", file=sys.stderr)
 
 
 def _complex_fields(prefix: str, value: complex) -> dict:
@@ -133,7 +127,7 @@ def cmd_eval(args) -> dict:
     if args.method in ("lattice", "both"):
         lat = eval_lattice_sum(z, s, policy)
     if args.method in ("fourier", "both"):
-        fou = eval_fourier(z, s, policy)
+        fou = eval_fourier(z, s)
     if args.method == "lattice":
         report.update(_complex_fields("value", lat.value))
         report["tail_bound"] = lat.tail_bound
@@ -174,7 +168,6 @@ def _grid_points(args) -> list[complex]:
 
 
 def cmd_fe_check(args) -> dict:
-    policy = _policy_from_args(args)
     z = parse_complex(args.z)
     rows = []
     defects = []
@@ -191,7 +184,7 @@ def cmd_fe_check(args) -> dict:
         row = {"s": format_complex(s)}
         try:
             if args.check == "eisenstein":
-                defect = functional_equation_defect(z, s, policy)
+                defect = functional_equation_defect(z, s)
             elif args.check == "xi":
                 defect = abs(xi_completed(s) - xi_completed(1.0 - s))
             elif args.check == "first-coefficient":
@@ -280,23 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eisenkit {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--verbose", action="store_true", help="print effective defaults to stderr")
-    common.add_argument(
+    common.add_argument("--verbose", action="store_true", help="print effective settings to stderr")
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument(
         "--radius", type=int, default=DEFAULT_TRUNCATION.lattice_radius, help="lattice radius"
-    )
-    common.add_argument(
-        "--terms", type=int, default=DEFAULT_TRUNCATION.fourier_terms, help="Fourier mode count"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate E(z, s)")
+    p_eval = sub.add_parser("eval", parents=[common, lattice], help="evaluate E(z, s)")
     p_eval.add_argument("--z", required=True, help="half-plane point, e.g. 0.3+1.2i")
     p_eval.add_argument("--s", required=True, help="spectral parameter, e.g. 2.5 or 3+1i")
     p_eval.add_argument("--method", choices=("lattice", "fourier", "both"), default="both")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_fourier = sub.add_parser("fourier", parents=[common], help="Fourier coefficient a_n(y, s)")
+    p_fourier = sub.add_parser(
+        "fourier", parents=[common, lattice], help="Fourier coefficient a_n(y, s)"
+    )
     p_fourier.add_argument("--n", type=int, required=True)
     p_fourier.add_argument("--y", type=float, required=True)
     p_fourier.add_argument("--s", required=True)

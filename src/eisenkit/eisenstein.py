@@ -35,13 +35,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import AccuracyError, DivergenceError, DomainError, PoleError
-from .special_functions import DEFAULT_ACCURACY, bessel_k, sigma_power, xi_completed
+from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
 
 #: Parameter values where the expansion's xi factors hit poles.
 POLE_POINTS = (0.0, 0.5, 1.0)
 
 _TWO_PI = 2.0 * math.pi
-_MODE_BOUND = 512  # most modes eval_fourier sums (or the policy count, if larger)
+_MODE_FLOOR = 30  # fewest modes eval_fourier sums; the Fourier-source extraction sums this many
+_MODE_BOUND = 512  # most modes eval_fourier sums
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 
 
@@ -84,17 +85,18 @@ class SpectralParameter:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Truncation knobs for the two evaluators and the x-quadrature."""
+    """Truncation of the lattice sum and node count of the x-quadrature.
+
+    The Fourier evaluator takes no knob: it sums modes until they fall below
+    the fixed accuracy target.
+    """
 
     lattice_radius: int = 1000
-    fourier_terms: int = 30
     quadrature_nodes: int = 64
 
     def __post_init__(self):
         if self.lattice_radius < 10:
             raise DomainError("lattice_radius must be >= 10")
-        if self.fourier_terms < 1:
-            raise DomainError("fourier_terms must be >= 1")
         if self.quadrature_nodes < 16:
             raise DomainError("quadrature_nodes must be >= 16")
 
@@ -169,16 +171,6 @@ def _cpow(base: float, expo: complex) -> complex:
     return cmath.exp(expo * math.log(base))
 
 
-def lattice_term(m: int, n: int, z, s) -> complex:
-    """Single unfolded lattice term y^s / |m z + n|^(2 s)."""
-    pt = _as_point(z)
-    sv = complex(s.value if isinstance(s, SpectralParameter) else s)
-    w = (m * pt.x + n) ** 2 + (m * pt.y) ** 2
-    if w == 0.0:
-        raise DomainError("lattice term undefined at (m, n) = (0, 0)")
-    return _cpow(pt.y, sv) * _cpow(w, -sv)
-
-
 def _lattice_tail_bound(y: float, sigma: float, radius: int) -> float:
     # compare with the integral of r^(1-2 sigma): terms at max-norm radius r
     # number ~ 8r and are bounded by y^sigma (c r^2)^(-sigma), c = min(y^2, 1/4)
@@ -226,17 +218,10 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
         raise DomainError(f"fourier_coefficient needs y > 0, got {y}")
     sp = _as_spectral(s)
     sv = _require_off_poles(sp, "fourier_coefficient")
+    xi_2s = xi_completed(2.0 * sv)
     if n == 0:
-        return _constant_term(y, sv, xi_completed(2.0 * sv))
-    m = abs(n)
-    return (
-        2.0
-        * _cpow(float(m), sv - 0.5)
-        * sigma_power(m, 1.0 - 2.0 * sv)
-        * math.sqrt(y)
-        * bessel_k(sv - 0.5, _TWO_PI * m * y)
-        / xi_completed(2.0 * sv)
-    )
+        return _constant_term(y, sv, xi_2s)
+    return _mode(abs(n), y, sv, 1.0 / xi_2s)
 
 
 def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
@@ -244,57 +229,55 @@ def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
     return _cpow(y, s) + xi_completed(2.0 * s - 1.0) / xi_2s * _cpow(y, 1.0 - s)
 
 
-def _mode_sequence(y: float, s: complex, n_max: int, xi_2s: complex):
-    # a_n for n = 1..n_max sharing the caller's xi(2s)
-    inv_xi = 1.0 / xi_2s
-    sqrt_y = math.sqrt(y)
-    for n in range(1, n_max + 1):
-        yield n, (
-            2.0
-            * _cpow(float(n), s - 0.5)
-            * sigma_power(n, 1.0 - 2.0 * s)
-            * sqrt_y
-            * bessel_k(s - 0.5, _TWO_PI * n * y)
-            * inv_xi
-        )
+def _mode(n: int, y: float, s: complex, inv_xi: complex) -> complex:
+    # a_n for n >= 1, given the caller's 1/xi(2s)
+    return (
+        2.0
+        * _cpow(float(n), s - 0.5)
+        * sigma_power(n, 1.0 - 2.0 * s)
+        * math.sqrt(y)
+        * bessel_k(s - 0.5, _TWO_PI * n * y)
+        * inv_xi
+    )
 
 
-def eval_fourier(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesValue:
+def eval_fourier(z, s) -> SeriesValue:
     """Fourier-expansion evaluation, valid for every s off the pole points.
 
     Pulls z back under SL2(Z) to z' = x' + i y' with |x'| <= 1/2, |z'| >= 1
     (E is invariant, so E(z) = E(z')), then sums a_0 plus paired modes
     a_n (e^(2 pi i n x') + e^(-2 pi i n x')) at z'.  Since y' >= sqrt(3)/2
     the e^(-2 pi n y') K-Bessel decay truncates the series after a few modes
-    for any z.  At least ``policy.fourier_terms`` modes are summed, then more
-    until the last one falls below the accuracy target; the returned tail
-    bound is the geometric-series bound seeded by that last mode.  Raises
-    AccuracyError if max(``policy.fourier_terms``, 512) modes do not reach
-    the target, rather than return a value that missed it.
+    for any z.  At least 30 modes are summed, then more until the last one
+    falls below the fixed accuracy target (1e-14 times max(1, |a_0|)); the
+    returned tail bound is the geometric-series bound seeded by that last
+    mode.  Raises AccuracyError if 512 modes do not reach the target, rather
+    than return a value that missed it.
     """
     pt = _as_point(z)
     sp = _as_spectral(s)
     sv = _require_off_poles(sp, "eval_fourier")
     x, y = _pullback(pt.x, pt.y)
     xi_2s = xi_completed(2.0 * sv)
+    inv_xi = 1.0 / xi_2s
     total = _constant_term(y, sv, xi_2s)
-    target = DEFAULT_ACCURACY.target_abs_error * max(1.0, abs(total))
-    n_max = max(policy.fourier_terms, _MODE_BOUND)
-    for n, a_n in _mode_sequence(y, sv, n_max, xi_2s):
+    target = TARGET_ABS_ERROR * max(1.0, abs(total))
+    for n in range(1, _MODE_BOUND + 1):
+        a_n = _mode(n, y, sv, inv_xi)
         total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
         last_mag = 2.0 * abs(a_n)
-        if n >= policy.fourier_terms and last_mag <= target:
+        if n >= _MODE_FLOOR and last_mag <= target:
             break
     else:
         raise AccuracyError(
-            f"eval_fourier: mode {n_max} at z' = {x}+{y}i, s = {sv} is {last_mag:.3g}, "
+            f"eval_fourier: mode {_MODE_BOUND} at z' = {x}+{y}i, s = {sv} is {last_mag:.3g}, "
             f"above the target {target:.3g}"
         )
     decay = math.exp(-_TWO_PI * y)
     return SeriesValue(total, last_mag * decay / (1.0 - decay))
 
 
-def functional_equation_defect(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def functional_equation_defect(z, s) -> float:
     """|E(z, s) - c(s) E(z, 1-s)| with both sides from the Fourier evaluator.
 
     Zero in exact arithmetic; numerically bounded by the evaluators'
@@ -303,8 +286,8 @@ def functional_equation_defect(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATI
     sp = _as_spectral(s)
     sv = sp.value
     reflected = SpectralParameter(1.0 - sv, sp.pole_exclusion_radius)
-    lhs = eval_fourier(z, sp, policy).value
-    rhs = scattering_ratio(sp) * eval_fourier(z, reflected, policy).value
+    lhs = eval_fourier(z, sp).value
+    rhs = scattering_ratio(sp) * eval_fourier(z, reflected).value
     return abs(lhs - rhs)
 
 
@@ -320,8 +303,8 @@ def extract_coefficient_by_quadrature(
     The rule is exact on trigonometric polynomials below the node count, so
     with ``source="lattice"`` (requires Re(s) > 1) this is an extraction of
     a_n that is independent of the closed-form coefficient formula.  With
-    ``source="fourier"`` the target mode is excluded from the evaluator's own
-    sum, so the result measures pure aliasing leakage (near zero) rather than
+    ``source="fourier"`` the target mode is excluded from a sum of the first 30
+    modes, so the result measures pure aliasing leakage (near zero) rather than
     restating the formula; it is usable on the whole strip.  ``source="auto"``
     picks the lattice when it converges, the Fourier leakage probe otherwise.
     """
@@ -342,12 +325,12 @@ def extract_coefficient_by_quadrature(
     elif source == "fourier":
         _require_off_poles(sp, "extract_coefficient_by_quadrature")
         xi_2s = xi_completed(2.0 * sv)
+        inv_xi = 1.0 / xi_2s
         base = 0j if n == 0 else _constant_term(y, sv, xi_2s)
         values = np.full(nodes, base, dtype=np.complex128)
-        for m, a_m in _mode_sequence(y, sv, policy.fourier_terms, xi_2s):
-            if m == abs(n):
-                continue
-            values += a_m * 2.0 * np.cos(_TWO_PI * m * xs)
+        for m in range(1, _MODE_FLOOR + 1):
+            if m != abs(n):
+                values += _mode(m, y, sv, inv_xi) * 2.0 * np.cos(_TWO_PI * m * xs)
     else:
         raise DomainError(f"unknown source {source!r}; use 'auto', 'lattice' or 'fourier'")
     weights = np.exp(-2j * math.pi * n * xs)

@@ -20,6 +20,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._arith import prime_power_base, primes_up_to
 from .errors import ConvergenceWarning, DivergenceError, DomainError, PlaceDataError, PoleError
@@ -136,22 +137,13 @@ def local_factor(place: PlaceDatum, s: complex) -> complex:
     return 1.0 / denominator
 
 
-class LProductValue:
+class LProductValue(NamedTuple):
     """Truncated Euler-product value with its multiplicative tail estimate."""
 
-    __slots__ = ("value", "tail_bound", "margin", "factor_count")
-
-    def __init__(self, value, tail_bound, margin, factor_count):
-        self.value = value
-        self.tail_bound = tail_bound
-        self.margin = margin
-        self.factor_count = factor_count
-
-    def __repr__(self):
-        return (
-            f"LProductValue(value={self.value!r}, tail_bound={self.tail_bound!r}, "
-            f"margin={self.margin!r}, factor_count={self.factor_count})"
-        )
+    value: complex
+    tail_bound: float
+    margin: float
+    factor_count: int
 
 
 def _tail_estimate(data: LFunctionData, s: complex, max_q: int) -> float:

@@ -17,9 +17,6 @@ groups) is only checked dimensionally here.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidTypeError, ResourceError
@@ -410,30 +407,6 @@ def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:
                 )
             )
     return rows
-
-
-def table_to_json(rows: list[TableRow]) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=2)
-
-
-def table_to_csv(rows: list[TableRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(TABLE_COLUMNS)
-    for row in rows:
-        rec = row.as_dict()
-        writer.writerow(
-            [
-                rec["type"],
-                rec["rank"],
-                rec["removed_index"],
-                rec["levi"],
-                rec["m"],
-                " ".join(str(d) for d in rec["dims"]),
-                " ".join(str(a) for a in rec["a"]),
-            ]
-        )
-    return buffer.getvalue()
 
 
 def positive_root_count_closed_form(cartan_type: str, rank: int) -> int:

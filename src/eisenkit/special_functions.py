@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -75,24 +74,11 @@ _B_EVEN = _bernoulli_even(33)  # B_0 .. B_64
 _EM_MAX_CORRECTIONS = len(_B_EVEN) - 2
 
 
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Error targets and series caps consumed by the adaptive evaluators."""
-
-    target_abs_error: float = 1e-14
-    target_rel_error: float = 1e-14
-    max_terms: int = 4096
-
-    def __post_init__(self):
-        if not 0.0 < self.target_abs_error < 1.0:
-            raise DomainError("target_abs_error must lie in (0, 1)")
-        if not 0.0 < self.target_rel_error < 1.0:
-            raise DomainError("target_rel_error must lie in (0, 1)")
-        if self.max_terms < 8:
-            raise DomainError("max_terms must be >= 8")
-
-
-DEFAULT_ACCURACY = AccuracyPolicy()
+#: Absolute error target of the adaptive evaluators (zeta here, the Fourier
+#: mode sum in eisenstein), scaled by max(1, |value|).
+TARGET_ABS_ERROR = 1e-14
+_ZETA_MAX_TERMS = 4096  # Euler-Maclaurin partial-sum length cap
+_BESSEL_EPS = 1e-15  # trapezoid truncation threshold for bessel_k
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -110,7 +96,7 @@ def _sinpi(z: complex) -> complex:
     return -val if n % 2 else val
 
 
-def gamma(s: complex, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> complex:
+def gamma(s: complex) -> complex:
     """Gamma(s) by the Lanczos approximation, reflection for Re(s) < 1/2.
 
     Raises PoleError within 1e-9 of a nonpositive integer and OverflowError
@@ -139,12 +125,11 @@ def _gamma_unchecked(s: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * cmath.exp((zm1 + 0.5) * cmath.log(t) - t) * acc
 
 
-def _zeta_euler_maclaurin(s: complex, policy: AccuracyPolicy) -> complex:
+def _zeta_euler_maclaurin(s: complex) -> complex:
     # Shifted partial sum of N terms plus trapezoid/Bernoulli corrections:
     #   zeta(s) = sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2
     #           + sum_k B_{2k}/(2k)! (s)_{2k-1} N^{1-s-2k}  + R_K
     # with the classical remainder bound |R_K| <= |next term| * |s+2K+1|/(sigma+2K+1).
-    target = policy.target_abs_error
     n_start = max(16, int(0.8 * abs(s.imag)) + 12)
     n_terms = n_start
     result = 0j
@@ -163,20 +148,20 @@ def _zeta_euler_maclaurin(s: complex, policy: AccuracyPolicy) -> complex:
             term = (_B_EVEN[k] / factorial) * poch * scale
             total += term
             bound = abs(term) * abs(s + 2 * k + 1) / (s.real + 2 * k + 1)
-            if bound < target * max(1.0, abs(total)):
+            if bound < TARGET_ABS_ERROR * max(1.0, abs(total)):
                 converged = True
                 break
             poch *= (s + 2 * k - 1) * (s + 2 * k)
             factorial *= (2 * k + 1) * (2 * k + 2)
             scale /= n_terms * n_terms
         result = total
-        if converged or 2 * n_terms > policy.max_terms:
+        if converged or 2 * n_terms > _ZETA_MAX_TERMS:
             break
         n_terms *= 2
     return result
 
 
-def zeta(s: complex, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> complex:
+def zeta(s: complex) -> complex:
     """zeta(s), analytically continued to the whole plane except s = 1.
 
     Euler-Maclaurin on Re(s) >= 0.45 and on the disk |s| <= 0.45 (where the
@@ -188,12 +173,12 @@ def zeta(s: complex, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> complex:
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("zeta has its pole at s = 1")
     if s.real >= 0.45 or abs(s) <= 0.45:
-        return _finite(_zeta_euler_maclaurin(s, policy), "zeta")
-    chi = 2.0**s * math.pi ** (s - 1.0) * _sinpi(0.5 * s) * gamma(1.0 - s, policy)
-    return _finite(chi * _zeta_euler_maclaurin(1.0 - s, policy), "zeta")
+        return _finite(_zeta_euler_maclaurin(s), "zeta")
+    chi = 2.0**s * math.pi ** (s - 1.0) * _sinpi(0.5 * s) * gamma(1.0 - s)
+    return _finite(chi * _zeta_euler_maclaurin(1.0 - s), "zeta")
 
 
-def xi_completed(s: complex, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> complex:
+def xi_completed(s: complex) -> complex:
     """Completed zeta pi^(-s/2) Gamma(s/2) zeta(s); poles at s = 0 and 1.
 
     Satisfies the reflection xi(s) = xi(1-s); the test suite checks this to
@@ -203,8 +188,8 @@ def xi_completed(s: complex, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> compl
     if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     value = cmath.exp(-0.5 * s * math.log(math.pi))
-    value *= gamma(0.5 * s, policy)
-    value *= zeta(s, policy)
+    value *= gamma(0.5 * s)
+    value *= zeta(s)
     return _finite(value, "xi_completed")
 
 
@@ -259,7 +244,7 @@ def _bessel_k_grid(a: float, b: float, y: float, eps: float) -> tuple[float, int
     return h, int(math.ceil(t_max / h))
 
 
-def bessel_k(order: complex, y: float, policy: AccuracyPolicy = DEFAULT_ACCURACY) -> complex:
+def bessel_k(order: complex, y: float) -> complex:
     """K-Bessel function K_order(y) for y > 0 and |order| <= 100.
 
     Evaluates the integral representation int_0^infty exp(-y cosh t)
@@ -281,8 +266,7 @@ def bessel_k(order: complex, y: float, policy: AccuracyPolicy = DEFAULT_ACCURACY
         exp_peak = a * t_peak - math.hypot(a, y)
         if exp_peak > _LOG_DBL_MAX - 5.0:
             raise OverflowError("bessel_k integrand exceeds double range")
-    eps = min(1e-15, max(policy.target_abs_error * 1e-1, 1e-16))
-    h, nsteps = _bessel_k_grid(a, b, y, eps)
+    h, nsteps = _bessel_k_grid(a, b, y, _BESSEL_EPS)
     value = _kernels.bessel_k_trapezoid(a, b, y, h, nsteps)
     # the kernel computed K for |Re|, |Im|; evenness and conjugation symmetry
     # recover every sign combination

@@ -47,11 +47,11 @@ def _report(number, ok, detail):
 
 def test_criterion_1_cross_validation():
     start = time.time()
-    policy = TruncationPolicy(lattice_radius=2000, fourier_terms=30)
+    policy = TruncationPolicy(lattice_radius=2000)
     worst = 0.0
     for z in (1j, 0.3 + 1.2j, -0.4 + 0.8j):
         for s in (2.2, 2.5, complex(3, 1)):
-            diff = abs(eval_lattice_sum(z, s, policy).value - eval_fourier(z, s, policy).value)
+            diff = abs(eval_lattice_sum(z, s, policy).value - eval_fourier(z, s).value)
             worst = max(worst, diff)
     elapsed = time.time() - start
     ok = worst < 1e-6 and elapsed < 30.0
@@ -60,10 +60,7 @@ def test_criterion_1_cross_validation():
 
 def test_criterion_2_functional_equation_grid():
     start = time.time()
-    policy = TruncationPolicy(fourier_terms=40)
-    worst = max(
-        functional_equation_defect(0.3 + 1.4j, s, policy) for s in functional_equation_grid()
-    )
+    worst = max(functional_equation_defect(0.3 + 1.4j, s) for s in functional_equation_grid())
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 60.0
     _report(2, ok, f"max FE defect on 20-point grid = {worst:.3e} (< 1e-8), {elapsed:.1f}s (< 60s)")
@@ -79,7 +76,7 @@ def test_criterion_3_xi_reflection():
 
 def test_criterion_4_first_coefficient():
     worst = max(first_coefficient_xi_check(s) for s in functional_equation_grid())
-    policy = TruncationPolicy(lattice_radius=800, fourier_terms=30, quadrature_nodes=64)
+    policy = TruncationPolicy(lattice_radius=800, quadrature_nodes=64)
     extracted = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
     closed = fourier_coefficient(1, 1.0, 2.5)
     diff = abs(extracted - closed)
@@ -93,7 +90,7 @@ def test_criterion_4_first_coefficient():
 
 
 def test_criterion_5_constant_term_quadrature():
-    policy = TruncationPolicy(lattice_radius=600, fourier_terms=30, quadrature_nodes=128)
+    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=128)
     extracted = extract_coefficient_by_quadrature(0, 2.0, 2.5, policy, source="lattice")
     closed = fourier_coefficient(0, 2.0, 2.5)
     diff = abs(extracted - closed)

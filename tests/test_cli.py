@@ -105,7 +105,7 @@ def test_fourier_extract_matches_closed_form(capsys):
 
 
 def test_fe_check_default_grid(capsys):
-    code, out, _ = run_cli(["fe-check", "--terms", "40", "--format", "json"], capsys)
+    code, out, _ = run_cli(["fe-check", "--format", "json"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["points"] == 20
@@ -132,7 +132,7 @@ def test_fe_check_mode_bound_failure_exits_nonzero(capsys, monkeypatch):
 
     monkeypatch.setattr(eisenstein, "_MODE_BOUND", 2)
     code, out, err = run_cli(
-        ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--terms", "1", "--format", "json"],
+        ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--format", "json"],
         capsys,
     )
     assert code == 4
@@ -192,6 +192,7 @@ def test_decompose_g2(capsys):
     dims = {tuple(row["dims"]) for row in report["rows"]}
     assert (4, 1) in dims
     assert len(report["rows"]) == 2
+    assert list(report["rows"][0]) == report["columns"]
 
 
 def test_decompose_a1(capsys):
@@ -218,10 +219,28 @@ def test_decompose_table_csv(capsys):
 
 
 def test_verbose_prints_defaults(capsys):
-    code, _, err = run_cli(["xi", "--s", "2", "--verbose"], capsys)
+    argv = ["eval", "--z", "0+1i", "--s", "2.5", "--method", "fourier", "--verbose"]
+    code, _, err = run_cli(argv, capsys)
     assert code == 0
     assert "defaults:" in err
-    assert "radius=" in err
+    assert "radius=1000" in err
+    assert "method=fourier" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--s", "2", "--radius", "5"],
+        ["fe-check", "--radius", "5"],
+        ["decompose", "G", "2", "--terms", "3"],
+        ["eval", "--z", "0+1i", "--s", "2.5", "--terms", "40"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 coefficient extraction, and the first-coefficient route to the xi
 reflection."""
 
-import cmath
 import math
 import random
 
@@ -21,7 +20,6 @@ from eisenkit.eisenstein import (
     fourier_coefficient,
     functional_equation_defect,
     functional_equation_grid,
-    lattice_term,
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
@@ -43,8 +41,6 @@ def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(lattice_radius=5)
     with pytest.raises(DomainError):
-        TruncationPolicy(fourier_terms=0)
-    with pytest.raises(DomainError):
         TruncationPolicy(quadrature_nodes=8)
 
 
@@ -54,14 +50,6 @@ def test_spectral_parameter_distance():
 
 # ---------------------------------------------------------------------------
 # lattice evaluator
-
-
-def test_unfolded_terms_at_m_zero_give_two_y_to_s():
-    # raw (0, 1) and (0, -1) terms, before the +-pair folding
-    for y, s in ((1.7, 2.5), (0.8, complex(3, 1))):
-        z = complex(0.2, y)
-        total = lattice_term(0, 1, z, s) + lattice_term(0, -1, z, s)
-        assert abs(total - 2.0 * cmath.exp(complex(s) * math.log(y))) < 1e-14
 
 
 def test_lattice_sum_real_on_imaginary_axis_real_s():
@@ -111,19 +99,18 @@ def test_coefficient_depends_only_on_mode_magnitude():
 
 
 def test_cross_evaluator_agreement():
-    policy = TruncationPolicy(lattice_radius=800, fourier_terms=30)
+    policy = TruncationPolicy(lattice_radius=800)
     for z in (1j, 0.3 + 1.2j):
         for s in (2.5, complex(3, 1)):
             lat = eval_lattice_sum(z, s, policy)
-            fou = eval_fourier(z, s, policy)
+            fou = eval_fourier(z, s)
             assert abs(lat.value - fou.value) < 1e-6
 
 
 def test_fourier_periodicity_is_exact():
-    policy = TruncationPolicy(fourier_terms=25)
     for z, s in ((0.3 + 1.2j, 2.5), (-0.7 + 0.9j, complex(0.4, 2))):
-        shifted = eval_fourier(z + 1.0, s, policy).value
-        assert shifted == eval_fourier(z, s, policy).value
+        shifted = eval_fourier(z + 1.0, s).value
+        assert shifted == eval_fourier(z, s).value
 
 
 def test_nonconstant_part_decays_like_first_bessel_mode():
@@ -140,19 +127,10 @@ def test_nonconstant_part_decays_like_first_bessel_mode():
     assert 0.5 * math.exp(-math.pi) < ratio < 2.0 * math.exp(-math.pi)
 
 
-def test_fourier_escalates_mode_count_at_small_y():
-    # policy asks for a single mode; escalation must keep adding modes until
-    # they fall below target, giving the same value as a generous policy
-    tight = eval_fourier(0.2 + 0.4j, 2.5, TruncationPolicy(fourier_terms=1)).value
-    generous = eval_fourier(0.2 + 0.4j, 2.5, TruncationPolicy(fourier_terms=40)).value
-    assert abs(tight - generous) < 1e-12
-
-
 def test_modular_inversion_invariance():
     z = complex(0.2, 1.1)
     w = -1.0 / z
-    policy = TruncationPolicy(fourier_terms=40)
-    assert abs(eval_fourier(w, 2.5, policy).value - eval_fourier(z, 2.5, policy).value) < 1e-6
+    assert abs(eval_fourier(w, 2.5).value - eval_fourier(z, 2.5).value) < 1e-6
 
 
 def test_fourier_near_cusp_matches_mpmath():
@@ -160,8 +138,11 @@ def test_fourier_near_cusp_matches_mpmath():
     # makes a few modes enough; the reference does its own pullback
     pytest.importorskip("mpmath")
     rng = random.Random(41)
-    for _ in range(24):
-        z = complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(1e-4), math.log(0.1))))
+    points = [
+        complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(1e-4), math.log(0.1))))
+        for _ in range(24)
+    ]
+    for z in points + [0.2 + 0.4j]:
         for s in (2.5, complex(3, 1), complex(0.3, 2), complex(1.7, -4)):
             want = oracles.eisenstein_mpmath(z, s)
             assert abs(eval_fourier(z, s).value - want) < 1e-8 * abs(want), (z, s)
@@ -210,13 +191,12 @@ def test_pullback_lands_in_fundamental_domain():
 
 def test_fourier_raises_at_mode_bound(monkeypatch):
     # at z = 0.3+1.2i, s = 2.5 the first mode below the target is n = 5
-    policy = TruncationPolicy(fourier_terms=1)
-    assert eval_fourier(0.3 + 1.2j, 2.5, policy).value
+    monkeypatch.setattr(eisenstein, "_MODE_FLOOR", 1)
+    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 5)
+    assert eval_fourier(0.3 + 1.2j, 2.5).value
     monkeypatch.setattr(eisenstein, "_MODE_BOUND", 3)
     with pytest.raises(AccuracyError):
-        eval_fourier(0.3 + 1.2j, 2.5, policy)
-    # the policy count raises the bound along with it
-    assert eval_fourier(0.3 + 1.2j, 2.5, TruncationPolicy(fourier_terms=10)).value
+        eval_fourier(0.3 + 1.2j, 2.5)
 
 
 def test_fourier_raises_at_pullback_step_bound(monkeypatch):
@@ -271,14 +251,12 @@ def test_scattering_unitary_on_critical_line():
 
 
 def test_functional_equation_defect_examples():
-    policy = TruncationPolicy(fourier_terms=40)
-    assert functional_equation_defect(0.3 + 1.4j, complex(0.6, 2.0), policy) < 1e-8
-    assert functional_equation_defect(1j, 0.25, policy) < 1e-8
+    assert functional_equation_defect(0.3 + 1.4j, complex(0.6, 2.0)) < 1e-8
+    assert functional_equation_defect(1j, 0.25) < 1e-8
 
 
 def test_functional_equation_defect_grid():
-    policy = TruncationPolicy(fourier_terms=40)
-    worst = max(functional_equation_defect(0.3 + 1.4j, s, policy) for s in functional_equation_grid())
+    worst = max(functional_equation_defect(0.3 + 1.4j, s) for s in functional_equation_grid())
     assert worst < 1e-8
 
 
@@ -303,21 +281,21 @@ def test_defect_transforms_by_ratio_magnitude_under_reflection():
 
 
 def test_extraction_matches_constant_term():
-    policy = TruncationPolicy(lattice_radius=600, fourier_terms=30, quadrature_nodes=128)
+    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=128)
     got = extract_coefficient_by_quadrature(0, 2.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(0, 2.0, 2.5)
     assert abs(got - want) < 1e-6
 
 
 def test_extraction_matches_first_coefficient():
-    policy = TruncationPolicy(lattice_radius=600, fourier_terms=30, quadrature_nodes=64)
+    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=64)
     got = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(1, 1.0, 2.5)
     assert abs(got - want) < 1e-6
 
 
 def test_extraction_matches_second_coefficient():
-    policy = TruncationPolicy(lattice_radius=500, fourier_terms=30, quadrature_nodes=32)
+    policy = TruncationPolicy(lattice_radius=500, quadrature_nodes=32)
     got = extract_coefficient_by_quadrature(2, 1.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(2, 1.0, 2.5)
     assert abs(got - want) < 1e-6
@@ -334,7 +312,7 @@ def test_extraction_agrees_with_independent_oracle():
 
 def test_high_mode_extraction_is_negligible():
     # a_5(3, 2.5) carries K_2(30 pi) ~ e^(-94); the extraction must see noise only
-    policy = TruncationPolicy(lattice_radius=800, fourier_terms=30, quadrature_nodes=32)
+    policy = TruncationPolicy(lattice_radius=800, quadrature_nodes=32)
     value = extract_coefficient_by_quadrature(5, 3.0, 2.5, policy, source="lattice")
     assert abs(value) < 1e-10
 
@@ -342,7 +320,7 @@ def test_high_mode_extraction_is_negligible():
 def test_fourier_source_probe_measures_leakage_only():
     # with the target mode excluded from the Fourier sum, the quadrature sees
     # only aliasing, which the node count pushes below target even on the strip
-    policy = TruncationPolicy(fourier_terms=30, quadrature_nodes=64)
+    policy = TruncationPolicy(quadrature_nodes=64)
     for n in (0, 1, 3):
         probe = extract_coefficient_by_quadrature(n, 1.0, complex(0.4, 1.0), policy, source="fourier")
         assert abs(probe) < 1e-12

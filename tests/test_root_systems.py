@@ -1,14 +1,9 @@
 """Root systems, Weyl orders, Levi classification, nilradical gradings."""
 
-import csv
-import io
-import json
-
 import pytest
 
 from eisenkit.errors import InvalidTypeError, ResourceError
 from eisenkit.root_systems import (
-    TABLE_COLUMNS,
     ParabolicDatum,
     build_root_system,
     enumerate_table,
@@ -17,8 +12,6 @@ from eisenkit.root_systems import (
     levi_type,
     nilradical_decomposition,
     positive_root_count_closed_form,
-    table_to_csv,
-    table_to_json,
     weyl_group_order,
     weyl_order_closed_form,
 )
@@ -235,31 +228,6 @@ def test_enumerate_table_g2():
 
 def test_enumerate_table_empty():
     assert enumerate_table([]) == []
-
-
-def test_table_csv_shape():
-    text = table_to_csv(enumerate_table([("G", 2)]))
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == list(TABLE_COLUMNS)
-    assert rows[2][:5] == ["G", "2", "1", "A1", "2"]
-    assert rows[2][5] == "4 1"
-    assert rows[2][6] == "1 2"
-
-
-def test_table_json_round_trip():
-    rows = enumerate_table([("A", 3), ("G", 2)])
-    payload = json.loads(table_to_json(rows))
-    assert len(payload) == 5
-    assert payload[-1] == {
-        "type": "G",
-        "rank": 2,
-        "removed_index": 1,
-        "levi": "A1",
-        "m": 2,
-        "dims": [4, 1],
-        "a": [1, 2],
-    }
-    assert list(payload[0].keys()) == list(TABLE_COLUMNS)
 
 
 def test_parabolic_index_validation():

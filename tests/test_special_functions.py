@@ -15,7 +15,6 @@ import pytest
 import oracles
 from eisenkit.errors import DomainError, PoleError
 from eisenkit.special_functions import (
-    AccuracyPolicy,
     bessel_k,
     gamma,
     sigma_power,
@@ -245,16 +244,7 @@ def test_bessel_domain_and_overflow():
 
 
 # ---------------------------------------------------------------------------
-# policy plumbing
-
-
-def test_accuracy_policy_validation():
-    with pytest.raises(DomainError):
-        AccuracyPolicy(target_abs_error=0.0)
-    with pytest.raises(DomainError):
-        AccuracyPolicy(target_rel_error=1.5)
-    with pytest.raises(DomainError):
-        AccuracyPolicy(max_terms=4)
+# result types
 
 
 def test_results_are_finite_complex():
