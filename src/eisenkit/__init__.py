@@ -21,9 +21,7 @@ cli
 __version__ = "0.1.0"
 
 from .eisenstein import (
-    HalfPlanePoint,
     SeriesValue,
-    SpectralParameter,
     TruncationPolicy,
     eval_fourier,
     eval_lattice_sum,
@@ -92,8 +90,6 @@ __all__ = [
     "sigma_power",
     "bessel_k",
     # eisenstein
-    "HalfPlanePoint",
-    "SpectralParameter",
     "TruncationPolicy",
     "SeriesValue",
     "eval_lattice_sum",

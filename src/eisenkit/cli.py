@@ -155,7 +155,7 @@ def cmd_fourier(args) -> dict:
     }
     report.update(_complex_fields("a_n", a_n))
     if args.extract:
-        extracted = extract_coefficient_by_quadrature(args.n, args.y, s, policy, source="lattice")
+        extracted = extract_coefficient_by_quadrature(args.n, args.y, s, policy)
         report.update(_complex_fields("extracted", extracted))
         report["extraction_difference"] = abs(extracted - a_n)
     return report
@@ -164,7 +164,7 @@ def cmd_fourier(args) -> dict:
 def _grid_points(args) -> list[complex]:
     if args.points:
         return [parse_complex(tok) for tok in args.points.split(",")]
-    return list(functional_equation_grid())
+    return list(xi_reflection_sample() if args.check == "xi" else functional_equation_grid())
 
 
 def cmd_fe_check(args) -> dict:
@@ -172,14 +172,7 @@ def cmd_fe_check(args) -> dict:
     rows = []
     defects = []
     skipped = 0
-    if args.check == "xi":
-        points = (
-            [parse_complex(tok) for tok in args.points.split(",")]
-            if args.points
-            else list(xi_reflection_sample())
-        )
-    else:
-        points = _grid_points(args)
+    points = _grid_points(args)
     for s in points:
         row = {"s": format_complex(s)}
         try:

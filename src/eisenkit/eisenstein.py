@@ -15,13 +15,14 @@ c(s) = xi(2s-1)/xi(2s), which implements E(z, s) = c(s) E(z, 1-s); both that
 identity and its first-Fourier-mode reduction to the xi reflection are
 exposed as numeric defect checks.
 
-The lattice evaluator reduces x modulo 1 into [-1/2, 1/2] before summing,
-which makes it exactly periodic.  The Fourier evaluator goes further and uses
-the full SL2(Z) invariance of E: it pulls z back into the fundamental domain
-|x| <= 1/2, |z| >= 1 (Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 7.4.2) before summing.  There y >= sqrt(3)/2, so every mode
-decays at least like e^(-5.44 n) and a few dozen modes meet the accuracy
-target for any z, however close to the real axis.
+Both evaluators use the full SL2(Z) invariance of E: they pull z back into
+the fundamental domain |x| <= 1/2, |z| >= 1 (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 7.4.2) before summing.  There
+y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and a
+few dozen modes meet the accuracy target for any z, however close to the
+real axis; and every lattice term at max-norm radius r is at most
+y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
+blows up as y -> 0.
 """
 
 from __future__ import annotations
@@ -41,46 +42,10 @@ from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_compl
 POLE_POINTS = (0.0, 0.5, 1.0)
 
 _TWO_PI = 2.0 * math.pi
-_MODE_FLOOR = 30  # fewest modes eval_fourier sums; the Fourier-source extraction sums this many
+_MODE_FLOOR = 30  # fewest modes eval_fourier sums
 _MODE_BOUND = 512  # most modes eval_fourier sums
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Point z = x + i y of the upper half-plane (y > 0)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0.0:
-            raise DomainError(f"upper half-plane needs y > 0, got y = {self.y}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError("half-plane point must be finite")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "HalfPlanePoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Spectral variable s with its pole-exclusion radius."""
-
-    value: complex
-    pole_exclusion_radius: float = 1e-6
-
-    def __post_init__(self):
-        if not self.pole_exclusion_radius > 0.0:
-            raise DomainError("pole_exclusion_radius must be positive")
-
-    def distance_to_poles(self) -> float:
-        return min(abs(self.value - p) for p in POLE_POINTS)
+_POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
 
 
 @dataclass(frozen=True)
@@ -111,31 +76,23 @@ class SeriesValue(NamedTuple):
     tail_bound: float
 
 
-def _as_point(z) -> HalfPlanePoint:
-    if isinstance(z, HalfPlanePoint):
-        return z
-    return HalfPlanePoint.from_complex(z)
+def _point(z) -> tuple[float, float]:
+    """(x, y) of z; DomainError unless z is finite with y > 0."""
+    z = complex(z)
+    if not z.imag > 0.0:
+        raise DomainError(f"upper half-plane needs y > 0, got y = {z.imag}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"half-plane point must be finite, got {z}")
+    return z.real, z.imag
 
 
-def _as_spectral(s) -> SpectralParameter:
-    if isinstance(s, SpectralParameter):
-        return s
-    return SpectralParameter(complex(s))
-
-
-def _require_off_poles(sp: SpectralParameter, what: str) -> complex:
-    d = sp.distance_to_poles()
-    if d <= sp.pole_exclusion_radius:
+def _require_off_poles(s, what: str) -> complex:
+    s = complex(s)
+    if min(abs(s - p) for p in POLE_POINTS) <= _POLE_RADIUS:
         raise PoleError(
-            f"{what}: s = {sp.value} is within {sp.pole_exclusion_radius} of a pole "
-            f"(pole points {POLE_POINTS})"
+            f"{what}: s = {s} is within {_POLE_RADIUS} of a pole (pole points {POLE_POINTS})"
         )
-    return sp.value
-
-
-def _reduce_x(x: float) -> float:
-    # shift x by an integer into [-1/2, 1/2]; exact for |x| < 2^52
-    return x - round(x)
+    return s
 
 
 def _pullback(x: float, y: float) -> tuple[float, float]:
@@ -173,27 +130,25 @@ def _cpow(base: float, expo: complex) -> complex:
 
 def _lattice_tail_bound(y: float, sigma: float, radius: int) -> float:
     # compare with the integral of r^(1-2 sigma): terms at max-norm radius r
-    # number ~ 8r and are bounded by y^sigma (c r^2)^(-sigma), c = min(y^2, 1/4)
-    c = min(y * y, 0.25)
-    return 8.0 * y**sigma * c ** (-sigma) * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
+    # number ~ 8r and, for a pulled-back z (|x| <= 1/2, y >= sqrt(3)/2), are
+    # bounded by y^sigma (r^2 / 4)^(-sigma)
+    return 8.0 * (4.0 * y) ** sigma * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
 
 
 def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesValue:
     """Partial coprime lattice sum over max(|m|, |n|) <= lattice_radius.
 
-    Only converges for Re(s) > 1 (DivergenceError otherwise).  The returned
-    tail bound is O(radius^(2 - 2 Re s)), by comparison with the integral of
-    r^(1 - 2 Re s).
+    Pulls z back under SL2(Z) first, as eval_fourier does, and sums at the
+    image.  Only converges for Re(s) > 1 (DivergenceError otherwise).  The
+    returned tail bound is O(radius^(2 - 2 Re s)), by comparison with the
+    integral of r^(1 - 2 Re s).
     """
-    pt = _as_point(z)
-    sp = _as_spectral(s)
-    sv = sp.value
-    if sv.real <= 1.0:
-        raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {sv}")
-    x = _reduce_x(pt.x)
-    raw = _kernels.lattice_sum(x, pt.y, sv.real, sv.imag, policy.lattice_radius)
-    value = _cpow(pt.y, sv) * raw
-    return SeriesValue(value, _lattice_tail_bound(pt.y, sv.real, policy.lattice_radius))
+    x, y = _pullback(*_point(z))
+    s = complex(s)
+    if s.real <= 1.0:
+        raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {s}")
+    raw = _kernels.lattice_sum(x, y, s.real, s.imag, policy.lattice_radius)
+    return SeriesValue(_cpow(y, s) * raw, _lattice_tail_bound(y, s.real, policy.lattice_radius))
 
 
 def scattering_ratio(s) -> complex:
@@ -202,9 +157,8 @@ def scattering_ratio(s) -> complex:
     Satisfies c(s) c(1 - s) = 1 and |c| = 1 on the critical line, both forced
     by the xi reflection; the tests verify rather than assume this.
     """
-    sp = _as_spectral(s)
-    sv = _require_off_poles(sp, "scattering_ratio")
-    return xi_completed(2.0 * sv - 1.0) / xi_completed(2.0 * sv)
+    s = _require_off_poles(s, "scattering_ratio")
+    return xi_completed(2.0 * s - 1.0) / xi_completed(2.0 * s)
 
 
 def fourier_coefficient(n: int, y: float, s) -> complex:
@@ -214,14 +168,12 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     a_n = 2 |n|^(s - 1/2) sigma_(1-2s)(|n|) sqrt(y) K_(s-1/2)(2 pi |n| y) / xi(2s),
     which depends on n only through |n|.
     """
-    if not y > 0.0:
-        raise DomainError(f"fourier_coefficient needs y > 0, got {y}")
-    sp = _as_spectral(s)
-    sv = _require_off_poles(sp, "fourier_coefficient")
-    xi_2s = xi_completed(2.0 * sv)
+    _point(complex(0.0, y))
+    s = _require_off_poles(s, "fourier_coefficient")
+    xi_2s = xi_completed(2.0 * s)
     if n == 0:
-        return _constant_term(y, sv, xi_2s)
-    return _mode(abs(n), y, sv, 1.0 / xi_2s)
+        return _constant_term(y, s, xi_2s)
+    return _mode(abs(n), y, s, 1.0 / xi_2s)
 
 
 def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
@@ -254,23 +206,21 @@ def eval_fourier(z, s) -> SeriesValue:
     mode.  Raises AccuracyError if 512 modes do not reach the target, rather
     than return a value that missed it.
     """
-    pt = _as_point(z)
-    sp = _as_spectral(s)
-    sv = _require_off_poles(sp, "eval_fourier")
-    x, y = _pullback(pt.x, pt.y)
-    xi_2s = xi_completed(2.0 * sv)
+    x, y = _pullback(*_point(z))
+    s = _require_off_poles(s, "eval_fourier")
+    xi_2s = xi_completed(2.0 * s)
     inv_xi = 1.0 / xi_2s
-    total = _constant_term(y, sv, xi_2s)
+    total = _constant_term(y, s, xi_2s)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
     for n in range(1, _MODE_BOUND + 1):
-        a_n = _mode(n, y, sv, inv_xi)
+        a_n = _mode(n, y, s, inv_xi)
         total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
         last_mag = 2.0 * abs(a_n)
         if n >= _MODE_FLOOR and last_mag <= target:
             break
     else:
         raise AccuracyError(
-            f"eval_fourier: mode {_MODE_BOUND} at z' = {x}+{y}i, s = {sv} is {last_mag:.3g}, "
+            f"eval_fourier: mode {_MODE_BOUND} at z' = {x}+{y}i, s = {s} is {last_mag:.3g}, "
             f"above the target {target:.3g}"
         )
     decay = math.exp(-_TWO_PI * y)
@@ -283,11 +233,9 @@ def functional_equation_defect(z, s) -> float:
     Zero in exact arithmetic; numerically bounded by the evaluators'
     truncation and the accuracy of xi.
     """
-    sp = _as_spectral(s)
-    sv = sp.value
-    reflected = SpectralParameter(1.0 - sv, sp.pole_exclusion_radius)
-    lhs = eval_fourier(z, sp).value
-    rhs = scattering_ratio(sp) * eval_fourier(z, reflected).value
+    s = complex(s)
+    lhs = eval_fourier(z, s).value
+    rhs = scattering_ratio(s) * eval_fourier(z, 1.0 - s).value
     return abs(lhs - rhs)
 
 
@@ -296,43 +244,28 @@ def extract_coefficient_by_quadrature(
     y: float,
     s,
     policy: TruncationPolicy = DEFAULT_TRUNCATION,
-    source: str = "auto",
+    source: str = "lattice",
 ) -> complex:
     """Trapezoid quadrature int_0^1 E(x + i y, s) e^(-2 pi i n x) dx.
 
-    The rule is exact on trigonometric polynomials below the node count, so
-    with ``source="lattice"`` (requires Re(s) > 1) this is an extraction of
-    a_n that is independent of the closed-form coefficient formula.  With
-    ``source="fourier"`` the target mode is excluded from a sum of the first 30
-    modes, so the result measures pure aliasing leakage (near zero) rather than
-    restating the formula; it is usable on the whole strip.  ``source="auto"``
-    picks the lattice when it converges, the Fourier leakage probe otherwise.
+    E is sampled by the lattice sum, so this is an extraction of a_n
+    independent of the closed-form coefficient formula (the rule is exact on
+    trigonometric polynomials below the node count).  Needs Re(s) > 1
+    (DivergenceError otherwise); ``source`` accepts only "lattice".
     """
-    if not y > 0.0:
-        raise DomainError(f"coefficient extraction needs y > 0, got {y}")
-    sp = _as_spectral(s)
-    sv = sp.value
+    _point(complex(0.0, y))
+    if source != "lattice":
+        raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")
+    s = complex(s)
+    if s.real <= 1.0:
+        raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
     nodes = policy.quadrature_nodes
     xs = np.arange(nodes, dtype=np.float64) / nodes
-    if source == "auto":
-        source = "lattice" if sv.real > 1.0 else "fourier"
-    if source == "lattice":
-        if sv.real <= 1.0:
-            raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
-        xs_reduced = xs - np.round(xs)
-        raw = _kernels.lattice_sum_batch(xs_reduced, y, sv.real, sv.imag, policy.lattice_radius)
-        values = _cpow(y, sv) * np.asarray(raw)
-    elif source == "fourier":
-        _require_off_poles(sp, "extract_coefficient_by_quadrature")
-        xi_2s = xi_completed(2.0 * sv)
-        inv_xi = 1.0 / xi_2s
-        base = 0j if n == 0 else _constant_term(y, sv, xi_2s)
-        values = np.full(nodes, base, dtype=np.complex128)
-        for m in range(1, _MODE_FLOOR + 1):
-            if m != abs(n):
-                values += _mode(m, y, sv, inv_xi) * 2.0 * np.cos(_TWO_PI * m * xs)
-    else:
-        raise DomainError(f"unknown source {source!r}; use 'auto', 'lattice' or 'fourier'")
+    # nodes are only translated into |x| <= 1/2 and keep the row's y: SL2(Z)
+    # images would give each node its own truncation error, which measured
+    # about half a digit worse on n != 0 at y < 1
+    raw = _kernels.lattice_sum_batch(xs - np.round(xs), y, s.real, s.imag, policy.lattice_radius)
+    values = _cpow(y, s) * np.asarray(raw)
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))
 
@@ -346,10 +279,9 @@ def first_coefficient_xi_check(s) -> float:
     running the same matching at 1-s gives xi(2s) = xi(1-2s).  The returned
     defect is the max of the two, hence symmetric in s <-> 1-s.
     """
-    sp = _as_spectral(s)
-    sv = _require_off_poles(sp, "first_coefficient_xi_check")
-    d_forward = abs(xi_completed(2.0 * sv - 1.0) - xi_completed(2.0 - 2.0 * sv))
-    d_reflected = abs(xi_completed(2.0 * sv) - xi_completed(1.0 - 2.0 * sv))
+    s = _require_off_poles(s, "first_coefficient_xi_check")
+    d_forward = abs(xi_completed(2.0 * s - 1.0) - xi_completed(2.0 - 2.0 * s))
+    d_reflected = abs(xi_completed(2.0 * s) - xi_completed(1.0 - 2.0 * s))
     return max(d_forward, d_reflected)
 
 

@@ -17,7 +17,6 @@ the descriptor; the numeric identity is deliberately not asserted anywhere.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -72,7 +71,6 @@ class LFunctionData:
     """
 
     places: tuple[PlaceDatum, ...]
-    excluded_set_label: str = "S"
 
     def __post_init__(self):
         places = tuple(sorted(self.places, key=lambda p: p.q))
@@ -114,12 +112,12 @@ class RatioSpec:
             raise DomainError(f"a_j must be strictly increasing, got {a_values}")
 
 
-def trivial_zeta_data(limit: int, label: str = "S") -> LFunctionData:
+def trivial_zeta_data(limit: int) -> LFunctionData:
     """All-ones one-dimensional Satake data at every prime < limit; its Euler
     product is the truncated zeta."""
     one = SatakeClass((1.0 + 0.0j,))
     places = tuple(PlaceDatum(p, one) for p in primes_up_to(limit - 1))
-    return LFunctionData(places, label)
+    return LFunctionData(places)
 
 
 def local_factor(place: PlaceDatum, s: complex) -> complex:
@@ -213,8 +211,6 @@ class CrudeEquationLevel:
 
     index: int
     a: int
-    left_dual: bool = True
-    right_dual: bool = False
 
     def left_argument(self, s: complex) -> complex:
         return self.a * complex(s)
@@ -230,70 +226,14 @@ class CrudeEquationDescriptor:
     local factors at the excluded places are out of scope."""
 
     levels: tuple[CrudeEquationLevel, ...]
-    local_factor_note: str = "local factors at excluded places omitted"
 
     def argument_pairs(self, s: complex) -> list[tuple[complex, complex]]:
         return [(lv.left_argument(s), lv.right_argument(s)) for lv in self.levels]
 
     def render(self) -> str:
-        def side(lv: CrudeEquationLevel, left: bool) -> str:
-            mark = "dual" if (lv.left_dual if left else lv.right_dual) else "std"
-            arg = f"{lv.a}s" if left else f"1-{lv.a}s"
-            return f"L[{arg},{mark},r{lv.index}]"
-
-        lhs = " * ".join(side(lv, True) for lv in self.levels)
-        rhs = " * ".join(side(lv, False) for lv in self.levels)
+        lhs = " * ".join(f"L[{lv.a}s,dual,r{lv.index}]" for lv in self.levels)
+        rhs = " * ".join(f"L[1-{lv.a}s,std,r{lv.index}]" for lv in self.levels)
         return f"{lhs} = {rhs} * (local factors)"
-
-    @classmethod
-    def parse(cls, text: str) -> "CrudeEquationDescriptor":
-        lhs_text, rhs_text = text.split(" = ", 1)
-        rhs_text = rhs_text.rsplit(" * (local factors)", 1)[0]
-        pattern = re.compile(r"L\[(?:1-)?(\d+)s,(dual|std),r(\d+)\]")
-        lhs = pattern.findall(lhs_text)
-        rhs = pattern.findall(rhs_text)
-        if len(lhs) != len(rhs) or not lhs:
-            raise PlaceDataError(f"cannot parse descriptor: {text!r}")
-        levels = []
-        for (a_l, mark_l, idx_l), (a_r, mark_r, idx_r) in zip(lhs, rhs):
-            if a_l != a_r or idx_l != idx_r:
-                raise PlaceDataError(f"mismatched sides in descriptor: {text!r}")
-            levels.append(
-                CrudeEquationLevel(
-                    index=int(idx_l),
-                    a=int(a_l),
-                    left_dual=mark_l == "dual",
-                    right_dual=mark_r == "dual",
-                )
-            )
-        return cls(tuple(levels))
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": [
-                {
-                    "index": lv.index,
-                    "a": lv.a,
-                    "left_dual": lv.left_dual,
-                    "right_dual": lv.right_dual,
-                }
-                for lv in self.levels
-            ],
-            "local_factor_note": self.local_factor_note,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CrudeEquationDescriptor":
-        levels = tuple(
-            CrudeEquationLevel(
-                index=entry["index"],
-                a=entry["a"],
-                left_dual=entry["left_dual"],
-                right_dual=entry["right_dual"],
-            )
-            for entry in payload["levels"]
-        )
-        return cls(levels, payload.get("local_factor_note", ""))
 
 
 def crude_equation_descriptor(spec: RatioSpec) -> CrudeEquationDescriptor:
@@ -305,7 +245,7 @@ def crude_equation_descriptor(spec: RatioSpec) -> CrudeEquationDescriptor:
     return CrudeEquationDescriptor(levels)
 
 
-def read_place_data(lines, label: str = "S") -> LFunctionData:
+def read_place_data(lines) -> LFunctionData:
     """Parse the line-oriented place format: ``q re im re im ...`` per place,
     ``#`` starting a comment, blank lines skipped.
 
@@ -314,7 +254,7 @@ def read_place_data(lines, label: str = "S") -> LFunctionData:
     """
     if isinstance(lines, (str, bytes)):
         with open(lines, "r", encoding="utf-8") as handle:
-            return read_place_data(handle, label)
+            return read_place_data(handle)
     places = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -343,6 +283,6 @@ def read_place_data(lines, label: str = "S") -> LFunctionData:
         except DomainError as exc:
             raise PlaceDataError(str(exc), lineno) from None
     try:
-        return LFunctionData(tuple(places), label)
+        return LFunctionData(tuple(places))
     except DomainError as exc:
         raise PlaceDataError(str(exc)) from None

@@ -154,15 +154,10 @@ def extract_mode_brute(n: int, y: float, s: complex, nodes: int, radius: int) ->
     return complex(np.mean(values * weights))
 
 
-def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
-    """E(z, s) from its Fourier expansion in mpmath at ``dps`` digits.
-
-    z is first pulled back into the fundamental domain |x| <= 1/2, |z| >= 1
-    by plain translate/invert steps at working precision (the binary inputs
-    are taken exactly), then the expansion is summed at the image with
-    mpmath's own gamma, zeta and K-Bessel until a mode falls below 10^-dps
-    of the total.  Shares no code with the package.
-    """
+def sl2z_pullback(z: complex, dps: int = 20):
+    """Image of z in the fundamental domain |x| <= 1/2, |z| >= 1, as an mpmath
+    complex, by plain translate/invert steps at ``dps`` digits (the binary
+    inputs are taken exactly).  Shares no code with the package."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -170,8 +165,21 @@ def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
         while True:
             w -= mpmath.nint(w.real)
             if abs(w) >= 1:
-                break
+                return w
             w = -1 / w
+
+
+def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
+    """E(z, s) from its Fourier expansion in mpmath at ``dps`` digits.
+
+    z is first pulled back by ``sl2z_pullback``, then the expansion is summed
+    at the image with mpmath's own gamma, zeta and K-Bessel until a mode
+    falls below 10^-dps of the total.  Shares no code with the package.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        w = sl2z_pullback(z, dps)
         x, y = w.real, w.imag
         s = mpmath.mpc(s)
 

@@ -10,8 +10,6 @@ import pytest
 import oracles
 from eisenkit import eisenstein
 from eisenkit.eisenstein import (
-    HalfPlanePoint,
-    SpectralParameter,
     TruncationPolicy,
     eval_fourier,
     eval_lattice_sum,
@@ -29,12 +27,16 @@ from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleErr
 
 
 def test_half_plane_point_validation():
-    HalfPlanePoint(0.3, 1.2)
-    with pytest.raises(DomainError):
-        HalfPlanePoint(0.0, 0.0)
-    with pytest.raises(DomainError):
-        HalfPlanePoint(0.0, -1.0)
-    assert HalfPlanePoint.from_complex(0.5 + 2j).as_complex() == 0.5 + 2j
+    for z in (0j, -1j, complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError):
+            eval_fourier(z, 2.5)
+        with pytest.raises(DomainError):
+            eval_lattice_sum(z, 2.5)
+    for y in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fourier_coefficient(1, y, 2.5)
+        with pytest.raises(DomainError):
+            extract_coefficient_by_quadrature(1, y, 2.5)
 
 
 def test_truncation_policy_validation():
@@ -45,7 +47,10 @@ def test_truncation_policy_validation():
 
 
 def test_spectral_parameter_distance():
-    assert SpectralParameter(0.5 + 1e-9j).distance_to_poles() == pytest.approx(1e-9)
+    # s is refused within 1e-6 of a pole point and accepted just outside
+    assert eisenstein._require_off_poles(0.5 + 2e-6j, "test") == 0.5 + 2e-6j
+    with pytest.raises(PoleError):
+        eisenstein._require_off_poles(0.5 + 1e-9j, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +63,11 @@ def test_lattice_sum_real_on_imaginary_axis_real_s():
 
 
 def test_lattice_sum_matches_brute_loop():
+    # the brute loop sums at the oracle's own SL2(Z) image of z
+    pytest.importorskip("mpmath")
     policy = TruncationPolicy(lattice_radius=60)
-    for z, s in ((1j, 2.5), (0.3 + 1.2j, complex(3, 1)), (-0.4 + 0.8j, 2.2)):
-        want = oracles.eisenstein_brute(z, s, 60)
+    for z, s in ((1j, 2.5), (0.3 + 1.2j, complex(3, 1)), (-0.4 + 0.8j, 2.2), (2.3 + 0.1j, 2.5)):
+        want = oracles.eisenstein_brute(complex(oracles.sl2z_pullback(z)), s, 60)
         got = eval_lattice_sum(z, s, policy).value
         assert abs(got - want) < 1e-12 * abs(want)
 
@@ -76,6 +83,16 @@ def test_lattice_tail_bound_is_honest():
     coarse = eval_lattice_sum(1j, 2.5, TruncationPolicy(lattice_radius=100))
     fine = eval_lattice_sum(1j, 2.5, TruncationPolicy(lattice_radius=2000))
     assert abs(coarse.value - fine.value) < coarse.tail_bound
+    # near the cusp, where only the SL2(Z) pullback keeps the sum accurate
+    pytest.importorskip("mpmath")
+    policy = TruncationPolicy(lattice_radius=1000)
+    for y in (0.003, 0.01, 0.05):
+        for s, rel in ((2.5, 1e-9), (complex(2.2, 1), 1e-7)):
+            z = complex(0.3, y)
+            want = oracles.eisenstein_mpmath(z, s)
+            got = eval_lattice_sum(z, s, policy)
+            err = abs(got.value - want)
+            assert err < rel * abs(want) and err <= got.tail_bound, (z, s)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +334,15 @@ def test_high_mode_extraction_is_negligible():
     assert abs(value) < 1e-10
 
 
-def test_fourier_source_probe_measures_leakage_only():
-    # with the target mode excluded from the Fourier sum, the quadrature sees
-    # only aliasing, which the node count pushes below target even on the strip
-    policy = TruncationPolicy(quadrature_nodes=64)
-    for n in (0, 1, 3):
-        probe = extract_coefficient_by_quadrature(n, 1.0, complex(0.4, 1.0), policy, source="fourier")
-        assert abs(probe) < 1e-12
-
-
 def test_extraction_source_validation():
     with pytest.raises(DivergenceError):
         extract_coefficient_by_quadrature(0, 1.0, 0.5 + 2j, source="lattice")
-    with pytest.raises(DomainError):
-        extract_coefficient_by_quadrature(0, 1.0, 2.5, source="bogus")
+    # the lattice is the only source, also when none is named
+    with pytest.raises(DivergenceError):
+        extract_coefficient_by_quadrature(1, 1.0, 0.5 + 2j)
+    for source in ("bogus", "fourier", "auto"):
+        with pytest.raises(DomainError):
+            extract_coefficient_by_quadrature(0, 1.0, 2.5, source=source)
     with pytest.raises(DomainError):
         extract_coefficient_by_quadrature(0, -1.0, 2.5)
 
