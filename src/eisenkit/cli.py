@@ -86,10 +86,12 @@ def _emit(report: dict, fmt: str, stream) -> None:
     if fmt == "csv":
         writer = csv.writer(stream)
         if rows is not None:
-            header = list(rows[0].keys()) if rows else []
+            # rows may differ in keys (fe-check: defect or skipped), so the
+            # header is their union in first-seen order
+            header = list(dict.fromkeys(k for row in rows for k in row))
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_csv_cell(row[k]) for k in header])
+                writer.writerow([_csv_cell(row.get(k, "")) for k in header])
         else:
             writer.writerow(["key", "value"])
             for key, value in report.items():
@@ -321,9 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMPLEX_OPTIONS = ("--z", "--s", "--points")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``--z -0.4+0.8i`` -> ``--z=-0.4+0.8i`` for the complex options, whose
+    values argparse would otherwise take for an option when they start with -."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     if args.verbose:
         _print_defaults(args)
     try:

@@ -260,12 +260,16 @@ def extract_coefficient_by_quadrature(
     if s.real <= 1.0:
         raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
     nodes = policy.quadrature_nodes
-    xs = np.arange(nodes, dtype=np.float64) / nodes
-    # nodes are only translated into |x| <= 1/2 and keep the row's y: SL2(Z)
-    # images would give each node its own truncation error, which measured
-    # about half a digit worse on n != 0 at y < 1
-    raw = _kernels.lattice_sum_batch(xs - np.round(xs), y, s.real, s.imag, policy.lattice_radius)
-    values = _cpow(y, s) * np.asarray(raw)
+    k = np.arange(nodes)
+    xs = k / nodes
+    # E is even in x, so node k/N shares its value with 1 - k/N and only the
+    # nodes 0 <= k <= N/2, all in |x| <= 1/2, are summed.  They keep the row's
+    # y: SL2(Z) images would give each node its own truncation error, which
+    # measured about half a digit worse on n != 0 at y < 1
+    raw = _kernels.lattice_sum_batch(
+        xs[: nodes // 2 + 1], y, s.real, s.imag, policy.lattice_radius
+    )
+    values = _cpow(y, s) * np.asarray(raw)[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))
 

@@ -125,6 +125,37 @@ def test_fe_check_skips_pole_points_and_continues(capsys):
     assert report["rows"][1]["defect"] < 1e-10
 
 
+def test_fe_check_csv_rows_with_different_keys(capsys):
+    # one row has a defect, the other is skipped: the header covers both
+    code, out, _ = run_cli(
+        ["fe-check", "--check", "scattering", "--points", "0.3+2i,0.5", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["s", "defect", "skipped"]
+    assert len(rows) == 3
+    assert rows[1][0] == "0.3+2i" and float(rows[1][1]) < 1e-10 and rows[1][2] == ""
+    assert rows[2][0] == "0.5+0i" and rows[2][1] == "" and rows[2][2].startswith("PoleError")
+
+
+def test_complex_values_may_start_with_minus(capsys):
+    joined = ["eval", "--z=-0.4+0.8i", "--s=2.5", "--method", "fourier", "--format", "json"]
+    code, want, _ = run_cli(joined, capsys)
+    assert code == 0
+    spaced = ["eval", "--z", "-0.4+0.8i", "--s", "2.5", "--method", "fourier", "--format", "json"]
+    code, got, _ = run_cli(spaced, capsys)
+    assert code == 0
+    assert got == want
+    assert json.loads(got)["z"] == "-0.4+0.8i"
+    code, out, _ = run_cli(["xi", "--s", "-i", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["s"] == "0-1i"
+    argv = ["fe-check", "--check", "scattering", "--points", "-0.3+2i,0.7", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [row["s"] for row in json.loads(out)["rows"]] == ["-0.3+2i", "0.7+0i"]
+
+
 def test_fe_check_mode_bound_failure_exits_nonzero(capsys, monkeypatch):
     # only pole exclusions are skipped; an evaluator that misses its target
     # must fail the run, not become a skipped row

@@ -319,12 +319,28 @@ def test_extraction_matches_second_coefficient():
 
 
 def test_extraction_agrees_with_independent_oracle():
-    # same trapezoid extraction built on the independent numpy lattice panel
-    got = extract_coefficient_by_quadrature(
-        1, 1.0, 2.5, TruncationPolicy(lattice_radius=200, quadrature_nodes=32), source="lattice"
-    )
-    want = oracles.extract_mode_brute(1, 1.0, 2.5, nodes=32, radius=200)
-    assert abs(got - want) < 1e-12
+    # same trapezoid extraction built on the independent numpy lattice panel,
+    # which sums every node; odd counts have no node at x = 1/2
+    for nodes in (17, 32, 33):
+        policy = TruncationPolicy(lattice_radius=200, quadrature_nodes=nodes)
+        got = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
+        want = oracles.extract_mode_brute(1, 1.0, 2.5, nodes=nodes, radius=200)
+        assert abs(got - want) < 1e-12
+
+
+def test_extraction_sums_half_the_nodes(monkeypatch):
+    # E is even in x: nodes k/N and 1 - k/N share one lattice sum
+    seen = []
+    batch = eisenstein._kernels.lattice_sum_batch
+
+    def spy(xs, *args):
+        seen.append(len(xs))
+        return batch(xs, *args)
+
+    monkeypatch.setattr(eisenstein._kernels, "lattice_sum_batch", spy)
+    for nodes in (17, 32, 33, 64):
+        extract_coefficient_by_quadrature(1, 1.0, 2.5, TruncationPolicy(50, nodes))
+    assert seen == [9, 17, 17, 33]
 
 
 def test_high_mode_extraction_is_negligible():

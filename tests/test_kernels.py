@@ -1,8 +1,12 @@
 """The numpy kernels: one coprime enumeration behind both lattice entry points."""
 
+import math
+
 import numpy as np
+import pytest
 
 import eisenkit
+import oracles
 from eisenkit import _kernels
 
 
@@ -17,3 +21,90 @@ def test_batch_consistent_with_single_point():
         single = _kernels.lattice_sum(float(x), 1.3, 2.7, 0.4, 40)
         assert single.real == value.real
         assert single.imag == value.imag
+
+
+# ---------------------------------------------------------------------------
+# the shell-ordered coprime table
+
+
+RADII = (1, 2, 5, 10, 37, 60, 80, 300)
+
+
+def _box(radius):
+    return {
+        (m, n)
+        for m in range(1, radius + 1)
+        for n in range(-radius, radius + 1)
+        if math.gcd(m, abs(n)) == 1
+    }
+
+
+def _pair_list(pairs):
+    return list(zip(pairs[0].tolist(), pairs[1].tolist()))
+
+
+def _fresh_table(monkeypatch):
+    # the table as the module starts it: shell 1 only
+    pairs, ends = _kernels._table
+    monkeypatch.setattr(_kernels, "_table", (pairs[:, :3].copy(), ends[:2].copy()))
+
+
+def test_prefix_is_coprime_box_fresh(monkeypatch):
+    for radius in RADII:
+        _fresh_table(monkeypatch)
+        got = _pair_list(_kernels._cached_pairs(radius))
+        assert len(got) == len(set(got))
+        assert set(got) == _box(radius)
+
+
+def test_prefix_is_coprime_box_after_growth(monkeypatch):
+    # radii below the largest one asked for must still stop at their own shell
+    _fresh_table(monkeypatch)
+    _kernels._cached_pairs(400)
+    for radius in RADII:
+        got = _pair_list(_kernels._cached_pairs(radius))
+        assert len(got) == len(set(got))
+        assert set(got) == _box(radius)
+
+
+def _mobius(d):
+    result = 1
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if d > 1 else result
+
+
+def test_prefix_length_is_mobius_count():
+    # coprime (m, n) with 1 <= m <= R, |n| <= R: 2 sum_d mu(d) floor(R/d)^2 + 1
+    for radius in RADII + (1000,):
+        count = 2 * sum(_mobius(d) * (radius // d) ** 2 for d in range(1, radius + 1)) + 1
+        assert _kernels._cached_pairs(radius).shape[1] == count
+
+
+@pytest.mark.parametrize("chunk", [_kernels._CHUNK, 64])
+def test_sum_past_cache_cap_matches_brute_loop(monkeypatch, chunk):
+    # shells 51..60 come from the per-call int64 path; a 64-pair block also
+    # splits shells and the cached prefix across many summation blocks
+    monkeypatch.setattr(_kernels, "_CACHE_RADIUS", 50)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    x, y = 0.3, 1.2
+    for s in (2.5, complex(3, 1), complex(2.2, -7)):
+        want = oracles.eisenstein_brute(complex(x, y), s, 60) / complex(y) ** s
+        got = _kernels.lattice_sum(x, y, complex(s).real, complex(s).imag, 60)
+        assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_far_shells_are_int64_blocks():
+    # a shell past the int16 range: int64, coprime, on the shell, 4 phi(r) pairs
+    r = 40_000  # phi(40000) = 16000
+    blocks = list(_kernels._far_pairs(r, r))
+    assert all(b.dtype == np.int64 and b.shape[1] <= _kernels._CHUNK for b in blocks)
+    pairs = _pair_list(np.concatenate(blocks, axis=1))
+    assert len(pairs) == len(set(pairs)) == 4 * 16_000
+    assert all(max(m, abs(n)) == r and m >= 1 and math.gcd(m, abs(n)) == 1 for m, n in pairs)
