@@ -1,4 +1,4 @@
-"""Hot-loop kernels in numpy: the coprime lattice sum and the K-Bessel trapezoid.
+"""Hot-loop kernels: the coprime lattice sum in numpy, the K-Bessel trapezoid in scalar Python.
 
 The lattice kernels return the half-lattice sum
 
@@ -16,23 +16,36 @@ table grows lazily to the largest radius asked for, but never past
 _CACHE_RADIUS (about 19.5 MB of int16); shells beyond it are enumerated per
 call in int64.  Both parts are summed in blocks of at most _CHUNK pairs, so
 the transient memory of a sum is bounded whatever the radius.
+
+numpy is imported inside the lattice functions only, so the Bessel path and
+everything that never sums the lattice run without it.
+
+The K-Bessel trapezoid sums tens of nodes per call on the Fourier modes, where
+numpy's per-call overhead would dominate, so it is one scalar loop.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 15  # pairs per summation block
 _CACHE_RADIUS = 2000  # largest radius whose pairs are kept in the table
 
 # (pairs, ends): pairs is a (2, ends[-1]) int16 array of (m, n) columns in
-# shell order, and ends[r] is where shell r ends.  Replaced by one assignment
-# when it grows, so a caller that reads it once never sees it half grown.
-_table = (np.array([[1, 1, 1], [-1, 0, 1]], dtype=np.int16), np.array([0, 3], dtype=np.int64))
+# shell order, and ends[r] is where shell r ends.  None until the first sum;
+# then replaced by one assignment whenever it grows, so a caller that reads it
+# once never sees it half grown.
+_table = None
 
 
 def _totients(limit: int) -> np.ndarray:
     """phi(0..limit) by sieve (phi(0) = 0, phi(1) = 1)."""
+    import numpy as np
+
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in range(2, limit + 1):
         if phi[p] == p:  # untouched so far, so p is prime
@@ -42,6 +55,8 @@ def _totients(limit: int) -> np.ndarray:
 
 def _shell(r: int, k0: int, k1: int, dtype) -> np.ndarray:
     """Pairs (r, -k), (r, k), (k, -r), (k, r) for k in [k0, k1) coprime to r >= 2."""
+    import numpy as np
+
     k = np.arange(k0, k1, dtype=dtype)
     k = k[np.gcd(k, r) == 1]
     edge = np.full(k.shape, r, dtype=dtype)
@@ -51,6 +66,11 @@ def _shell(r: int, k0: int, k1: int, dtype) -> np.ndarray:
 def _cached_pairs(radius: int) -> np.ndarray:
     """Coprime pairs of max-norm <= radius <= _CACHE_RADIUS, from the table."""
     global _table
+    import numpy as np
+
+    if _table is None:
+        shell_1 = np.array([[1, 1, 1], [-1, 0, 1]], dtype=np.int16)
+        _table = (shell_1, np.array([0, 3], dtype=np.int64))
     pairs, ends = _table
     top = len(ends) - 1
     if radius > top:
@@ -67,6 +87,8 @@ def _cached_pairs(radius: int) -> np.ndarray:
 
 def _far_pairs(lo: int, hi: int):
     """Coprime pairs on shells lo..hi (lo >= 2) as int64 blocks of <= _CHUNK pairs."""
+    import numpy as np
+
     step = _CHUNK // 4
     blocks, size = [], 0
     for r in range(lo, hi + 1):
@@ -83,6 +105,8 @@ def _far_pairs(lo: int, hi: int):
 
 def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: float, pairs) -> None:
     """out[i] += sum over the (m, n) columns of ((m xs[i] + n)^2 + (m y)^2)^(-s)."""
+    import numpy as np
+
     for a in range(0, pairs.shape[1], _CHUNK):
         m = pairs[0, a : a + _CHUNK].astype(np.float64)
         n = pairs[1, a : a + _CHUNK].astype(np.float64)
@@ -114,6 +138,8 @@ def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: fl
 
 def _lattice_sums(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
     """S at every x in ``xs``, all sharing one coprime enumeration."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros(xs.shape[0], dtype=np.complex128)
     cap = _CACHE_RADIUS
@@ -136,12 +162,18 @@ def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np
 
 def bessel_k_trapezoid(a: float, b: float, y: float, h: float, nsteps: int) -> complex:
     """Trapezoid sum h*(f(0)/2 + sum_{k=1..nsteps} f(k h)) for the K-Bessel
-    integrand f(t) = exp(-y cosh t) cosh((a + i b) t), a, b >= 0."""
-    t = h * np.arange(1, nsteps + 1, dtype=np.float64)
-    c = -y * np.cosh(t)
-    e_plus = np.exp(c + a * t)
-    e_minus = np.exp(c - a * t)
-    re = 0.5 * (e_plus + e_minus) * np.cos(b * t)
-    im = 0.5 * (e_plus - e_minus) * np.sin(b * t)
-    f0 = np.exp(-y)  # f(0) = e^{-y}
-    return h * complex(0.5 * f0 + re.sum(), im.sum())
+    integrand f(t) = exp(-y cosh t) cosh((a + i b) t), a, b >= 0.
+
+    The exponents are combined, exp(-y cosh t +- a t), so no factor overflows
+    before the integrand does; the parts are summed with math.fsum.
+    """
+    re = [math.exp(-y)]  # 2 f(0) / 2
+    im = []
+    for k in range(1, nsteps + 1):
+        t = k * h
+        c = -y * math.cosh(t)
+        e_plus = math.exp(c + a * t)
+        e_minus = math.exp(c - a * t)
+        re.append((e_plus + e_minus) * math.cos(b * t))  # 2 Re f(t)
+        im.append((e_plus - e_minus) * math.sin(b * t))  # 2 Im f(t)
+    return 0.5 * h * complex(math.fsum(re), math.fsum(im))

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernels
 from .errors import AccuracyError, DivergenceError, DomainError, PoleError
 from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
@@ -253,6 +251,8 @@ def extract_coefficient_by_quadrature(
     trigonometric polynomials below the node count).  Needs Re(s) > 1
     (DivergenceError otherwise); ``source`` accepts only "lattice".
     """
+    import numpy as np
+
     _point(complex(0.0, y))
     if source != "lattice":
         raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")

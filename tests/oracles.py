@@ -92,6 +92,18 @@ def bessel_k_quadrature(order: complex, y: float, h: float = 0.02, t_max: float 
     return complex(h * f.sum())
 
 
+def bessel_k_node_sum(order: complex, y: float, h: float, nsteps: int) -> complex:
+    """h (f(0)/2 + f(h) + ... + f(nsteps h)) for f(t) = exp(-y cosh t)
+    cosh(order t): the trapezoid sum over exactly those nodes, as a plain
+    loop on the complex cosh."""
+    order = complex(order)
+    total = 0.5 * cmath.exp(-y)
+    for k in range(1, nsteps + 1):
+        t = k * h
+        total += cmath.exp(-y * cmath.cosh(t)) * cmath.cosh(order * t)
+    return h * total
+
+
 def divisor_sum_brute(n: int, s: complex) -> complex:
     """sigma_s(n) by direct enumeration of every divisor."""
     s = complex(s)

@@ -1,6 +1,11 @@
-"""The numpy kernels: one coprime enumeration behind both lattice entry points."""
+"""The kernels: one coprime enumeration behind both lattice entry points, and
+numpy loaded only by the lattice path."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +49,8 @@ def _pair_list(pairs):
 
 
 def _fresh_table(monkeypatch):
-    # the table as the module starts it: shell 1 only
-    pairs, ends = _kernels._table
-    monkeypatch.setattr(_kernels, "_table", (pairs[:, :3].copy(), ends[:2].copy()))
+    # the table as the module starts it: not built yet
+    monkeypatch.setattr(_kernels, "_table", None)
 
 
 def test_prefix_is_coprime_box_fresh(monkeypatch):
@@ -108,3 +112,35 @@ def test_far_shells_are_int64_blocks():
     pairs = _pair_list(np.concatenate(blocks, axis=1))
     assert len(pairs) == len(set(pairs)) == 4 * 16_000
     assert all(max(m, abs(n)) == r and m >= 1 and math.gcd(m, abs(n)) == 1 for m, n in pairs)
+
+
+# ---------------------------------------------------------------------------
+# numpy stays out of everything but the lattice path
+
+
+def test_numpy_is_imported_only_by_the_lattice_path():
+    code = (
+        "import sys\n"
+        "import eisenkit.cli\n"
+        "from eisenkit import enumerate_table, eval_fourier, partial_l, trivial_zeta_data\n"
+        "from eisenkit import xi_completed\n"
+        "eval_fourier(0.3 + 1.2j, 2.5 + 3j)\n"
+        "xi_completed(0.3 + 2j)\n"
+        "partial_l(trivial_zeta_data(100), 2.0, 100)\n"
+        "enumerate_table([('A', 3), ('G', 2)])\n"
+        "print('numpy' in sys.modules)\n"
+        "eisenkit.eval_lattice_sum(0.3 + 1.2j, 2.5, eisenkit.TruncationPolicy(lattice_radius=10))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    # the child imports the same eisenkit as this process
+    root = str(Path(eisenkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

@@ -13,8 +13,11 @@ import random
 import pytest
 
 import oracles
+from eisenkit import _kernels
 from eisenkit.errors import DomainError, PoleError
 from eisenkit.special_functions import (
+    _BESSEL_W,
+    _bessel_k_cutoff,
     bessel_k,
     gamma,
     sigma_power,
@@ -232,11 +235,75 @@ def test_bessel_complex_order_against_oracle_panel():
             assert abs(bessel_k(order, y) - want) < 1e-12 * max(1.0, abs(want))
 
 
+def _bessel_peak(a, y):
+    # peak M of the envelope exp(-y cosh t + a t), at t = asinh(a/y)
+    return math.exp(a * math.asinh(a / y) - math.hypot(a, y))
+
+
+def test_bessel_peak_relative_accuracy_on_fourier_modes():
+    # the orders s - 1/2 and arguments 2 pi n y' of eval_fourier's modes at a
+    # pulled-back y' and |Im s| <= 30; an absolute cut of the integrand left
+    # errors up to 1e-4 M here once y >~ 20
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(97)
+    with mp.workdps(30):
+        for _ in range(80):
+            order = complex(rng.uniform(-1.5, 2.5), rng.uniform(-30.0, 30.0))
+            y = 2.0 * math.pi * rng.choice((1, 2, 3, 5)) * rng.uniform(0.866, 4.0)
+            want = complex(mp.besselk(mp.mpc(order), y))
+            assert abs(bessel_k(order, y) - want) <= 1e-14 * _bessel_peak(abs(order.real), y)
+
+
+def _bisect_cutoff(a, y, target):
+    # root of y cosh t - a t = target right of the peak, by bisection alone
+    lo = math.asinh(a / y)
+    hi = lo + 1.0
+    while y * math.cosh(hi) - a * hi < target:
+        hi += 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if y * math.cosh(mid) - a * mid < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bessel_cutoff_is_the_peak_relative_root():
+    # the envelope falls to e^(-W)/2 of its peak: y cosh t - a t rises by
+    # W + ln 2 above its minimum hypot(a, y) - a asinh(a/y)
+    rng = random.Random(41)
+    rise = _BESSEL_W + math.log(2.0)
+    for _ in range(300):
+        y = 10.0 ** rng.uniform(-3.0, 4.0)
+        a = rng.choice((0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 100.0)))
+        t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
+        got = _bessel_k_cutoff(a, y, t_peak, kappa)
+        want = _bisect_cutoff(a, y, rise + kappa - a * t_peak)
+        assert abs(got - max(want, 0.5)) <= 1e-9  # the root, or the 0.5 floor
+
+
+def test_bessel_kernel_sums_exactly_the_nodes_up_to_n_h():
+    # large steps and few nodes, so one node more or less moves the sum
+    cases = ((0.7, 3.0, 2.0, 0.3, 5), (0.0, 0.0, 1.0, 0.5, 3), (2.5, 30.0, 9.0, 0.1, 12))
+    for a, b, y, h, n in cases:
+        got = _kernels.bessel_k_trapezoid(a, b, y, h, n)
+        want = oracles.bessel_k_node_sum(complex(a, b), y, h, n)
+        assert abs(got - want) <= 1e-15 * h * (n + 1)
+        for other in (n - 1, n + 1):
+            assert abs(got - oracles.bessel_k_node_sum(complex(a, b), y, h, other)) > 1e-9 * h
+
+
 def test_bessel_domain_and_overflow():
     with pytest.raises(DomainError):
         bessel_k(0.5, 0.0)
     with pytest.raises(DomainError):
         bessel_k(0.5, -1.0)
+    for tiny in (1e-320, 5e-324, math.nan):
+        with pytest.raises(DomainError):
+            bessel_k(0.0, tiny)
+    # K_0(y) = -ln(y/2) - Euler's gamma + O(y^2 ln y) at the smallest y allowed
+    assert abs(bessel_k(0.0, 1e-300) - (-math.log(0.5e-300) - 0.5772156649015329)) < 1e-12
     with pytest.raises(DomainError):
         bessel_k(101.0, 1.0)
     with pytest.raises(OverflowError):
