@@ -9,8 +9,8 @@ eisenstein
     Lattice-sum and Fourier evaluators of E(z, s), coefficient extraction,
     functional-equation and reflection defect checks.
 euler_products
-    Partial L-functions over Satake eigenvalue data, constant-term ratios,
-    crude functional-equation descriptors.
+    Partial L-functions over Satake eigenvalue data and the constant-term
+    ratios that, for SL2, give the Eisenstein scattering coefficient.
 root_systems
     Simple root systems, Weyl orders, maximal parabolics and the graded
     nilradical decomposition behind the ratio integers a_j.
@@ -43,13 +43,11 @@ from .errors import (
     ResourceError,
 )
 from .euler_products import (
-    CrudeEquationDescriptor,
     LFunctionData,
     PlaceDatum,
     RatioSpec,
     SatakeClass,
     constant_term_ratio,
-    crude_equation_descriptor,
     local_factor,
     partial_l,
     read_place_data,
@@ -107,8 +105,6 @@ __all__ = [
     "local_factor",
     "partial_l",
     "constant_term_ratio",
-    "crude_equation_descriptor",
-    "CrudeEquationDescriptor",
     "read_place_data",
     "trivial_zeta_data",
     # root systems

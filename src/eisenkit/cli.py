@@ -243,7 +243,7 @@ def cmd_decompose(args) -> dict:
         specs = []
         for token in args.table.split(","):
             token = token.strip()
-            letter, rank_text = token[0], token[1:]
+            letter, rank_text = token[:1], token[1:]
             try:
                 specs.append((letter, int(rank_text)))
             except ValueError:

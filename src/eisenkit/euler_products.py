@@ -7,11 +7,11 @@ at a prime-power cutoff with an explicit convergence-abscissa check (Euler
 products diverge gracefully and misleadingly, so a thin margin warns and a
 nonpositive margin refuses).
 
-The constant-term ratio prod_j L(a_j s) / L(1 + a_j s) and the symbolic
-"crude" functional-equation descriptor relating prod_j L(a_j s) to
-prod_j L(1 - a_j s) are built on top.  Archimedean and ramified local
-factors are out of numeric scope and appear only as an opaque annotation on
-the descriptor; the numeric identity is deliberately not asserted anywhere.
+The constant-term ratio prod_j L(a_j s) / L(1 + a_j s) is built on top.
+Archimedean and ramified local factors are out of numeric scope.  For SL2
+(a = (1,)) the ratio at 2s - 1 times sqrt(pi) Gamma(s - 1/2) / Gamma(s) is
+the Eisenstein constant-term coefficient; the acceptance suite checks it
+against ``eisenstein.scattering_ratio`` within the products' tail estimates.
 """
 
 from __future__ import annotations
@@ -202,47 +202,6 @@ def constant_term_ratio(spec: RatioSpec, s: complex, max_q: int) -> complex:
             raise type(exc)(f"level j = {j} (a_j = {a}): {exc}") from exc
         result *= numerator.value / denominator.value
     return result
-
-
-@dataclass(frozen=True)
-class CrudeEquationLevel:
-    """One factor of the crude functional equation: L(a s, dual side) on the
-    left matched with L(1 - a s, plain side) on the right."""
-
-    index: int
-    a: int
-
-    def left_argument(self, s: complex) -> complex:
-        return self.a * complex(s)
-
-    def right_argument(self, s: complex) -> complex:
-        return 1.0 - self.a * complex(s)
-
-
-@dataclass(frozen=True)
-class CrudeEquationDescriptor:
-    """Symbolic record of prod_j L_S(a_j s, dual) = prod_j L_S(1 - a_j s)
-    x (local factors); no numeric equality is claimed, since the omitted
-    local factors at the excluded places are out of scope."""
-
-    levels: tuple[CrudeEquationLevel, ...]
-
-    def argument_pairs(self, s: complex) -> list[tuple[complex, complex]]:
-        return [(lv.left_argument(s), lv.right_argument(s)) for lv in self.levels]
-
-    def render(self) -> str:
-        lhs = " * ".join(f"L[{lv.a}s,dual,r{lv.index}]" for lv in self.levels)
-        rhs = " * ".join(f"L[1-{lv.a}s,std,r{lv.index}]" for lv in self.levels)
-        return f"{lhs} = {rhs} * (local factors)"
-
-
-def crude_equation_descriptor(spec: RatioSpec) -> CrudeEquationDescriptor:
-    """Descriptor pairing L(a_j s, dual) with L(1 - a_j s) per level; drives
-    rendering and paired numeric sweeps, never a numeric identity claim."""
-    levels = tuple(
-        CrudeEquationLevel(index=j, a=a) for j, (a, _) in enumerate(spec.levels, start=1)
-    )
-    return CrudeEquationDescriptor(levels)
 
 
 def read_place_data(lines) -> LFunctionData:

@@ -44,7 +44,7 @@ _RANK_RANGE = {
     "G": (2, 2),
 }
 
-DEFAULT_WEYL_CAP = 200_000
+_WEYL_CAP = 200_000
 
 
 def _validate_type(cartan_type: str, rank: int) -> str:
@@ -149,13 +149,13 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank, simple, tuple(positives), c)
 
 
-def weyl_group_order(rs: RootSystem, element_cap: int = DEFAULT_WEYL_CAP) -> int:
+def weyl_group_order(rs: RootSystem) -> int:
     """|W| by exhaustive orbit generation from the simple reflections.
 
     The orbit of the regular weight rho = (1, ..., 1) in weight coordinates
     has exactly |W| points (W acts simply transitively on chambers), so a
     breadth-first closure counts the group without storing matrices.  Raises
-    ResourceError past ``element_cap`` (E_7/E_8 territory; use
+    ResourceError past ``_WEYL_CAP`` orbit points (E_7/E_8 territory; use
     ``weyl_order_closed_form`` there).
     """
     n = rs.rank
@@ -176,9 +176,9 @@ def weyl_group_order(rs: RootSystem, element_cap: int = DEFAULT_WEYL_CAP) -> int
                 if w not in seen:
                     seen.add(w)
                     fresh.append(w)
-            if len(seen) > element_cap:
+            if len(seen) > _WEYL_CAP:
                 raise ResourceError(
-                    f"Weyl orbit of {rs.name} exceeds cap {element_cap}; "
+                    f"Weyl orbit of {rs.name} exceeds cap {_WEYL_CAP}; "
                     "use weyl_order_closed_form"
                 )
         frontier = fresh

@@ -35,18 +35,25 @@ def zeta_series_with_integral_tail(s: float, n_terms: int = 10**7) -> float:
     return float(np.sum(ns**-s)) + n_terms ** (1.0 - s) / (s - 1.0)
 
 
-def zeta_euler_maclaurin_highorder(s: complex, n_terms: int = 64, corrections: int = 30) -> complex:
-    """Independent Euler-Maclaurin evaluation at fixed high order, written
-    directly from the summation formula (no adaptivity, exact Bernoulli
-    numbers from the Akiyama-Tanigawa recurrence)."""
-    s = complex(s)
+def bernoulli_exact(m: int) -> list[Fraction]:
+    """B_0, B_1, ..., B_m as exact rationals by the Akiyama-Tanigawa
+    recurrence (which gives B_1 = +1/2)."""
     row: list[Fraction] = []
     bernoulli: list[Fraction] = []
-    for j in range(2 * corrections + 1):
+    for j in range(m + 1):
         row.append(Fraction(1, j + 1))
         for i in range(j, 0, -1):
             row[i - 1] = i * (row[i - 1] - row[i])
         bernoulli.append(row[0])
+    return bernoulli
+
+
+def zeta_euler_maclaurin_highorder(s: complex, n_terms: int = 64, corrections: int = 30) -> complex:
+    """Independent Euler-Maclaurin evaluation at fixed high order, written
+    directly from the summation formula (no adaptivity, exact Bernoulli
+    numbers from ``bernoulli_exact``)."""
+    s = complex(s)
+    bernoulli = bernoulli_exact(2 * corrections)
     total = sum(complex(n) ** (-s) for n in range(1, n_terms))
     total += complex(n_terms) ** (1.0 - s) / (s - 1.0)
     total += 0.5 * complex(n_terms) ** (-s)

@@ -235,9 +235,10 @@ def test_decompose_a1(capsys):
 
 
 def test_decompose_invalid_type_exits_2(capsys):
-    code, _, err = run_cli(["decompose", "H", "2"], capsys)
-    assert code == 2
-    assert "InvalidTypeError" in err
+    for argv in (["H", "2"], ["--table", "A2,,G2"], ["--table", "A2,"]):
+        code, _, err = run_cli(["decompose", *argv], capsys)
+        assert code == 2, argv
+        assert "InvalidTypeError" in err
 
 
 def test_decompose_table_csv(capsys):

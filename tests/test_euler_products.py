@@ -1,6 +1,5 @@
 """Euler products over Satake data: local factors, truncated products,
-constant-term ratios, the crude-equation descriptor, and place-file
-ingestion."""
+constant-term ratios, and place-file ingestion."""
 
 import cmath
 import math
@@ -23,7 +22,6 @@ from eisenkit.euler_products import (
     RatioSpec,
     SatakeClass,
     constant_term_ratio,
-    crude_equation_descriptor,
     local_factor,
     partial_l,
     read_place_data,
@@ -223,33 +221,6 @@ def test_ratio_error_names_offending_level():
     growth = LFunctionData((PlaceDatum(2, SatakeClass((4.0,))), PlaceDatum(3, SatakeClass((9.0,)))))
     with pytest.raises(DivergenceError, match="level j = 2"):
         constant_term_ratio(RatioSpec(((1, data), (2, growth))), 1.5, 100)
-
-
-# ---------------------------------------------------------------------------
-# crude functional-equation descriptor
-
-
-def test_descriptor_single_level():
-    data = trivial_zeta_data(50)
-    descriptor = crude_equation_descriptor(RatioSpec(((1, data),)))
-    assert len(descriptor.levels) == 1
-    level = descriptor.levels[0]
-    assert (level.index, level.a) == (1, 1)
-    s = complex(0.3, 0.7)
-    assert descriptor.argument_pairs(s) == [(s, 1.0 - s)]
-
-
-def test_descriptor_two_levels_substitution():
-    data = trivial_zeta_data(50)
-    descriptor = crude_equation_descriptor(RatioSpec(((1, data), (2, data))))
-    s = complex(0.25, -1.0)
-    assert descriptor.argument_pairs(s) == [(s, 1.0 - s), (2 * s, 1.0 - 2 * s)]
-
-
-def test_descriptor_render_shape():
-    data = trivial_zeta_data(50)
-    text = crude_equation_descriptor(RatioSpec(((1, data), (2, data)))).render()
-    assert text == "L[1s,dual,r1] * L[2s,dual,r2] = L[1-1s,std,r1] * L[1-2s,std,r2] * (local factors)"
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,6 @@ def test_weyl_e6_generated_e7_capped():
     assert weyl_order_closed_form(build_root_system("E", 8)) == 696729600
 
 
-def test_weyl_cap_is_configurable():
-    with pytest.raises(ResourceError):
-        weyl_group_order(build_root_system("A", 4), element_cap=50)
-
-
 # ---------------------------------------------------------------------------
 # Levi classification
 

@@ -9,13 +9,15 @@ trapezoid) and pinned here.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import oracles
-from eisenkit import _kernels
-from eisenkit.errors import DomainError, PoleError
+from eisenkit import _kernels, special_functions
+from eisenkit.errors import AccuracyError, DomainError, PoleError
 from eisenkit.special_functions import (
+    _B_EVEN,
     _BESSEL_W,
     _bessel_k_cutoff,
     bessel_k,
@@ -121,6 +123,17 @@ def test_zeta_trivial_zeros_and_pole():
         zeta(1.0 + 1e-12j)
 
 
+def test_bernoulli_table_is_the_exact_recurrence_rounded():
+    exact = oracles.bernoulli_exact(64)
+    assert _B_EVEN == tuple(float(b) for b in exact[::2])
+
+
+def test_zeta_raises_when_corrections_miss_target(monkeypatch):
+    monkeypatch.setattr(special_functions, "_EM_MAX_CORRECTIONS", 1)
+    with pytest.raises(AccuracyError):
+        zeta(0.5 + 40j)
+
+
 # ---------------------------------------------------------------------------
 # completed zeta
 
@@ -187,6 +200,12 @@ def test_sigma_multiplicative_on_coprime_pairs():
         rhs = sigma_power(a, s) * sigma_power(b, s)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         done += 1
+
+
+def test_sigma_negative_integer_exponent_is_exact_sum_rounded():
+    for p, e, k in ((2, 11, 1), (3, 7, 5), (101, 3, 64), (999983, 2, 17)):
+        want = float(sum(Fraction(1, p ** (i * k)) for i in range(e + 1)))
+        assert sigma_power(p**e, -k) == want
 
 
 def test_sigma_large_n_and_domain():
