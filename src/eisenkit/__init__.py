@@ -1,6 +1,10 @@
 """eisenkit: numerics for real-analytic Eisenstein series and their
 L-function bookkeeping.
 
+Every public name is reachable as ``eisenkit.<name>``; the layer that
+defines it is imported on first access, so the analytic half never loads
+the bookkeeping half (``euler_products``, ``root_systems``) or the reverse.
+
 Submodules
 ----------
 special_functions
@@ -18,59 +22,35 @@ cli
     The ``eisenkit`` command-line tool tying everything together.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .eisenstein import (
-    SeriesValue,
-    TruncationPolicy,
-    eval_fourier,
-    eval_lattice_sum,
-    extract_coefficient_by_quadrature,
-    first_coefficient_xi_check,
-    fourier_coefficient,
-    functional_equation_defect,
-    scattering_ratio,
-)
-from .errors import (
-    AccuracyError,
-    ConvergenceWarning,
-    DivergenceError,
-    DomainError,
-    EisenkitError,
-    InvalidTypeError,
-    PlaceDataError,
-    PoleError,
-    ResourceError,
-)
-from .euler_products import (
-    LFunctionData,
-    PlaceDatum,
-    RatioSpec,
-    SatakeClass,
-    constant_term_ratio,
-    local_factor,
-    partial_l,
-    read_place_data,
-    trivial_zeta_data,
-)
-from .root_systems import (
-    AdjointDecomposition,
-    ParabolicDatum,
-    RootSystem,
-    build_root_system,
-    enumerate_table,
-    levi_type,
-    nilradical_decomposition,
-    weyl_group_order,
-    weyl_order_closed_form,
-)
-from .special_functions import (
-    bessel_k,
-    gamma,
-    sigma_power,
-    xi_completed,
-    zeta,
-)
+#: Each layer and the public names it defines.
+_EXPORTS = {
+    "special_functions": ("gamma", "zeta", "xi_completed", "sigma_power", "bessel_k"),
+    "eisenstein": (
+        "TruncationPolicy", "SeriesValue", "eval_lattice_sum", "eval_fourier",
+        "fourier_coefficient", "scattering_ratio", "functional_equation_defect",
+        "extract_coefficient_by_quadrature", "first_coefficient_xi_check",
+    ),
+    "euler_products": (
+        "SatakeClass", "PlaceDatum", "LFunctionData", "RatioSpec", "local_factor",
+        "partial_l", "constant_term_ratio", "read_place_data", "trivial_zeta_data",
+    ),
+    "root_systems": (
+        "RootSystem", "ParabolicDatum", "AdjointDecomposition", "build_root_system",
+        "weyl_group_order", "weyl_order_closed_form", "levi_type",
+        "nilradical_decomposition", "enumerate_table",
+    ),
+    "errors": (
+        "EisenkitError", "PoleError", "DomainError", "DivergenceError", "AccuracyError",
+        "InvalidTypeError", "ResourceError", "PlaceDataError", "ConvergenceWarning",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "kernel_backend", *_LAYER_OF]
 
 
 def kernel_backend() -> str:
@@ -78,53 +58,14 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-__all__ = [
-    "__version__",
-    "kernel_backend",
-    # special functions
-    "gamma",
-    "zeta",
-    "xi_completed",
-    "sigma_power",
-    "bessel_k",
-    # eisenstein
-    "TruncationPolicy",
-    "SeriesValue",
-    "eval_lattice_sum",
-    "eval_fourier",
-    "fourier_coefficient",
-    "scattering_ratio",
-    "functional_equation_defect",
-    "extract_coefficient_by_quadrature",
-    "first_coefficient_xi_check",
-    # euler products
-    "SatakeClass",
-    "PlaceDatum",
-    "LFunctionData",
-    "RatioSpec",
-    "local_factor",
-    "partial_l",
-    "constant_term_ratio",
-    "read_place_data",
-    "trivial_zeta_data",
-    # root systems
-    "RootSystem",
-    "ParabolicDatum",
-    "AdjointDecomposition",
-    "build_root_system",
-    "weyl_group_order",
-    "weyl_order_closed_form",
-    "levi_type",
-    "nilradical_decomposition",
-    "enumerate_table",
-    # errors
-    "EisenkitError",
-    "PoleError",
-    "DomainError",
-    "DivergenceError",
-    "AccuracyError",
-    "InvalidTypeError",
-    "ResourceError",
-    "PlaceDataError",
-    "ConvergenceWarning",
-]
+def __getattr__(name: str):
+    # resolved on every access and never bound here: whatever patches a
+    # layer's attribute (and later puts it back) is seen through the package
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

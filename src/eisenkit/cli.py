@@ -12,6 +12,7 @@ accuracy target).  Complex numbers are written as a single token like
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -38,8 +39,6 @@ from .errors import (
     PlaceDataError,
     PoleError,
 )
-from .euler_products import partial_l, read_place_data
-from .root_systems import TABLE_COLUMNS, enumerate_table
 from .special_functions import xi_completed, xi_reflection_sample
 
 EXIT_OK = 0
@@ -49,14 +48,18 @@ EXIT_NUMERIC = 4
 
 
 def parse_complex(token: str) -> complex:
-    """Parse ``a+bi`` single-token complex notation (also bare reals, ``2i``)."""
+    """Parse ``a+bi`` single-token complex notation (also bare reals, ``2i``);
+    both parts must be finite."""
     text = token.strip().replace("I", "i").replace("i", "j")
     if text.endswith("j") and text[:-1] in ("", "+", "-"):
         text = text[:-1] + "1j"
     try:
-        return complex(text)
+        value = complex(text)
+        if cmath.isfinite(value):
+            return value
     except ValueError:
-        raise ValueError(f"cannot parse complex number {token!r}; use forms like 0.3+2i") from None
+        pass
+    raise ValueError(f"cannot parse complex number {token!r}; use finite forms like 0.3+2i")
 
 
 def format_complex(value: complex) -> str:
@@ -215,6 +218,9 @@ def cmd_xi(args) -> dict:
 
 
 def cmd_euler(args) -> dict:
+    # the bookkeeping layers load only for the commands that use them
+    from .euler_products import partial_l, read_place_data
+
     s = parse_complex(args.s)
     data = read_place_data(args.input)
     caught: list[str] = []
@@ -239,6 +245,8 @@ def cmd_euler(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    from .root_systems import TABLE_COLUMNS, enumerate_table
+
     if args.table:
         specs = []
         for token in args.table.split(","):

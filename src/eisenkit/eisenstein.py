@@ -84,8 +84,16 @@ def _point(z) -> tuple[float, float]:
     return z.real, z.imag
 
 
-def _require_off_poles(s, what: str) -> complex:
+def _parameter(s) -> complex:
+    """s as a complex number; DomainError unless both parts are finite."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"spectral parameter must be finite, got s = {s}")
+    return s
+
+
+def _require_off_poles(s, what: str) -> complex:
+    s = _parameter(s)
     if min(abs(s - p) for p in POLE_POINTS) <= _POLE_RADIUS:
         raise PoleError(
             f"{what}: s = {s} is within {_POLE_RADIUS} of a pole (pole points {POLE_POINTS})"
@@ -142,7 +150,7 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> Ser
     integral of r^(1 - 2 Re s).
     """
     x, y = _pullback(*_point(z))
-    s = complex(s)
+    s = _parameter(s)
     if s.real <= 1.0:
         raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {s}")
     raw = _kernels.lattice_sum(x, y, s.real, s.imag, policy.lattice_radius)
@@ -256,7 +264,7 @@ def extract_coefficient_by_quadrature(
     _point(complex(0.0, y))
     if source != "lattice":
         raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")
-    s = complex(s)
+    s = _parameter(s)
     if s.real <= 1.0:
         raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
     nodes = policy.quadrature_nodes

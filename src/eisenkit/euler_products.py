@@ -16,6 +16,7 @@ against ``eisenstein.scattering_ratio`` within the products' tail estimates.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -136,7 +137,8 @@ def local_factor(place: PlaceDatum, s: complex) -> complex:
 
 
 class LProductValue(NamedTuple):
-    """Truncated Euler-product value with its multiplicative tail estimate."""
+    """Truncated Euler product, or ratio of products, with its multiplicative
+    tail estimate."""
 
     value: complex
     tail_bound: float
@@ -161,9 +163,12 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
 
     Factors multiply left to right in ascending q (fixed reduction order, so
     serial evaluation is bit-reproducible).  DivergenceError outside the
-    documented abscissa; ConvergenceWarning when the margin is below 0.1.
+    documented abscissa; ConvergenceWarning when the margin is below 0.1;
+    DomainError for a non-finite s.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"Euler product needs a finite s, got {s}")
     margin = s.real - data.convergence_abscissa()
     if margin <= 0.0:
         raise DivergenceError(
@@ -186,22 +191,27 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     return LProductValue(value, _tail_estimate(data, s, max_q), margin, count)
 
 
-def constant_term_ratio(spec: RatioSpec, s: complex, max_q: int) -> complex:
+def constant_term_ratio(spec: RatioSpec, s: complex, max_q: int) -> LProductValue:
     """prod_j L(a_j s) / L(1 + a_j s) over the spec's graded levels.
 
-    Errors from a constituent product are re-raised with the offending level
-    index attached.
+    The tail bound is the sum of the 2m products' tail bounds, the margin
+    the smallest of their margins and the factor count their total.  Errors
+    from a constituent product are re-raised with the offending level index
+    attached.
     """
     s = complex(s)
-    result = 1.0 + 0.0j
+    value, tail, margin, count = 1.0 + 0.0j, 0.0, math.inf, 0
     for j, (a, data) in enumerate(spec.levels, start=1):
         try:
             numerator = partial_l(data, a * s, max_q)
             denominator = partial_l(data, 1.0 + a * s, max_q)
         except (PoleError, DivergenceError) as exc:
             raise type(exc)(f"level j = {j} (a_j = {a}): {exc}") from exc
-        result *= numerator.value / denominator.value
-    return result
+        value *= numerator.value / denominator.value
+        tail += numerator.tail_bound + denominator.tail_bound
+        margin = min(margin, numerator.margin, denominator.margin)
+        count += numerator.factor_count + denominator.factor_count
+    return LProductValue(value, tail, margin, count)
 
 
 def read_place_data(lines) -> LFunctionData:

@@ -253,7 +253,7 @@ def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) ->
 
 
 def bessel_k(order: complex, y: float) -> complex:
-    """K-Bessel function K_order(y) for y >= 1e-300 and |order| <= 100.
+    """K-Bessel function K_order(y) for finite y >= 1e-300 and |order| <= 100.
 
     Evaluates the integral representation int_0^infty exp(-y cosh t)
     cosh(order t) dt by the trapezoid rule, truncated where the integrand's
@@ -262,11 +262,11 @@ def bessel_k(order: complex, y: float) -> complex:
     (K_s = K_{-s} holds to the last bit).
     """
     # for smaller y the nodes would run past the double range of cosh t
-    if not y >= 1e-300:
-        raise DomainError(f"bessel_k needs y >= 1e-300, got {y}")
+    if not 1e-300 <= y < math.inf:
+        raise DomainError(f"bessel_k needs finite y >= 1e-300, got {y}")
     order = complex(order)
-    if abs(order) > 100.0:
-        raise DomainError("bessel_k supports |order| <= 100")
+    if not abs(order) <= 100.0:
+        raise DomainError(f"bessel_k supports |order| <= 100, got {order}")
     a = abs(order.real)
     b = abs(order.imag)
     # the envelope exp(-y cosh t + a t) peaks at t_peak with log-height

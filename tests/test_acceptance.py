@@ -51,18 +51,15 @@ def _euler_side_scattering(s, max_q):
     A1's nilradical integers a_j feed the constant-term ratio
     prod_j zeta(a_j w) / zeta(1 + a_j w) at w = 2s - 1, truncated at max_q,
     which the archimedean factor sqrt(pi) Gamma(s - 1/2) / Gamma(s) turns
-    into c(s).  The tolerance is partial_l's own tail estimates, summed over
-    the products, plus one ulp per multiplied local factor.
+    into c(s).  The tolerance is the ratio's tail bound (partial_l's own
+    tail estimates, summed over the products) plus one ulp per multiplied
+    local factor.
     """
     a_values = nilradical_decomposition(ParabolicDatum(build_root_system("A", 1), 0)).a_values
     data = trivial_zeta_data(max_q)
-    w = 2.0 * s - 1.0
-    ratio = constant_term_ratio(RatioSpec(tuple((a, data) for a in a_values)), w, max_q)
-    products = [partial_l(data, arg, max_q) for a in a_values for arg in (a * w, 1.0 + a * w)]
-    tail = sum(p.tail_bound for p in products)
-    factors = sum(p.factor_count for p in products)
-    tolerance = math.expm1(tail) + factors * 2.0**-52
-    return math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s) * ratio, tolerance
+    ratio = constant_term_ratio(RatioSpec(tuple((a, data) for a in a_values)), 2.0 * s - 1.0, max_q)
+    tolerance = math.expm1(ratio.tail_bound) + ratio.factor_count * 2.0**-52
+    return math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s) * ratio.value, tolerance
 
 
 def test_criterion_1_cross_validation():

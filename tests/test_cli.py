@@ -42,7 +42,7 @@ def test_parse_complex(token, value):
     assert cli.parse_complex(token) == value
 
 
-@pytest.mark.parametrize("token", ["", "1+2", "1 + 2i", "abc", "2ii"])
+@pytest.mark.parametrize("token", ["", "1+2", "1 + 2i", "abc", "2ii", "nan", "nan+1i", "1+nani"])
 def test_parse_complex_rejects_garbage(token):
     with pytest.raises(ValueError):
         cli.parse_complex(token)
@@ -71,6 +71,11 @@ def test_eval_lattice_below_abscissa_exits_2(capsys):
     code, out, err = run_cli(["eval", "--z", "0+1i", "--s", "0.8", "--method", "lattice"], capsys)
     assert code == 2
     assert "DivergenceError" in err
+    # a non-finite s is refused too, where it used to print NaN and exit 0
+    argv = ["eval", "--z", "0.3+1.2i", "--s", "nan+1i", "--method", "lattice", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "ValueError" in err
 
 
 def test_eval_fourier_json_schema(capsys):

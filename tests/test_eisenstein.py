@@ -51,6 +51,17 @@ def test_spectral_parameter_distance():
     assert eisenstein._require_off_poles(0.5 + 2e-6j, "test") == 0.5 + 2e-6j
     with pytest.raises(PoleError):
         eisenstein._require_off_poles(0.5 + 1e-9j, "test")
+    # a non-finite s is refused by every entry point instead of giving NaN
+    for s in (complex(2.5, math.inf), complex(math.nan, 1.0), math.inf):
+        for evaluate in (eval_fourier, eval_lattice_sum):
+            with pytest.raises(DomainError):
+                evaluate(0.3 + 1.2j, s)
+        with pytest.raises(DomainError):
+            extract_coefficient_by_quadrature(1, 1.0, s)
+        with pytest.raises(DomainError):
+            fourier_coefficient(1, 1.0, s)
+        with pytest.raises(DomainError):
+            scattering_ratio(s)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,11 @@ def test_partial_l_convergence_policing():
     data = trivial_zeta_data(100)
     with pytest.raises(DivergenceError):
         partial_l(data, 0.9, 100)
+    for s in (math.nan, complex(2.5, math.inf)):
+        with pytest.raises(DomainError):
+            partial_l(data, s, 100)
+        with pytest.raises(DomainError):
+            constant_term_ratio(RatioSpec(((1, data),)), s, 100)
     with pytest.warns(ConvergenceWarning):
         partial_l(data, 1.05, 100)
     with warnings.catch_warnings():
@@ -193,23 +198,29 @@ def test_partial_l_abscissa_accounts_for_eigenvalue_growth():
 def test_ratio_single_level_composes_partial_values():
     data = trivial_zeta_data(1000)
     got = constant_term_ratio(RatioSpec(((1, data),)), 2.0, 1000)
-    want = partial_l(data, 2.0, 1000).value / partial_l(data, 3.0, 1000).value
-    assert got == want
+    numerator, denominator = partial_l(data, 2.0, 1000), partial_l(data, 3.0, 1000)
+    assert got.value == numerator.value / denominator.value
+    # the error figures of both products are carried along
+    assert got.tail_bound == numerator.tail_bound + denominator.tail_bound
+    assert got.margin == numerator.margin
+    assert got.factor_count == numerator.factor_count + denominator.factor_count
 
 
 def test_ratio_empty_truncation_is_one():
     data = trivial_zeta_data(1000)
     spec = RatioSpec(((1, data), (2, data)))
-    assert constant_term_ratio(spec, 2.0, 1) == 1.0
+    ratio = constant_term_ratio(spec, 2.0, 1)
+    assert ratio.value == 1.0
+    assert ratio.factor_count == 0
 
 
 def test_ratio_two_levels_multiply():
     data = trivial_zeta_data(500)
     spec2 = RatioSpec(((1, data), (2, data)))
-    r1 = constant_term_ratio(RatioSpec(((1, data),)), 2.0, 500)
+    r1 = constant_term_ratio(RatioSpec(((1, data),)), 2.0, 500).value
     # level (2, data) alone: arguments 2s and 1 + 2s
     r2 = partial_l(data, 4.0, 500).value / partial_l(data, 5.0, 500).value
-    assert constant_term_ratio(spec2, 2.0, 500) == r1 * r2
+    assert constant_term_ratio(spec2, 2.0, 500).value == r1 * r2
 
 
 def test_ratio_error_names_offending_level():

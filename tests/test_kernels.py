@@ -115,17 +115,21 @@ def test_far_shells_are_int64_blocks():
 
 
 # ---------------------------------------------------------------------------
-# numpy stays out of everything but the lattice path
+# each layer, and numpy, loads only when used
 
 
 def test_numpy_is_imported_only_by_the_lattice_path():
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "import eisenkit\n"
+        "print(any(name.startswith('eisenkit.') for name in sys.modules))\n"
         "import eisenkit.cli\n"
-        "from eisenkit import enumerate_table, eval_fourier, partial_l, trivial_zeta_data\n"
-        "from eisenkit import xi_completed\n"
-        "eval_fourier(0.3 + 1.2j, 2.5 + 3j)\n"
-        "xi_completed(0.3 + 2j)\n"
+        "eisenkit.eval_fourier(0.3 + 1.2j, 2.5 + 3j)\n"
+        "eisenkit.xi_completed(0.3 + 2j)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    eisenkit.cli.main(['xi', '--s', '0.3+2i'])\n"
+        "print('eisenkit.root_systems' in sys.modules, 'eisenkit.euler_products' in sys.modules)\n"
+        "from eisenkit import enumerate_table, partial_l, trivial_zeta_data\n"
         "partial_l(trivial_zeta_data(100), 2.0, 100)\n"
         "enumerate_table([('A', 3), ('G', 2)])\n"
         "print('numpy' in sys.modules, 'fractions' in sys.modules)\n"
@@ -143,4 +147,17 @@ def test_numpy_is_imported_only_by_the_lattice_path():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "False", "True"]
+
+
+def test_every_export_is_its_defining_modules_object():
+    assert len(eisenkit.__all__) == len(set(eisenkit.__all__)) == 43
+    for name in eisenkit.__all__:
+        value = getattr(eisenkit, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(eisenkit.__all__) <= set(dir(eisenkit))
+    # names are looked up on every access, never bound in the package
+    assert "eval_fourier" not in vars(eisenkit)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eisenkit.no_such_name

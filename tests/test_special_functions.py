@@ -318,13 +318,14 @@ def test_bessel_domain_and_overflow():
         bessel_k(0.5, 0.0)
     with pytest.raises(DomainError):
         bessel_k(0.5, -1.0)
-    for tiny in (1e-320, 5e-324, math.nan):
+    for bad_y in (1e-320, 5e-324, math.nan, math.inf):
         with pytest.raises(DomainError):
-            bessel_k(0.0, tiny)
+            bessel_k(0.0, bad_y)
     # K_0(y) = -ln(y/2) - Euler's gamma + O(y^2 ln y) at the smallest y allowed
     assert abs(bessel_k(0.0, 1e-300) - (-math.log(0.5e-300) - 0.5772156649015329)) < 1e-12
-    with pytest.raises(DomainError):
-        bessel_k(101.0, 1.0)
+    for bad_order in (101.0, complex(math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            bessel_k(bad_order, 1.0)
     with pytest.raises(OverflowError):
         bessel_k(100.0, 0.05)
 
