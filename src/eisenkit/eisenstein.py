@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
+from ._arith import primes_up_to
 from .errors import AccuracyError, DivergenceError, DomainError, PoleError
 from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
 
@@ -179,7 +180,9 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     xi_2s = xi_completed(2.0 * s)
     if n == 0:
         return _constant_term(y, s, xi_2s)
-    return _mode(abs(n), y, s, 1.0 / xi_2s)
+    n = abs(n)
+    factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
+    return _mode(n, y, s, factor, 1.0 / xi_2s)
 
 
 def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
@@ -187,16 +190,36 @@ def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
     return _cpow(y, s) + xi_completed(2.0 * s - 1.0) / xi_2s * _cpow(y, 1.0 - s)
 
 
-def _mode(n: int, y: float, s: complex, inv_xi: complex) -> complex:
-    # a_n for n >= 1, given the caller's 1/xi(2s)
-    return (
-        2.0
-        * _cpow(float(n), s - 0.5)
-        * sigma_power(n, 1.0 - 2.0 * s)
-        * math.sqrt(y)
-        * bessel_k(s - 0.5, _TWO_PI * n * y)
-        * inv_xi
-    )
+def _mode(n: int, y: float, s: complex, factor: complex, inv_xi: complex) -> complex:
+    # a_n for n >= 1, given its divisor factor n^(s-1/2) sigma_(1-2s)(n) and
+    # the caller's 1/xi(2s)
+    return 2.0 * factor * math.sqrt(y) * bessel_k(s - 0.5, _TWO_PI * n * y) * inv_xi
+
+
+def _divisor_factors(s: complex, count: int) -> list[complex]:
+    """c_n = n^(s-1/2) sigma_(1-2s)(n) for n = 0..count (c_0 = 1 is unused).
+
+    c_n = sum over a d = n of (a/d)^(s-1/2) is multiplicative, and on prime
+    powers c(p^e) = q c(p^(e-1)) + q^(-e) with q = p^(s-1/2), so the table
+    costs one complex exp per prime.  Each c(p^e) multiplies into the entries
+    whose p-part is exactly p^e.  |c_n| <= tau(n) n^|Re s - 1/2| stays in
+    double range: eval_fourier builds 30 entries first, and grows the table
+    only after bessel_k has accepted |s - 1/2| <= 100.
+    """
+    nu = s - 0.5
+    c = [1.0 + 0.0j] * (count + 1)
+    for p in primes_up_to(count):
+        q = _cpow(float(p), nu)
+        q_inv = 1.0 / q
+        pe, c_pe, q_inv_e = p, 1.0, 1.0
+        while pe <= count:
+            q_inv_e *= q_inv
+            c_pe = q * c_pe + q_inv_e
+            for m in range(pe, count + 1, pe):
+                if m % (pe * p):
+                    c[m] *= c_pe
+            pe *= p
+    return c
 
 
 def eval_fourier(z, s) -> SeriesValue:
@@ -218,8 +241,11 @@ def eval_fourier(z, s) -> SeriesValue:
     inv_xi = 1.0 / xi_2s
     total = _constant_term(y, s, xi_2s)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
+    factors = _divisor_factors(s, _MODE_FLOOR)
     for n in range(1, _MODE_BOUND + 1):
-        a_n = _mode(n, y, s, inv_xi)
+        if n == len(factors):
+            factors = _divisor_factors(s, min(2 * n, _MODE_BOUND))
+        a_n = _mode(n, y, s, factors[n], inv_xi)
         total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
         last_mag = 2.0 * abs(a_n)
         if n >= _MODE_FLOOR and last_mag <= target:

@@ -121,9 +121,20 @@ def trivial_zeta_data(limit: int) -> LFunctionData:
     return LFunctionData(places)
 
 
-def local_factor(place: PlaceDatum, s: complex) -> complex:
-    """det(I - rho(t_v) q^(-s))^(-1) = prod_lambda (1 - lambda q^(-s))^(-1)."""
+def _parameter(s) -> complex:
+    """s as a complex number; DomainError unless both parts are finite."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"Euler product needs a finite s, got {s}")
+    return s
+
+
+def local_factor(place: PlaceDatum, s: complex) -> complex:
+    """det(I - rho(t_v) q^(-s))^(-1) = prod_lambda (1 - lambda q^(-s))^(-1).
+
+    DomainError for a non-finite s.
+    """
+    s = _parameter(s)
     q_pow = complex(place.q) ** (-s)
     denominator = 1.0 + 0.0j
     for lam in place.satake.eigenvalues:
@@ -166,9 +177,7 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     documented abscissa; ConvergenceWarning when the margin is below 0.1;
     DomainError for a non-finite s.
     """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"Euler product needs a finite s, got {s}")
+    s = _parameter(s)
     margin = s.real - data.convergence_abscissa()
     if margin <= 0.0:
         raise DivergenceError(

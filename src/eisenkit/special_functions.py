@@ -12,13 +12,14 @@ Accuracy targets (validated against independent oracles in the test suite):
 * ``bessel_k``: absolute error <= 1e-14 M, where M = exp(a t_p - hypot(a, y)),
   t_p = asinh(a/y), a = |Re s|, is the peak of the integrand's envelope
   exp(-y cosh t + a t) (tested against mpmath for |Re s| <= 2.5,
-  |Im s| <= 30 and y from 5 to 130, the modes eval_fourier uses).  The
+  |Im s| <= 30 and y from 1e-3 to 130: from 5 up, the modes eval_fourier
+  uses; below 5, the long node runs of small y).  The
   bound is relative to that peak, not to |K|: for large |Im s| the integral
   cancels and K is far smaller than M.
 
 Poles are never evaluated through: points inside the exclusion disk (radius
 1e-9) of a pole raise PoleError, and results that would leave double range
-raise OverflowError.
+raise OverflowError.  A non-finite argument raises DomainError.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
+def _argument(s, what: str) -> complex:
+    # s as a complex number; DomainError unless both parts are finite
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"{what} needs a finite argument, got {s}")
+    return s
+
+
 def _sinpi(z: complex) -> complex:
     # sin(pi z) with argument reduction; exact zeros at integers, full
     # accuracy near them (plain sin(pi*z) loses digits for |Re z| >> 1).
@@ -103,7 +112,7 @@ def gamma(s: complex) -> complex:
     Raises PoleError within 1e-9 of a nonpositive integer and OverflowError
     when the value exceeds double range (on the real axis: Re(s) > 170).
     """
-    s = complex(s)
+    s = _argument(s, "gamma")
     if s.real < 0.5:
         near = round(s.real)
         if near <= 0 and abs(s - near) < POLE_EXCLUSION_RADIUS:
@@ -166,7 +175,7 @@ def zeta(s: complex) -> complex:
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) elsewhere, since
     Euler-Maclaurin alone cancels catastrophically for Re(s) << 0.
     """
-    s = complex(s)
+    s = _argument(s, "zeta")
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("zeta has its pole at s = 1")
     if s.real >= 0.45 or abs(s) <= 0.45:
@@ -181,7 +190,7 @@ def xi_completed(s: complex) -> complex:
     Satisfies the reflection xi(s) = xi(1-s); the test suite checks this to
     1e-10 rather than assuming it.
     """
-    s = complex(s)
+    s = _argument(s, "xi_completed")
     if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     value = cmath.exp(-0.5 * s * math.log(math.pi))
@@ -199,7 +208,7 @@ def sigma_power(n: int, s: complex) -> complex:
     """
     if n < 1:
         raise DomainError(f"sigma_power needs n >= 1, got {n}")
-    s = complex(s)
+    s = _argument(s, "sigma_power")
     is_int_exp = s.imag == 0.0 and s.real == round(s.real) and abs(s.real) <= 64
     total = 1.0 + 0.0j
     for p, e in factorize(n):

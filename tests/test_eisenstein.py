@@ -21,6 +21,7 @@ from eisenkit.eisenstein import (
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
+from eisenkit.special_functions import sigma_power
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -124,6 +125,50 @@ def test_coefficient_depends_only_on_mode_magnitude():
         if abs(s - 0.5) < 0.05 or abs(s - 1.0) < 0.05 or abs(s) < 0.05:
             continue
         assert fourier_coefficient(n, y, s) == fourier_coefficient(-n, y, s)
+
+
+def _panel_parameters(rng, count):
+    # Re s in [-1, 3], |Im s| <= 30, clear of the pole points
+    out = []
+    while len(out) < count:
+        s = complex(rng.uniform(-1.0, 3.0), rng.uniform(-30.0, 30.0))
+        if min(abs(s - p) for p in eisenstein.POLE_POINTS) >= 0.1:
+            out.append(s)
+    return out
+
+
+def test_divisor_table_matches_sigma_power():
+    # the table up to the mode bound, and its first doubling, against the
+    # per-mode product n^(s-1/2) sigma_(1-2s)(n)
+    for s in _panel_parameters(random.Random(61), 24):
+        table = eisenstein._divisor_factors(s, 512)
+        for n in range(1, 513):
+            want = eisenstein._cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
+            assert abs(table[n] - want) <= 1e-12 * abs(want)
+        # eval_fourier's first doubling rebuilds to 62: the prefix is unchanged
+        assert eisenstein._divisor_factors(s, 62)[:31] == eisenstein._divisor_factors(s, 30)
+
+
+def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
+    # a floor of 40 modes makes eval_fourier double its divisor table once;
+    # z is in the fundamental domain, so the modes are taken at y = 1.3
+    mode = eisenstein._mode
+    for s in _panel_parameters(random.Random(67), 6):
+        terms = {}
+
+        def record(n, *args):
+            terms[n] = mode(n, *args)
+            return terms[n]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_MODE_FLOOR", 40)
+            patch.setattr(eisenstein, "_mode", record)
+            eval_fourier(0.2 + 1.3j, s)
+        assert sorted(terms) == list(range(1, len(terms) + 1))
+        assert len(terms) >= 40
+        for n, a_n in terms.items():
+            want = fourier_coefficient(n, 1.3, s)
+            assert abs(a_n - want) <= 1e-12 * abs(want)
 
 
 def test_cross_evaluator_agreement():

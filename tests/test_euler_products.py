@@ -174,6 +174,8 @@ def test_partial_l_convergence_policing():
             partial_l(data, s, 100)
         with pytest.raises(DomainError):
             constant_term_ratio(RatioSpec(((1, data),)), s, 100)
+        with pytest.raises(DomainError):
+            local_factor(PlaceDatum(2, SatakeClass((1.0,))), s)
     with pytest.warns(ConvergenceWarning):
         partial_l(data, 1.05, 100)
     with warnings.catch_warnings():

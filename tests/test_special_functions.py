@@ -66,6 +66,8 @@ def test_gamma_pole_and_overflow():
     with pytest.raises(OverflowError):
         gamma(171.0)
     gamma(169.9)  # still in range
+    with pytest.raises(DomainError):
+        gamma(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,8 @@ def test_zeta_trivial_zeros_and_pole():
         zeta(1.0)
     with pytest.raises(PoleError):
         zeta(1.0 + 1e-12j)
+    with pytest.raises(DomainError):
+        zeta(complex(2.0, math.inf))
 
 
 def test_bernoulli_table_is_the_exact_recurrence_rounded():
@@ -161,6 +165,8 @@ def test_xi_poles():
     for bad in (0.0, 1.0, 1e-12, 1.0 + 1e-11j):
         with pytest.raises(PoleError):
             xi_completed(bad)
+    with pytest.raises(DomainError):
+        xi_completed(complex(math.nan, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,8 @@ def test_sigma_large_n_and_domain():
         sigma_power(0, 2)
     with pytest.raises(DomainError):
         sigma_power(10**12 + 1, 2)
+    with pytest.raises(DomainError):
+        sigma_power(6, complex(math.nan, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +277,20 @@ def test_bessel_peak_relative_accuracy_on_fourier_modes():
         for _ in range(80):
             order = complex(rng.uniform(-1.5, 2.5), rng.uniform(-30.0, 30.0))
             y = 2.0 * math.pi * rng.choice((1, 2, 3, 5)) * rng.uniform(0.866, 4.0)
+            want = complex(mp.besselk(mp.mpc(order), y))
+            assert abs(bessel_k(order, y) - want) <= 1e-14 * _bessel_peak(abs(order.real), y)
+
+
+def test_bessel_peak_relative_accuracy_on_long_node_runs():
+    # small y widens the integrand to t ~ acosh(W / y): the kernel sums 16 to
+    # 94 nodes here (median 47) against about 16 on the Fourier modes, so any
+    # drift in its phase recurrences would build up
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(131)
+    with mp.workdps(30):
+        for _ in range(120):
+            order = complex(rng.uniform(-2.5, 2.5), rng.uniform(-30.0, 30.0))
+            y = 10.0 ** rng.uniform(-3.0, math.log10(5.0))
             want = complex(mp.besselk(mp.mpc(order), y))
             assert abs(bessel_k(order, y) - want) <= 1e-14 * _bessel_peak(abs(order.real), y)
 
