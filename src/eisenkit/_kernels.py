@@ -14,8 +14,13 @@ coprime to r, 4 phi(r) pairs, and shell 1 holds (1, -1), (1, 0), (1, 1).  So
 the pairs of radius R are the table's prefix up to the end of shell R.  The
 table grows lazily to the largest radius asked for, but never past
 _CACHE_RADIUS (about 19.5 MB of int16); shells beyond it are enumerated per
-call in int64.  Both parts are summed in blocks of at most _CHUNK pairs, so
-the transient memory of a sum is bounded whatever the radius.
+call in int64.  Both parts are summed in blocks of at most _CHUNK = 2^14
+pairs.  Every array pass writes into seven float64 buffers of one block each
+(0.9 MB, inside a 2 MB L2 cache), allocated once per call, so the transient
+memory of a sum is bounded whatever the radius and no pass makes a
+temporary.  Each block reduces by numpy's pairwise ``.sum()``, never by a
+BLAS call, whose split of the work can follow the thread count; so a sum
+does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
 everything that never sums the lattice run without it.
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-_CHUNK = 1 << 15  # pairs per summation block
+_CHUNK = 1 << 14  # pairs per summation block
 _CACHE_RADIUS = 2000  # largest radius whose pairs are kept in the table
 
 # (pairs, ends): pairs is a (2, ends[-1]) int16 array of (m, n) columns in
@@ -110,18 +115,22 @@ def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: fl
     """out[i] += sum over the (m, n) columns of ((m xs[i] + n)^2 + (m y)^2)^(-s)."""
     import numpy as np
 
+    # every pass below writes into these rows; a short last block uses prefixes
+    rows = np.empty((7, min(_CHUNK, pairs.shape[1])))
     for a in range(0, pairs.shape[1], _CHUNK):
-        m = pairs[0, a : a + _CHUNK].astype(np.float64)
-        n = pairs[1, a : a + _CHUNK].astype(np.float64)
-        my2 = m * y
+        m, n, my2, logw, mag, tau2, den = rows[:, : pairs.shape[1] - a]
+        np.copyto(m, pairs[0, a : a + _CHUNK])
+        np.copyto(n, pairs[1, a : a + _CHUNK])
+        np.multiply(m, y, out=my2)
         my2 *= my2
         for i, x in enumerate(xs):
-            logw = m * x
+            np.multiply(m, x, out=logw)
             logw += n
             logw *= logw
             logw += my2
             np.log(logw, out=logw)
-            mag = np.exp(-s_re * logw)
+            np.multiply(logw, -s_re, out=mag)
+            np.exp(mag, out=mag)
             if s_im == 0.0:
                 out[i] += mag.sum()
                 continue
@@ -134,9 +143,13 @@ def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: fl
             # so tau^2 stays far below overflow.
             logw *= 0.5 * s_im
             tau = np.tan(logw, out=logw)
-            tau2 = tau * tau
-            mag /= 1.0 + tau2
-            out[i] += complex((mag * (1.0 - tau2)).sum(), -2.0 * (mag * tau).sum())
+            np.multiply(tau, tau, out=tau2)
+            np.add(tau2, 1.0, out=den)
+            mag /= den
+            np.subtract(1.0, tau2, out=tau2)
+            tau2 *= mag
+            np.multiply(mag, tau, out=den)
+            out[i] += complex(tau2.sum(), -2.0 * den.sum())
 
 
 def _lattice_sums(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:

@@ -258,6 +258,15 @@ def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) ->
     # the oscillation b shifts both.  Nodes run to _bessel_k_cutoff.
     omega = max(2.0 * _BESSEL_W / math.pi, math.sqrt(2.0 * _BESSEL_W * kappa)) + b + 2.0
     h = 2.0 * math.pi / omega
+    # The cut solves F(u) = kappa (cosh u - 1) + a (sinh u - u) = rise at
+    # u = t - t_peak, and 0 <= sinh u - u <= cosh u - 1 puts the root in
+    # [acosh(1 + rise/(kappa + a)), acosh(1 + rise/kappa)].  When both ends
+    # fall in the same node interval that interval is the answer, so Newton
+    # runs only for the calls whose bracket straddles a node.
+    rise = _BESSEL_W + math.log(2.0)
+    upper = math.ceil(max(t_peak + math.acosh(1.0 + rise / kappa), 0.5) / h)
+    if upper == math.ceil(max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5) / h):
+        return h, upper
     return h, int(math.ceil(_bessel_k_cutoff(a, y, t_peak, kappa) / h))
 
 

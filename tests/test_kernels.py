@@ -29,6 +29,56 @@ def test_batch_consistent_with_single_point():
 
 
 # ---------------------------------------------------------------------------
+# summation blocks and their buffers
+
+
+def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
+    # 2,511 pairs in blocks of 1,000: two full blocks and a short last one
+    monkeypatch.setattr(_kernels, "_CHUNK", 1000)
+    radius, y = 45, 1.2
+    assert _kernels._cached_pairs(radius).shape[1] % 1000 == 511
+    xs = np.array([-0.4, 0.0, 0.3])
+    for s in (complex(2.5), complex(3, 1), complex(2.2, -7)):
+        batch = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)
+        for x, value in zip(xs.tolist(), batch.tolist()):
+            single = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
+            assert (single.real, single.imag) == (value.real, value.imag)
+            want = oracles.eisenstein_brute(complex(x, y), s, radius) / complex(y) ** s
+            assert abs(single - want) < 1e-12 * abs(want)
+
+
+def test_buffers_carry_nothing_between_calls():
+    # a large sum fills every buffer; the small sum after it must not see that
+    xs = np.array([-0.25, 0.1, 0.45])
+    fresh = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40).tolist()
+    _kernels.lattice_sum_batch(xs, 1.7, 3.1, -2.0, 300)
+    again = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40).tolist()
+    assert [(v.real, v.imag) for v in again] == [(v.real, v.imag) for v in fresh]
+
+
+def test_results_do_not_depend_on_the_thread_count():
+    # a radius-300 sum spans several blocks; the Fourier path is scalar
+    code = (
+        "import numpy as np\n"
+        "import eisenkit\n"
+        "from eisenkit import _kernels\n"
+        "values = list(_kernels.lattice_sum_batch(np.array([-0.3, 0.0, 0.2]), 1.1, 2.6, 3.0, 300))\n"
+        "values.append(eisenkit.eval_fourier(0.3 + 1.2j, 2.5 + 3j).value)\n"
+        "print(' '.join(f'{v.real.hex()} {v.imag.hex()}' for v in map(complex, values)))\n"
+    )
+    root = str(Path(eisenkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", str(os.cpu_count() or 1)):
+        env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert len(outputs[0].split()) == 8
+    assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
 # the shell-ordered coprime table
 
 

@@ -20,6 +20,7 @@ from eisenkit.special_functions import (
     _B_EVEN,
     _BESSEL_W,
     _bessel_k_cutoff,
+    _bessel_k_grid,
     bessel_k,
     gamma,
     sigma_power,
@@ -322,6 +323,19 @@ def test_bessel_cutoff_is_the_peak_relative_root():
         got = _bessel_k_cutoff(a, y, t_peak, kappa)
         want = _bisect_cutoff(a, y, rise + kappa - a * t_peak)
         assert abs(got - max(want, 0.5)) <= 1e-9  # the root, or the 0.5 floor
+
+
+def test_bessel_bracket_never_moves_a_node():
+    # the closed-form bracket answers only when both its ends give one node
+    # count, so the count always equals the one from the Newton cut
+    rng = random.Random(53)
+    for _ in range(2400):
+        y = 10.0 ** rng.uniform(-3.0, 4.0)
+        a = rng.choice((0.0, rng.randrange(200) / 2.0, rng.uniform(0.0, 100.0)))
+        b = rng.choice((0.0, rng.uniform(0.0, 100.0)))
+        t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
+        h, nsteps = _bessel_k_grid(a, b, y, t_peak, kappa)
+        assert nsteps == math.ceil(_bessel_k_cutoff(a, y, t_peak, kappa) / h)
 
 
 def test_bessel_kernel_sums_exactly_the_nodes_up_to_n_h():
