@@ -67,13 +67,6 @@ def format_complex(value: complex) -> str:
     return f"{value.real:.12g}{sign}{abs(value.imag):.12g}i"
 
 
-def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(
-        lattice_radius=args.radius,
-        quadrature_nodes=getattr(args, "nodes", DEFAULT_TRUNCATION.quadrature_nodes),
-    )
-
-
 def _csv_cell(value):
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
@@ -122,7 +115,7 @@ def _complex_fields(prefix: str, value: complex) -> dict:
 def cmd_eval(args) -> dict:
     z = parse_complex(args.z)
     s = parse_complex(args.s)
-    policy = _policy_from_args(args)
+    policy = TruncationPolicy(lattice_radius=args.radius)
     report = {
         "command": "eval",
         "z": format_complex(z),
@@ -150,7 +143,7 @@ def cmd_eval(args) -> dict:
 
 def cmd_fourier(args) -> dict:
     s = parse_complex(args.s)
-    policy = _policy_from_args(args)
+    policy = TruncationPolicy(lattice_radius=args.radius)
     a_n = fourier_coefficient(args.n, args.y, s)
     report = {
         "command": "fourier",
@@ -299,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument(
         "--extract", action="store_true", help="also extract a_n by lattice quadrature"
     )
-    p_fourier.add_argument("--nodes", type=int, default=DEFAULT_TRUNCATION.quadrature_nodes)
     p_fourier.set_defaults(func=cmd_fourier)
 
     p_fe = sub.add_parser("fe-check", parents=[common], help="verification sweeps")

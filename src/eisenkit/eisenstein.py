@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from ._arith import primes_up_to
-from .errors import AccuracyError, DivergenceError, DomainError, PoleError
+from .errors import AccuracyError, DivergenceError, DomainError, PoleError, finite_complex
 from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
 
 #: Parameter values where the expansion's xi factors hit poles.
@@ -43,26 +43,24 @@ POLE_POINTS = (0.0, 0.5, 1.0)
 _TWO_PI = 2.0 * math.pi
 _MODE_FLOOR = 30  # fewest modes eval_fourier sums
 _MODE_BOUND = 512  # most modes eval_fourier sums
+_NODE_BOUND = 4096  # most x-nodes extract_coefficient_by_quadrature samples
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Truncation of the lattice sum and node count of the x-quadrature.
+    """Truncation radius of the lattice sum, the one setting of the evaluators.
 
-    The Fourier evaluator takes no knob: it sums modes until they fall below
-    the fixed accuracy target.
+    The Fourier mode count and the extraction's node count follow from
+    bounds on a_n instead.
     """
 
     lattice_radius: int = 1000
-    quadrature_nodes: int = 64
 
     def __post_init__(self):
         if self.lattice_radius < 10:
             raise DomainError("lattice_radius must be >= 10")
-        if self.quadrature_nodes < 16:
-            raise DomainError("quadrature_nodes must be >= 16")
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()
@@ -85,16 +83,8 @@ def _point(z) -> tuple[float, float]:
     return z.real, z.imag
 
 
-def _parameter(s) -> complex:
-    """s as a complex number; DomainError unless both parts are finite."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"spectral parameter must be finite, got s = {s}")
-    return s
-
-
 def _require_off_poles(s, what: str) -> complex:
-    s = _parameter(s)
+    s = finite_complex(s, "spectral parameter")
     if min(abs(s - p) for p in POLE_POINTS) <= _POLE_RADIUS:
         raise PoleError(
             f"{what}: s = {s} is within {_POLE_RADIUS} of a pole (pole points {POLE_POINTS})"
@@ -151,7 +141,7 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> Ser
     integral of r^(1 - 2 Re s).
     """
     x, y = _pullback(*_point(z))
-    s = _parameter(s)
+    s = finite_complex(s, "spectral parameter")
     if s.real <= 1.0:
         raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {s}")
     raw = _kernels.lattice_sum(x, y, s.real, s.imag, policy.lattice_radius)
@@ -271,6 +261,29 @@ def functional_equation_defect(z, s) -> float:
     return abs(lhs - rhs)
 
 
+def _quadrature_nodes(n: int, y: float, s: complex) -> int:
+    """Node count N = |n| + k of the trapezoid extraction of a_n at height y.
+
+    The N-node rule returns a_n plus the aliased modes a_(n + jN), j != 0
+    (Trefethen & Weideman, SIAM Review 56, 2014), each with |n + jN| >= k.
+    a_k = 2 k^(s-1/2) sigma_(1-2s)(k) sqrt(y) K_(s-1/2)(2 pi k y) / xi(2s),
+    |k^(s-1/2) sigma_(1-2s)(k)| <= tau(k) k^|Re s - 1/2| with the divisor
+    count tau(k) <= 2 sqrt(k), and |K_(s-1/2)(X) / xi(2s)| <~
+    e^(pi |Im s| / 2 - X), loosely enough to absorb the factor 2 sqrt(y), so
+    |a_k| <~ 2 k^p e^(pi |Im s| / 2 - 2 pi k y), p = |Re s - 1/2| + 1/2.
+    The bound falls once 2 pi k y >= p; k is the first such k >= 1 where it
+    is below TARGET_ABS_ERROR / 10, and the aliases past it decay
+    geometrically.  AccuracyError where N would exceed _NODE_BOUND.
+    """
+    p = abs(s.real - 0.5) + 0.5
+    log_goal = math.log(TARGET_ABS_ERROR / 20.0) - 0.5 * math.pi * abs(s.imag)
+    for k in range(1, _NODE_BOUND - abs(n) + 1):
+        decay = _TWO_PI * k * y
+        if decay >= p and p * math.log(k) - decay < log_goal:
+            return abs(n) + k
+    raise AccuracyError(f"a_{n} at y = {y}, s = {s} needs over {_NODE_BOUND} quadrature nodes")
+
+
 def extract_coefficient_by_quadrature(
     n: int,
     y: float,
@@ -281,28 +294,28 @@ def extract_coefficient_by_quadrature(
     """Trapezoid quadrature int_0^1 E(x + i y, s) e^(-2 pi i n x) dx.
 
     E is sampled by the lattice sum, so this is an extraction of a_n
-    independent of the closed-form coefficient formula (the rule is exact on
-    trigonometric polynomials below the node count).  Needs Re(s) > 1
-    (DivergenceError otherwise); ``source`` accepts only "lattice".
+    independent of the closed-form coefficient formula.  Its error is the
+    lattice tail at the nodes plus the aliased modes, which the node count
+    (_quadrature_nodes) keeps below 1e-14; AccuracyError past 4096 nodes
+    (y below about 2e-3).  Needs Re(s) > 1 (DivergenceError otherwise);
+    ``source`` accepts only "lattice".
     """
     import numpy as np
 
     _point(complex(0.0, y))
     if source != "lattice":
         raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")
-    s = _parameter(s)
+    s = finite_complex(s, "spectral parameter")
     if s.real <= 1.0:
         raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
-    nodes = policy.quadrature_nodes
+    nodes = _quadrature_nodes(n, y, s)
     k = np.arange(nodes)
     xs = k / nodes
     # E is even in x, so node k/N shares its value with 1 - k/N and only the
     # nodes 0 <= k <= N/2, all in |x| <= 1/2, are summed.  They keep the row's
     # y: SL2(Z) images would give each node its own truncation error, which
     # measured about half a digit worse on n != 0 at y < 1
-    raw = _kernels.lattice_sum_batch(
-        xs[: nodes // 2 + 1], y, s.real, s.imag, policy.lattice_radius
-    )
+    raw = _kernels.lattice_sum_batch(xs[: nodes // 2 + 1], y, s.real, s.imag, policy.lattice_radius)
     values = _cpow(y, s) * np.asarray(raw)[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception and warning types shared across the toolkit, and its finite-input check.
 
 Numeric routines refuse to return garbage: anything evaluated inside a pole
 exclusion disk raises PoleError, divergent series raise DivergenceError, an
@@ -6,6 +6,8 @@ evaluator that stops at its bound short of its accuracy target raises
 AccuracyError, and values that would leave double range raise the builtin
 OverflowError.
 """
+
+import cmath
 
 
 class EisenkitError(Exception):
@@ -48,3 +50,11 @@ class PlaceDataError(EisenkitError):
 
 class ConvergenceWarning(UserWarning):
     """Euler product evaluated with a thin convergence margin."""
+
+
+def finite_complex(value, what: str) -> complex:
+    """value as a complex number; DomainError unless both parts are finite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what} needs a finite argument, got {value}")
+    return value

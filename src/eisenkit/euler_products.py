@@ -16,14 +16,14 @@ against ``eisenstein.scattering_ratio`` within the products' tail estimates.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._arith import prime_power_base, primes_up_to
-from .errors import ConvergenceWarning, DivergenceError, DomainError, PlaceDataError, PoleError
+from .errors import ConvergenceWarning, DivergenceError, DomainError, PlaceDataError
+from .errors import PoleError, finite_complex
 
 _FACTOR_EXCLUSION = 1e-12
 _THIN_MARGIN = 0.1
@@ -121,20 +121,12 @@ def trivial_zeta_data(limit: int) -> LFunctionData:
     return LFunctionData(places)
 
 
-def _parameter(s) -> complex:
-    """s as a complex number; DomainError unless both parts are finite."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"Euler product needs a finite s, got {s}")
-    return s
-
-
 def local_factor(place: PlaceDatum, s: complex) -> complex:
     """det(I - rho(t_v) q^(-s))^(-1) = prod_lambda (1 - lambda q^(-s))^(-1).
 
     DomainError for a non-finite s.
     """
-    s = _parameter(s)
+    s = finite_complex(s, "Euler product")
     q_pow = complex(place.q) ** (-s)
     denominator = 1.0 + 0.0j
     for lam in place.satake.eigenvalues:
@@ -177,7 +169,7 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     documented abscissa; ConvergenceWarning when the margin is below 0.1;
     DomainError for a non-finite s.
     """
-    s = _parameter(s)
+    s = finite_complex(s, "Euler product")
     margin = s.real - data.convergence_abscissa()
     if margin <= 0.0:
         raise DivergenceError(

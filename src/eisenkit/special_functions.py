@@ -30,7 +30,7 @@ import random
 
 from . import _kernels
 from ._arith import factorize
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError, finite_complex
 
 POLE_EXCLUSION_RADIUS = 1e-9
 
@@ -89,14 +89,6 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
-def _argument(s, what: str) -> complex:
-    # s as a complex number; DomainError unless both parts are finite
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"{what} needs a finite argument, got {s}")
-    return s
-
-
 def _sinpi(z: complex) -> complex:
     # sin(pi z) with argument reduction; exact zeros at integers, full
     # accuracy near them (plain sin(pi*z) loses digits for |Re z| >> 1).
@@ -112,7 +104,7 @@ def gamma(s: complex) -> complex:
     Raises PoleError within 1e-9 of a nonpositive integer and OverflowError
     when the value exceeds double range (on the real axis: Re(s) > 170).
     """
-    s = _argument(s, "gamma")
+    s = finite_complex(s, "gamma")
     if s.real < 0.5:
         near = round(s.real)
         if near <= 0 and abs(s - near) < POLE_EXCLUSION_RADIUS:
@@ -175,7 +167,7 @@ def zeta(s: complex) -> complex:
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) elsewhere, since
     Euler-Maclaurin alone cancels catastrophically for Re(s) << 0.
     """
-    s = _argument(s, "zeta")
+    s = finite_complex(s, "zeta")
     if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("zeta has its pole at s = 1")
     if s.real >= 0.45 or abs(s) <= 0.45:
@@ -190,7 +182,7 @@ def xi_completed(s: complex) -> complex:
     Satisfies the reflection xi(s) = xi(1-s); the test suite checks this to
     1e-10 rather than assuming it.
     """
-    s = _argument(s, "xi_completed")
+    s = finite_complex(s, "xi_completed")
     if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     value = cmath.exp(-0.5 * s * math.log(math.pi))
@@ -208,7 +200,7 @@ def sigma_power(n: int, s: complex) -> complex:
     """
     if n < 1:
         raise DomainError(f"sigma_power needs n >= 1, got {n}")
-    s = _argument(s, "sigma_power")
+    s = finite_complex(s, "sigma_power")
     is_int_exp = s.imag == 0.0 and s.real == round(s.real) and abs(s.real) <= 64
     total = 1.0 + 0.0j
     for p, e in factorize(n):

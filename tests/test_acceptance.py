@@ -93,7 +93,7 @@ def test_criterion_3_xi_reflection():
 
 def test_criterion_4_first_coefficient():
     worst = max(first_coefficient_xi_check(s) for s in functional_equation_grid())
-    policy = TruncationPolicy(lattice_radius=800, quadrature_nodes=64)
+    policy = TruncationPolicy(lattice_radius=800)
     extracted = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
     closed = fourier_coefficient(1, 1.0, 2.5)
     diff = abs(extracted - closed)
@@ -107,7 +107,7 @@ def test_criterion_4_first_coefficient():
 
 
 def test_criterion_5_constant_term_quadrature():
-    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=128)
+    policy = TruncationPolicy(lattice_radius=600)
     y, s = 2.0, 2.5
     extracted = extract_coefficient_by_quadrature(0, y, s, policy, source="lattice")
     diff = abs(extracted - fourier_coefficient(0, y, s))
@@ -118,7 +118,7 @@ def test_criterion_5_constant_term_quadrature():
     _report(
         5,
         ok,
-        f"128-node constant-term quadrature vs a_0 = {diff:.3e} (< 1e-6); "
+        f"constant-term quadrature vs a_0 = {diff:.3e} (< 1e-6); "
         f"vs y^s + c_Euler(s) y^(1-s) = {diff_euler:.3e} (< 1e-6)",
     )
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from eisenkit import cli
+from eisenkit.eisenstein import fourier_coefficient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "docs" / "golden"
@@ -99,7 +100,7 @@ def test_fourier_extract_matches_closed_form(capsys):
         [
             "fourier",
             "--n", "1", "--y", "2.0", "--s", "2.5",
-            "--extract", "--radius", "300", "--nodes", "32",
+            "--extract", "--radius", "300",
             "--format", "json",
         ],
         capsys,
@@ -107,6 +108,23 @@ def test_fourier_extract_matches_closed_form(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["extraction_difference"] < 1e-6
+
+
+@pytest.mark.parametrize("n, y, radius", [("64", "1", "300"), ("1", "0.02", "600")])
+def test_fourier_extract_has_no_aliased_modes(n, y, radius, capsys):
+    # 64 nodes would read a_0 = 2.39 for a_64 = 1.6e-171, and a_1 = 452.84
+    # at y = 0.02 plus its aliases a_63, a_65, ... as 458.12
+    argv = ["fourier", "--n", n, "--y", y, "--s", "2.5", "--extract", "--radius", radius]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    a_0 = fourier_coefficient(0, float(y), 2.5)
+    assert json.loads(out)["extraction_difference"] < 1e-6 * max(1.0, abs(a_0))
+
+
+def test_fourier_extract_past_node_bound_exits_4(capsys):
+    code, _, err = run_cli(["fourier", "--n", "1", "--y", "1e-6", "--s", "2.5", "--extract"], capsys)
+    assert code == 4
+    assert "AccuracyError" in err
 
 
 def test_fe_check_default_grid(capsys):
@@ -271,6 +289,7 @@ def test_verbose_prints_defaults(capsys):
         ["fe-check", "--radius", "5"],
         ["decompose", "G", "2", "--terms", "3"],
         ["eval", "--z", "0+1i", "--s", "2.5", "--terms", "40"],
+        ["fourier", "--n", "1", "--y", "1", "--s", "2.5", "--extract", "--nodes", "32"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(argv, capsys):

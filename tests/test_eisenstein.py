@@ -21,7 +21,7 @@ from eisenkit.eisenstein import (
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
-from eisenkit.special_functions import sigma_power
+from eisenkit.special_functions import TARGET_ABS_ERROR, sigma_power
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -43,8 +43,6 @@ def test_half_plane_point_validation():
 def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(lattice_radius=5)
-    with pytest.raises(DomainError):
-        TruncationPolicy(quadrature_nodes=8)
 
 
 def test_spectral_parameter_distance():
@@ -354,21 +352,21 @@ def test_defect_transforms_by_ratio_magnitude_under_reflection():
 
 
 def test_extraction_matches_constant_term():
-    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=128)
+    policy = TruncationPolicy(lattice_radius=600)
     got = extract_coefficient_by_quadrature(0, 2.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(0, 2.0, 2.5)
     assert abs(got - want) < 1e-6
 
 
 def test_extraction_matches_first_coefficient():
-    policy = TruncationPolicy(lattice_radius=600, quadrature_nodes=64)
+    policy = TruncationPolicy(lattice_radius=600)
     got = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(1, 1.0, 2.5)
     assert abs(got - want) < 1e-6
 
 
 def test_extraction_matches_second_coefficient():
-    policy = TruncationPolicy(lattice_radius=500, quadrature_nodes=32)
+    policy = TruncationPolicy(lattice_radius=500)
     got = extract_coefficient_by_quadrature(2, 1.0, 2.5, policy, source="lattice")
     want = fourier_coefficient(2, 1.0, 2.5)
     assert abs(got - want) < 1e-6
@@ -377,11 +375,15 @@ def test_extraction_matches_second_coefficient():
 def test_extraction_agrees_with_independent_oracle():
     # same trapezoid extraction built on the independent numpy lattice panel,
     # which sums every node; odd counts have no node at x = 1/2
-    for nodes in (17, 32, 33):
-        policy = TruncationPolicy(lattice_radius=200, quadrature_nodes=nodes)
-        got = extract_coefficient_by_quadrature(1, 1.0, 2.5, policy, source="lattice")
-        want = oracles.extract_mode_brute(1, 1.0, 2.5, nodes=nodes, radius=200)
+    policy = TruncationPolicy(lattice_radius=200)
+    counts = set()
+    for n, y, s in ((1, 1.0, 2.5), (2, 1.0, 2.5), (1, 0.5, 2.5 + 2j)):
+        nodes = eisenstein._quadrature_nodes(n, y, complex(s))
+        counts.add(nodes % 2)
+        got = extract_coefficient_by_quadrature(n, y, s, policy, source="lattice")
+        want = oracles.extract_mode_brute(n, y, s, nodes=nodes, radius=200)
         assert abs(got - want) < 1e-12
+    assert counts == {0, 1}
 
 
 def test_extraction_sums_half_the_nodes(monkeypatch):
@@ -394,14 +396,56 @@ def test_extraction_sums_half_the_nodes(monkeypatch):
         return batch(xs, *args)
 
     monkeypatch.setattr(eisenstein._kernels, "lattice_sum_batch", spy)
-    for nodes in (17, 32, 33, 64):
-        extract_coefficient_by_quadrature(1, 1.0, 2.5, TruncationPolicy(50, nodes))
-    assert seen == [9, 17, 17, 33]
+    inputs = ((1, 1.0, 2.5), (2, 1.0, 2.5), (0, 2.0, 2.5), (1, 0.1, 2.5 + 3j))
+    for n, y, s in inputs:
+        extract_coefficient_by_quadrature(n, y, s, TruncationPolicy(50))
+    want = [eisenstein._quadrature_nodes(n, y, complex(s)) // 2 + 1 for n, y, s in inputs]
+    assert seen == want
+
+
+def test_extraction_nodes_put_aliases_below_target():
+    # every alias of a_n in the N-node rule is a mode |k| >= N - |n|, and the
+    # closed form puts the nearest one below the accuracy target
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(0, 10)
+        y = math.exp(rng.uniform(math.log(0.01), math.log(5.0)))
+        s = complex(rng.uniform(1.01, 6.0), rng.uniform(-30.0, 30.0))
+        k = eisenstein._quadrature_nodes(n, y, s) - n
+        assert abs(fourier_coefficient(k, y, s)) < TARGET_ABS_ERROR, (n, y, s)
+
+
+def test_extraction_near_cusp_matches_closed_form():
+    # at y = 0.02 the alias a_63 of a_1 is 1% of it under 64 nodes, so the
+    # node count must grow as y falls; the tolerance is the lattice tail at
+    # the unreduced y plus 1e-10
+    rng = random.Random(31)
+    policy = TruncationPolicy(lattice_radius=300)
+    for _ in range(8):
+        n = rng.randint(0, 3)
+        y = rng.uniform(0.02, 0.1)
+        s = complex(rng.uniform(2.0, 3.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+        got = extract_coefficient_by_quadrature(n, y, s, policy)
+        want = fourier_coefficient(n, y, s)
+        scale = max(1.0, abs(fourier_coefficient(0, y, s)))
+        tail = 8.0 * y ** (-s.real) * 300 ** (2.0 - 2.0 * s.real) / (2.0 * s.real - 2.0)
+        assert abs(got - want) < tail + 1e-10 * scale, (n, y, s)
+
+
+def test_extraction_raises_past_node_bound(monkeypatch):
+    with pytest.raises(AccuracyError, match="quadrature nodes"):
+        extract_coefficient_by_quadrature(1, 1e-6, 2.5)
+    # a_1 at y = 1, s = 2.5 takes exactly 8 nodes
+    monkeypatch.setattr(eisenstein, "_NODE_BOUND", 8)
+    assert extract_coefficient_by_quadrature(1, 1.0, 2.5, TruncationPolicy(50))
+    monkeypatch.setattr(eisenstein, "_NODE_BOUND", 7)
+    with pytest.raises(AccuracyError):
+        extract_coefficient_by_quadrature(1, 1.0, 2.5, TruncationPolicy(50))
 
 
 def test_high_mode_extraction_is_negligible():
     # a_5(3, 2.5) carries K_2(30 pi) ~ e^(-94); the extraction must see noise only
-    policy = TruncationPolicy(lattice_radius=800, quadrature_nodes=32)
+    policy = TruncationPolicy(lattice_radius=800)
     value = extract_coefficient_by_quadrature(5, 3.0, 2.5, policy, source="lattice")
     assert abs(value) < 1e-10
 
