@@ -16,7 +16,7 @@ euler_products
     Partial L-functions over Satake eigenvalue data and the constant-term
     ratios that, for SL2, give the Eisenstein scattering coefficient.
 root_systems
-    Simple root systems, Weyl orders, maximal parabolics and the graded
+    Simple root systems, maximal parabolics, their Levi types and the graded
     nilradical decomposition behind the ratio integers a_j.
 cli
     The ``eisenkit`` command-line tool tying everything together.
@@ -40,12 +40,11 @@ _EXPORTS = {
     ),
     "root_systems": (
         "RootSystem", "ParabolicDatum", "AdjointDecomposition", "build_root_system",
-        "weyl_group_order", "weyl_order_closed_form", "levi_type",
-        "nilradical_decomposition", "enumerate_table",
+        "levi_type", "nilradical_decomposition", "enumerate_table",
     ),
     "errors": (
         "EisenkitError", "PoleError", "DomainError", "DivergenceError", "AccuracyError",
-        "InvalidTypeError", "ResourceError", "PlaceDataError", "ConvergenceWarning",
+        "InvalidTypeError", "PlaceDataError", "ConvergenceWarning",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -34,10 +34,6 @@ class InvalidTypeError(EisenkitError):
     """Not a valid simple Cartan type / rank combination."""
 
 
-class ResourceError(EisenkitError):
-    """Exhaustive enumeration exceeded its configured cap."""
-
-
 class PlaceDataError(EisenkitError):
     """Malformed Satake place-data input."""
 

@@ -1,4 +1,4 @@
-"""Split root systems, Weyl groups, maximal parabolics, nilradical gradings.
+"""Split root systems, maximal parabolics, Levi types, nilradical gradings.
 
 Roots live in exact integer arithmetic as coefficient vectors over the simple
 roots, with the Cartan matrix as the pairing (convention
@@ -19,32 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidTypeError, ResourceError
+from .errors import InvalidTypeError
 
 _LETTERS = "ABCDEFG"
 
-#: degrees of the fundamental invariants; |W| is their product
-_DEGREES = {
-    "A": lambda n: list(range(2, n + 2)),
-    "B": lambda n: list(range(2, 2 * n + 1, 2)),
-    "C": lambda n: list(range(2, 2 * n + 1, 2)),
-    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
-    "E": {6: [2, 5, 6, 8, 9, 12], 7: [2, 6, 8, 10, 12, 14, 18], 8: [2, 8, 12, 14, 18, 20, 24, 30]},
-    "F": {4: [2, 6, 8, 12]},
-    "G": {2: [2, 6]},
-}
-
+#: supported ranks per type; A-D stop at 32 because the decomposition table
+#: costs about rank^3.7 (0.09 s at A32, 6.4 s at A100 on a 2-core Xeon), so
+#: an unbounded rank from outside could run for hours
 _RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+    "A": (1, 32),
+    "B": (2, 32),
+    "C": (3, 32),
+    "D": (4, 32),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
 }
-
-_WEYL_CAP = 200_000
 
 
 def _validate_type(cartan_type: str, rank: int) -> str:
@@ -52,8 +42,8 @@ def _validate_type(cartan_type: str, rank: int) -> str:
     if letter not in _LETTERS:
         raise InvalidTypeError(f"unknown Cartan type {cartan_type!r}")
     low, high = _RANK_RANGE[letter]
-    if rank < low or (high is not None and rank > high):
-        raise InvalidTypeError(f"{letter}_{rank} is not a simple type")
+    if not low <= rank <= high:
+        raise InvalidTypeError(f"{letter}_{rank}: type {letter} takes ranks {low} to {high}")
     return letter
 
 
@@ -149,52 +139,6 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank, simple, tuple(positives), c)
 
 
-def weyl_group_order(rs: RootSystem) -> int:
-    """|W| by exhaustive orbit generation from the simple reflections.
-
-    The orbit of the regular weight rho = (1, ..., 1) in weight coordinates
-    has exactly |W| points (W acts simply transitively on chambers), so a
-    breadth-first closure counts the group without storing matrices.  Raises
-    ResourceError past ``_WEYL_CAP`` orbit points (E_7/E_8 territory; use
-    ``weyl_order_closed_form`` there).
-    """
-    n = rs.rank
-    c = rs.cartan
-    start = tuple([1] * n)
-
-    def act(v, i):
-        vi = v[i]
-        return tuple(v[j] - vi * c[i][j] for j in range(n))
-
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for i in range(n):
-                w = act(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    fresh.append(w)
-            if len(seen) > _WEYL_CAP:
-                raise ResourceError(
-                    f"Weyl orbit of {rs.name} exceeds cap {_WEYL_CAP}; "
-                    "use weyl_order_closed_form"
-                )
-        frontier = fresh
-    return len(seen)
-
-
-def weyl_order_closed_form(rs: RootSystem) -> int:
-    """|W| as the product of the degrees of the fundamental invariants."""
-    spec = _DEGREES[rs.cartan_type]
-    degrees = spec[rs.rank] if isinstance(spec, dict) else spec(rs.rank)
-    order = 1
-    for d in degrees:
-        order *= d
-    return order
-
-
 @dataclass(frozen=True)
 class ParabolicDatum:
     """Maximal parabolic selected by deleting one simple root."""
@@ -235,12 +179,6 @@ class AdjointDecomposition:
     @property
     def a_values(self) -> tuple[int, ...]:
         return tuple(level.a for level in self.levels)
-
-
-def levi_positive_roots(p: ParabolicDatum) -> tuple[tuple[int, ...], ...]:
-    """Positive roots of the Levi: coefficient zero at the removed node."""
-    k = p.removed_index
-    return tuple(v for v in p.system.positive_roots if v[k] == 0)
 
 
 def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
@@ -286,9 +224,9 @@ def _components(indices, cartan):
 
 
 def _classify_component(nodes, cartan) -> tuple[str, int]:
-    # classify a connected subdiagram of a simple system; the possible shapes
-    # are themselves simple types, so degree counts and edge multiplicities
-    # determine everything
+    # classify a connected proper subdiagram of a simple diagram.  None is G2
+    # or F4, and one with a double edge and rank >= 3 is a chain with that
+    # edge at one end, so degree counts and edge multiplicities decide
     rank = len(nodes)
     if rank == 1:
         return ("A", 1)
@@ -301,20 +239,15 @@ def _classify_component(nodes, cartan) -> tuple[str, int]:
     for a, b, _ in edges:
         degree[a] += 1
         degree[b] += 1
-    multiplicities = sorted(mult for _, _, mult in edges)
-    if multiplicities[-1] == 3:
-        return ("G", 2)
-    if multiplicities[-1] == 2:
+    double = next(((a, b) for a, b, mult in edges if mult == 2), None)
+    if double is not None:
         if rank == 2:
             return ("B", 2)  # B2 == C2; B is the canonical label here
-        (a, b) = next((a, b) for a, b, mult in edges if mult == 2)
-        # orient the double edge: C[u][v] == -2 means u long, v short
-        u, v = (a, b) if cartan[a][b] == -2 else (b, a)
-        if degree[v] == 1 and degree[u] == 2:
-            return ("B", rank)  # short root at the end of the chain
-        if degree[u] == 1 and degree[v] == 2:
-            return ("C", rank)
-        return ("F", 4)  # double edge interior on both sides
+        a, b = double
+        # C[a][b] == -2 means a long, b short; the chain ends at one of the
+        # two, and ending at the short root v makes it B
+        v = b if cartan[a][b] == -2 else a
+        return ("B", rank) if degree[v] == 1 else ("C", rank)
     # simply laced: path -> A, fork -> D or E by branch lengths
     if max(degree.values()) <= 2:
         return ("A", rank)
@@ -408,19 +341,3 @@ def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:
             )
     return rows
 
-
-def positive_root_count_closed_form(cartan_type: str, rank: int) -> int:
-    """|Phi+| from the classical closed forms."""
-    letter = _validate_type(cartan_type, rank)
-    n = rank
-    if letter == "A":
-        return n * (n + 1) // 2
-    if letter in ("B", "C"):
-        return n * n
-    if letter == "D":
-        return n * (n - 1)
-    if letter == "E":
-        return {6: 36, 7: 63, 8: 120}[n]
-    if letter == "F":
-        return 24
-    return 6  # G2

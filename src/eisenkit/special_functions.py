@@ -223,43 +223,23 @@ def sigma_power(n: int, s: complex) -> complex:
     return _finite(total, "sigma_power")
 
 
-def _bessel_k_cutoff(a: float, y: float, t_peak: float, kappa: float) -> float:
-    # Truncation point t_max >= 0.5 of the trapezoid rule: where the envelope
-    # exp(-g(t)), g(t) = y cosh t - a t, has fallen to e^(-W)/2 of its peak
-    # at t_peak = asinh(a/y), g(t_peak) = kappa - a t_peak, kappa = hypot(a, y).
-    # An absolute cut would stop at about 1e-4 of the peak once y >~ 20.
-    # g is convex with g'' = y cosh t >= kappa right of the peak, and
-    # g(t) - g(t_peak) >= y (cosh(t - t_peak) - 1) there, so the smaller of the
-    # two resulting bounds lies right of the root, and Newton's steps from it
-    # fall monotonically onto the root.
-    rise = _BESSEL_W + math.log(2.0)
-    target = rise + kappa - a * t_peak
-    t = t_peak + min(math.sqrt(2.0 * rise / kappa), math.acosh(1.0 + rise / y))
-    for _ in range(64):
-        step = (y * math.cosh(t) - a * t - target) / (y * math.sinh(t) - a)
-        t -= step
-        if abs(step) <= 1e-13 * t:
-            break
-    return max(t, 0.5)
-
-
 def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) -> tuple[float, int]:
     # Step and node count for the trapezoid rule on exp(-y cosh t) cosh(nu t).
     # The transform of the integrand decays on the scale set by the larger of
     # the analyticity-strip rate 2W/pi and the saddle bandwidth sqrt(2 W kappa);
-    # the oscillation b shifts both.  Nodes run to _bessel_k_cutoff.
+    # the oscillation b shifts both.
     omega = max(2.0 * _BESSEL_W / math.pi, math.sqrt(2.0 * _BESSEL_W * kappa)) + b + 2.0
     h = 2.0 * math.pi / omega
-    # The cut solves F(u) = kappa (cosh u - 1) + a (sinh u - u) = rise at
-    # u = t - t_peak, and 0 <= sinh u - u <= cosh u - 1 puts the root in
-    # [acosh(1 + rise/(kappa + a)), acosh(1 + rise/kappa)].  When both ends
-    # fall in the same node interval that interval is the answer, so Newton
-    # runs only for the calls whose bracket straddles a node.
+    # Nodes run to t_max >= 0.5, right of where the envelope exp(-g(t)),
+    # g(t) = y cosh t - a t, has fallen to e^(-W)/2 of its peak at
+    # t_peak = asinh(a/y); an absolute cut would stop at about 1e-4 of the
+    # peak once y >~ 20.  At u = t - t_peak the fall is
+    # F(u) = kappa (cosh u - 1) + a (sinh u - u), kappa = hypot(a, y), and
+    # 0 <= sinh u - u <= cosh u - 1 puts the root of F(u) = rise in
+    # [acosh(1 + rise/(kappa + a)), acosh(1 + rise/kappa)].  The upper end is
+    # never left of the root and overshoots it by at most the bracket width.
     rise = _BESSEL_W + math.log(2.0)
-    upper = math.ceil(max(t_peak + math.acosh(1.0 + rise / kappa), 0.5) / h)
-    if upper == math.ceil(max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5) / h):
-        return h, upper
-    return h, int(math.ceil(_bessel_k_cutoff(a, y, t_peak, kappa) / h))
+    return h, math.ceil(max(t_peak + math.acosh(1.0 + rise / kappa), 0.5) / h)
 
 
 def bessel_k(order: complex, y: float) -> complex:

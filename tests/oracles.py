@@ -4,7 +4,8 @@ tests.
 Each oracle is deliberately kept independent of the implementation path it
 checks: quadrature where the package uses Lanczos, direct series where the
 package uses Euler-Maclaurin corrections, brute-force enumeration where the
-package uses multiplicative formulas, and a doubled-resolution trapezoid rule
+package uses multiplicative formulas, closed-form root counts where the
+package generates roots by reflection, and a doubled-resolution trapezoid rule
 for the K-Bessel integral.
 """
 
@@ -128,6 +129,25 @@ def det_laplace(matrix: list[list[complex]]) -> complex:
         total += (-1) ** col * matrix[0][col] * det_laplace(minor)
     return total
 
+
+
+def positive_root_count_closed_form(cartan_type: str, rank: int) -> int:
+    """|Phi+| of a simple type from the classical closed forms."""
+    n = rank
+    if cartan_type == "A":
+        return n * (n + 1) // 2
+    if cartan_type in ("B", "C"):
+        return n * n
+    if cartan_type == "D":
+        return n * (n - 1)
+    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[(cartan_type, n)]
+
+
+def levi_positive_roots(p) -> tuple[tuple[int, ...], ...]:
+    """Positive roots of a ParabolicDatum's Levi: coefficient zero at the
+    removed node."""
+    k = p.removed_index
+    return tuple(v for v in p.system.positive_roots if v[k] == 0)
 
 def eisenstein_brute(z: complex, s: complex, radius: int) -> complex:
     """E(z, s) straight from the folded coprime definition: a plain double

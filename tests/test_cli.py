@@ -258,7 +258,7 @@ def test_decompose_a1(capsys):
 
 
 def test_decompose_invalid_type_exits_2(capsys):
-    for argv in (["H", "2"], ["--table", "A2,,G2"], ["--table", "A2,"]):
+    for argv in (["H", "2"], ["A", "33"], ["D", "33"], ["--table", "A2,,G2"], ["--table", "A2,"]):
         code, _, err = run_cli(["decompose", *argv], capsys)
         assert code == 2, argv
         assert "InvalidTypeError" in err

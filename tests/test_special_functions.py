@@ -19,7 +19,6 @@ from eisenkit.errors import AccuracyError, DomainError, PoleError
 from eisenkit.special_functions import (
     _B_EVEN,
     _BESSEL_W,
-    _bessel_k_cutoff,
     _bessel_k_grid,
     bessel_k,
     gamma,
@@ -311,31 +310,23 @@ def _bisect_cutoff(a, y, target):
     return 0.5 * (lo + hi)
 
 
-def test_bessel_cutoff_is_the_peak_relative_root():
-    # the envelope falls to e^(-W)/2 of its peak: y cosh t - a t rises by
-    # W + ln 2 above its minimum hypot(a, y) - a asinh(a/y)
-    rng = random.Random(41)
-    rise = _BESSEL_W + math.log(2.0)
-    for _ in range(300):
-        y = 10.0 ** rng.uniform(-3.0, 4.0)
-        a = rng.choice((0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 100.0)))
-        t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
-        got = _bessel_k_cutoff(a, y, t_peak, kappa)
-        want = _bisect_cutoff(a, y, rise + kappa - a * t_peak)
-        assert abs(got - max(want, 0.5)) <= 1e-9  # the root, or the 0.5 floor
-
-
-def test_bessel_bracket_never_moves_a_node():
-    # the closed-form bracket answers only when both its ends give one node
-    # count, so the count always equals the one from the Newton cut
+def test_bessel_cut_is_right_of_the_peak_relative_root_within_its_bracket():
+    # the nodes must reach where the envelope has fallen to e^(-W)/2 of its
+    # peak, i.e. where y cosh t - a t has risen by W + ln 2 above its minimum
+    # hypot(a, y) - a asinh(a/y); the closed-form cut may pass that root by
+    # at most the bracket width acosh(1 + rise/kappa) - acosh(1 + rise/(kappa + a))
     rng = random.Random(53)
+    rise = _BESSEL_W + math.log(2.0)
     for _ in range(2400):
         y = 10.0 ** rng.uniform(-3.0, 4.0)
         a = rng.choice((0.0, rng.randrange(200) / 2.0, rng.uniform(0.0, 100.0)))
         b = rng.choice((0.0, rng.uniform(0.0, 100.0)))
         t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
         h, nsteps = _bessel_k_grid(a, b, y, t_peak, kappa)
-        assert nsteps == math.ceil(_bessel_k_cutoff(a, y, t_peak, kappa) / h)
+        root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)  # or the 0.5 floor
+        width = math.acosh(1.0 + rise / kappa) - math.acosh(1.0 + rise / (kappa + a))
+        assert nsteps * h >= root * (1.0 - 1e-12)  # a = 0 hits the root exactly
+        assert nsteps <= math.ceil(root / h) + math.ceil(width / h)
 
 
 def test_bessel_kernel_sums_exactly_the_nodes_up_to_n_h():
