@@ -310,11 +310,10 @@ def _bisect_cutoff(a, y, target):
     return 0.5 * (lo + hi)
 
 
-def test_bessel_cut_is_right_of_the_peak_relative_root_within_its_bracket():
-    # the nodes must reach where the envelope has fallen to e^(-W)/2 of its
-    # peak, i.e. where y cosh t - a t has risen by W + ln 2 above its minimum
-    # hypot(a, y) - a asinh(a/y); the closed-form cut may pass that root by
-    # at most the bracket width acosh(1 + rise/kappa) - acosh(1 + rise/(kappa + a))
+def _bessel_cut_panel():
+    # seed-53 panel: node count from _bessel_k_grid, the bisection root of the
+    # rise (or the 0.5 floor), and the bracket [lower, upper] the closed-form
+    # cut takes its upper end from
     rng = random.Random(53)
     rise = _BESSEL_W + math.log(2.0)
     for _ in range(2400):
@@ -323,10 +322,30 @@ def test_bessel_cut_is_right_of_the_peak_relative_root_within_its_bracket():
         b = rng.choice((0.0, rng.uniform(0.0, 100.0)))
         t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
         h, nsteps = _bessel_k_grid(a, b, y, t_peak, kappa)
-        root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)  # or the 0.5 floor
-        width = math.acosh(1.0 + rise / kappa) - math.acosh(1.0 + rise / (kappa + a))
+        root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)
+        lower = max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5)
+        upper = max(t_peak + math.acosh(1.0 + rise / kappa), 0.5)
+        yield h, nsteps, root, lower, upper
+
+
+def test_bessel_cutoff_is_the_peak_relative_root():
+    # the nodes must reach where the envelope has fallen to e^(-W)/2 of its
+    # peak, i.e. where y cosh t - a t has risen by W + ln 2 above its minimum
+    # hypot(a, y) - a asinh(a/y); the closed-form cut is never left of that
+    # root and passes it by at most the bracket width upper - lower
+    for h, nsteps, root, lower, upper in _bessel_cut_panel():
         assert nsteps * h >= root * (1.0 - 1e-12)  # a = 0 hits the root exactly
-        assert nsteps <= math.ceil(root / h) + math.ceil(width / h)
+        assert (nsteps - 1) * h < root + (upper - lower)
+
+
+def test_bessel_bracket_never_moves_a_node():
+    # when both bracket ends fall in one node interval the count is the one
+    # the exact root gives; when they straddle nodes it is at most
+    # ceil(width/h) more (11 nodes at a ~ 100 on this panel)
+    for h, nsteps, root, lower, upper in _bessel_cut_panel():
+        if math.ceil(lower / h) == math.ceil(upper / h):
+            assert nsteps == math.ceil(root / h)
+        assert nsteps <= math.ceil(root / h) + math.ceil((upper - lower) / h)
 
 
 def test_bessel_kernel_sums_exactly_the_nodes_up_to_n_h():
