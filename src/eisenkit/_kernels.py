@@ -37,6 +37,8 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
+from ._arith import primes_up_to
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -51,13 +53,13 @@ _table = None
 
 
 def _totients(limit: int) -> np.ndarray:
-    """phi(0..limit) by sieve (phi(0) = 0, phi(1) = 1)."""
+    """phi(0..limit) (phi(0) = 0, phi(1) = 1): each prime p <= limit from
+    _arith's sieve scales its multiples by (1 - 1/p)."""
     import numpy as np
 
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # untouched so far, so p is prime
-            phi[p::p] -= phi[p::p] // p
+    for p in primes_up_to(limit):
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 

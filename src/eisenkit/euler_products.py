@@ -31,14 +31,15 @@ _THIN_MARGIN = 0.1
 
 @dataclass(frozen=True)
 class SatakeClass:
-    """Eigenvalue multiset of rho(t_v); all eigenvalues nonzero."""
+    """Eigenvalue multiset of rho(t_v); all eigenvalues finite and nonzero."""
 
     eigenvalues: tuple[complex, ...]
 
     def __post_init__(self):
         if not self.eigenvalues:
             raise DomainError("a Satake class needs at least one eigenvalue")
-        object.__setattr__(self, "eigenvalues", tuple(complex(e) for e in self.eigenvalues))
+        eigenvalues = tuple(finite_complex(e, "Satake class") for e in self.eigenvalues)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
         if any(e == 0 for e in self.eigenvalues):
             raise DomainError("Satake eigenvalues must be nonzero")
 

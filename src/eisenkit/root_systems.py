@@ -3,9 +3,11 @@
 Roots live in exact integer arithmetic as coefficient vectors over the simple
 roots, with the Cartan matrix as the pairing (convention
 C[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), so reflection s_i sends
-v to v - (sum_j v_j C[j][i]) e_i).  Positive roots are generated as the
-simple-reflection orbit of the simple roots restricted to nonnegative
-coefficient vectors.
+v to v - (sum_j v_j C[j][i]) e_i).  Positive roots are the closure of the
+simple roots under the simple reflections taken inside Phi+ alone: s_i moves
+only coordinate i and permutes Phi+ minus {alpha_i} (Humphreys, Introduction
+to Lie Algebras, 10.2), so a reflected root is kept when its i-th coefficient
+stays >= 0.
 
 Removing one simple root selects a maximal parabolic; grading the nilradical
 roots by their coefficient at the removed node yields the levels j = 1..m
@@ -17,7 +19,7 @@ groups) is only checked dimensionally here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidTypeError
 
@@ -104,38 +106,34 @@ class RootSystem:
 
 
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:
-    """Generate the positive roots of a simple type by reflection closure.
+    """Generate the positive roots of a simple type by reflection closure in Phi+.
 
-    The full root set is the orbit of the simple roots under the simple
-    reflections; positives are those with all coefficients >= 0, ordered by
-    height then coefficients (graded lexicographic).
+    Starting from the simple roots, each s_i is applied and the image kept
+    when its i-th coefficient is >= 0 (only -alpha_i fails); every positive
+    root is reached, since a non-simple one is s_i of a lower positive root.
+    Roots are ordered by height then coefficients (graded lexicographic).
     """
     letter = _validate_type(cartan_type, rank)
     c = cartan_matrix(letter, rank)
     n = rank
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
-    def reflect(v, i):
-        pairing = sum(v[j] * c[j][i] for j in range(n))
-        out = list(v)
-        out[i] -= pairing
-        return tuple(out)
+    # column i of C restricted to its nonzero entries: i and its neighbours
+    columns = [[(j, c[j][i]) for j in range(n) if c[j][i]] for i in range(n)]
 
     seen = set(simple)
     frontier = list(simple)
     while frontier:
         fresh = []
         for v in frontier:
-            for i in range(n):
-                w = reflect(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    fresh.append(w)
+            for i, column in enumerate(columns):
+                coef = v[i] - sum(v[j] * cji for j, cji in column)
+                if coef >= 0:
+                    w = v[:i] + (coef,) + v[i + 1 :]
+                    if w not in seen:
+                        seen.add(w)
+                        fresh.append(w)
         frontier = fresh
-    positives = sorted(
-        (v for v in seen if all(coef >= 0 for coef in v)),
-        key=lambda v: (sum(v), v),
-    )
+    positives = sorted(seen, key=lambda v: (sum(v), v))
     return RootSystem(letter, rank, simple, tuple(positives), c)
 
 
@@ -200,91 +198,48 @@ def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
     return AdjointDecomposition(tuple(levels))
 
 
-def _components(indices, cartan):
-    adjacency = {i: [] for i in indices}
-    for i in indices:
-        for j in indices:
-            if i != j and cartan[i][j] != 0:
-                adjacency[i].append(j)
-    remaining = set(indices)
-    components = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        comp = {seed}
-        while stack:
-            node = stack.pop()
-            for nb in adjacency[node]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        remaining -= comp
-        components.append(sorted(comp))
-    return components
-
-
-def _classify_component(nodes, cartan) -> tuple[str, int]:
-    # classify a connected proper subdiagram of a simple diagram.  None is G2
-    # or F4, and one with a double edge and rank >= 3 is a chain with that
-    # edge at one end, so degree counts and edge multiplicities decide
+def _classify_component(nodes: set[int], cartan, neighbours) -> tuple[str, int]:
+    # a connected proper subdiagram of a simple diagram (Bourbaki VI,
+    # Planches).  With a double edge it is B2 or a chain ending in that edge:
+    # B when the short root (b with C[a][b] == -2) ends the chain, else C.
+    # Simply laced, it is A without a degree-3 node, else D when two of that
+    # node's neighbours are leaves (three in D4) and E when one is
     rank = len(nodes)
-    if rank == 1:
-        return ("A", 1)
-    edges = []
-    for a in nodes:
-        for b in nodes:
-            if a < b and cartan[a][b] != 0:
-                edges.append((a, b, cartan[a][b] * cartan[b][a]))
-    degree = {node: 0 for node in nodes}
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    double = next(((a, b) for a, b, mult in edges if mult == 2), None)
-    if double is not None:
+    degree = {v: sum(w in nodes for w in neighbours[v]) for v in nodes}
+    short = next((b for a in nodes for b in nodes if cartan[a][b] == -2), None)
+    if short is not None:
         if rank == 2:
             return ("B", 2)  # B2 == C2; B is the canonical label here
-        a, b = double
-        # C[a][b] == -2 means a long, b short; the chain ends at one of the
-        # two, and ending at the short root v makes it B
-        v = b if cartan[a][b] == -2 else a
-        return ("B", rank) if degree[v] == 1 else ("C", rank)
-    # simply laced: path -> A, fork -> D or E by branch lengths
-    if max(degree.values()) <= 2:
+        return ("B", rank) if degree[short] == 1 else ("C", rank)
+    fork = next((v for v in nodes if degree[v] == 3), None)
+    if fork is None:
         return ("A", rank)
-    hub = next(node for node, deg in degree.items() if deg == 3)
-    adjacency = {node: [] for node in nodes}
-    for a, b, _ in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    branch_lengths = []
-    for start in adjacency[hub]:
-        length = 1
-        prev, cur = hub, start
-        while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        branch_lengths.append(length)
-    branch_lengths.sort()
-    if branch_lengths[0] == 1 and branch_lengths[1] == 1:
-        return ("D", rank)
-    return ("E", rank)
+    leaves = sum(degree[w] == 1 for w in neighbours[fork])  # all three lie in nodes
+    return ("D", rank) if leaves >= 2 else ("E", rank)
 
 
 def levi_type(p: ParabolicDatum) -> list[tuple[str, int]]:
     """Simple factors of the Levi's root system, e.g. [("A", 1), ("A", 1)].
 
-    The removed node is deleted from the diagram and each remaining connected
-    component is classified from its induced Cartan block.  Factors are
-    sorted by (type letter, rank); a rank-2 double-edge component is reported
-    as B2 (isomorphic to C2).
+    A Dynkin diagram is a tree, so deleting the removed node leaves one
+    component per neighbour of it; each is grown from that neighbour and
+    classified from local facts (its double edge, or its degree-3 node and
+    that node's leaves).  Factors are sorted by (type letter, rank); a
+    rank-2 double-edge component is reported as B2 (isomorphic to C2).
     """
-    keep = [i for i in range(p.system.rank) if i != p.removed_index]
-    factors = [
-        _classify_component(comp, p.system.cartan) for comp in _components(keep, p.system.cartan)
-    ]
+    cartan, k = p.system.cartan, p.removed_index
+    n = p.system.rank
+    neighbours = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    factors = []
+    for start in neighbours[k]:
+        nodes, stack = {k, start}, [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in nodes:
+                    nodes.add(w)
+                    stack.append(w)
+        nodes.remove(k)
+        factors.append(_classify_component(nodes, cartan, neighbours))
     return sorted(factors)
 
 
@@ -292,9 +247,12 @@ def format_levi(factors: list[tuple[str, int]]) -> str:
     return "+".join(f"{letter}{rank}" for letter, rank in factors) if factors else "T"
 
 
+TABLE_COLUMNS = ("type", "rank", "removed_index", "levi", "m", "dims", "a")
+
+
 @dataclass(frozen=True)
 class TableRow:
-    """One maximal parabolic in the decomposition table."""
+    """One maximal parabolic in the decomposition table, fields in TABLE_COLUMNS order."""
 
     cartan_type: str
     rank: int
@@ -305,18 +263,11 @@ class TableRow:
     a: tuple[int, ...]
 
     def as_dict(self) -> dict:
+        values = (getattr(self, f.name) for f in fields(self))
         return {
-            "type": self.cartan_type,
-            "rank": self.rank,
-            "removed_index": self.removed_index,
-            "levi": self.levi,
-            "m": self.m,
-            "dims": list(self.dims),
-            "a": list(self.a),
+            column: list(value) if isinstance(value, tuple) else value
+            for column, value in zip(TABLE_COLUMNS, values)
         }
-
-
-TABLE_COLUMNS = ("type", "rank", "removed_index", "levi", "m", "dims", "a")
 
 
 def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:

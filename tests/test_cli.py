@@ -222,6 +222,14 @@ def test_euler_malformed_line_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["euler", "--input", str(path)], capsys)
     assert code == 3
     assert "line 3" in err
+    for bad in ("nan 0", "0 inf"):
+        path.write_text(f"2 1.0 0.0\n3 {bad}\n")
+        code, out, err = run_cli(
+            ["euler", "--input", str(path), "--s", "3", "--format", "json"], capsys
+        )
+        assert code == 3
+        assert "line 2" in err
+        assert out == ""
 
 
 def test_euler_missing_file_exits_3(tmp_path, capsys):

@@ -39,6 +39,9 @@ def test_satake_class_validation():
         SatakeClass(())
     with pytest.raises(DomainError):
         SatakeClass((1.0, 0.0))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)):
+        with pytest.raises(DomainError):
+            SatakeClass((1.0, bad))
 
 
 def test_place_datum_accepts_prime_powers_only():
@@ -272,6 +275,9 @@ def test_read_place_data_rejects_zero_eigenvalue_and_bad_q():
         read_place_data(["2 1.0 0.0\n", "3 0.0 0.0\n"])
     with pytest.raises(PlaceDataError, match="line 1"):
         read_place_data(["6 1.0 0.0\n"])
+    for bad in ("nan 0", "0 inf", "-inf 0", "1 nan"):
+        with pytest.raises(PlaceDataError, match="line 2"):
+            read_place_data(["2 1.0 0.0\n", f"3 {bad}\n"])
 
 
 def test_read_place_data_empty_gives_empty_product():

@@ -109,6 +109,17 @@ def test_levi_classification_with_multiple_lengths():
     assert levi_type(ParabolicDatum(b4, 3)) == [("A", 3)]
     c4 = build_root_system("C", 4)
     assert levi_type(ParabolicDatum(c4, 0)) == [("C", 3)]
+    # 0-based nodes of the rank-32 chains: the far end, the node next to the
+    # double edge (or to the D fork) and the last node
+    expected = {
+        ("B", 32): {0: [("B", 31)], 30: [("A", 1), ("A", 30)], 31: [("A", 31)]},
+        ("C", 32): {0: [("C", 31)], 30: [("A", 1), ("A", 30)], 31: [("A", 31)]},
+        ("D", 32): {0: [("D", 31)], 29: [("A", 1), ("A", 1), ("A", 29)], 31: [("A", 31)]},
+    }
+    for (cartan_type, rank), by_node in expected.items():
+        rs = build_root_system(cartan_type, rank)
+        for node, factors in by_node.items():
+            assert levi_type(ParabolicDatum(rs, node)) == factors, (cartan_type, node)
 
 
 def test_levi_fork_classification():
@@ -118,6 +129,16 @@ def test_levi_fork_classification():
     e6 = build_root_system("E", 6)
     assert levi_type(ParabolicDatum(e6, 1)) == [("A", 5)]
     assert levi_type(ParabolicDatum(e6, 0)) == [("D", 5)]
+    # every node of D4, E7 and E8, 0-based
+    expected = {
+        ("D", 4): ["A3", "A1+A1+A1", "A3", "A3"],
+        ("E", 7): ["D6", "A6", "A1+A5", "A1+A2+A3", "A2+A4", "A1+D5", "E6"],
+        ("E", 8): ["D7", "A7", "A1+A6", "A1+A2+A4", "A3+A4", "A2+D5", "A1+E6", "E7"],
+    }
+    for (cartan_type, rank), levis in expected.items():
+        rs = build_root_system(cartan_type, rank)
+        got = [format_levi(levi_type(ParabolicDatum(rs, k))) for k in range(rank)]
+        assert got == levis, (cartan_type, rank)
 
 
 def test_levi_rank_one_removal_gives_torus():
