@@ -14,12 +14,13 @@ coprime to r, 4 phi(r) pairs, and shell 1 holds (1, -1), (1, 0), (1, 1).  So
 the pairs of radius R are the table's prefix up to the end of shell R.  The
 table grows lazily to the largest radius asked for, but never past
 _CACHE_RADIUS (about 19.5 MB of int16); shells beyond it are enumerated per
-call in int64.  Both parts are summed in blocks of at most _CHUNK = 2^14
-pairs.  Every array pass writes into seven float64 buffers of one block each
-(0.9 MB, inside a 2 MB L2 cache), allocated once per call, so the transient
-memory of a sum is bounded whatever the radius and no pass makes a
-temporary.  Each block reduces by numpy's pairwise ``.sum()``, never by a
-BLAS call, whose split of the work can follow the thread count; so a sum
+call.  One sieve, _shells, makes both: int16 blocks of whole shells, which is
+why a radius stops at 32767.  Both parts are summed in blocks of at most
+_CHUNK = 2^14 pairs.  Every array pass writes into seven float64 buffers of
+one block each (0.9 MB, inside a 2 MB L2 cache), allocated once per call, so
+the transient memory of a sum is bounded whatever the radius and no pass
+makes a temporary.  Each block reduces by numpy's pairwise ``.sum()``, never
+by a BLAS call, whose split of the work can follow the thread count; so a sum
 does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
@@ -37,7 +38,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from ._arith import primes_up_to
+from ._arith import factorize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,25 +53,35 @@ _CACHE_RADIUS = 2000  # largest radius whose pairs are kept in the table
 _table = None
 
 
-def _totients(limit: int) -> np.ndarray:
-    """phi(0..limit) (phi(0) = 0, phi(1) = 1): each prime p <= limit from
-    _arith's sieve scales its multiples by (1 - 1/p)."""
+def _shells(lo: int, hi: int):
+    """Coprime pairs on shells lo..hi (2 <= lo) in table order, as blocks of
+    max(1, 4 _CHUNK // hi) whole shells: (int16 pairs, 4 phi(r) per shell).
+
+    A block's mask has row r and column k - 1, true where k < r is coprime to
+    r, so np.nonzero lists its entries shell by shell, k ascending.  Entry i
+    lands on side q of (r, -k), (r, k), (k, -r), (k, r) at
+    3 (phi of the block's earlier rows) + i + q phi(r).
+    """
     import numpy as np
 
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_up_to(limit):
-        phi[p::p] -= phi[p::p] // p
-    return phi
-
-
-def _shell(r: int, k0: int, k1: int, dtype) -> np.ndarray:
-    """Pairs (r, -k), (r, k), (k, -r), (k, r) for k in [k0, k1) coprime to r >= 2."""
-    import numpy as np
-
-    k = np.arange(k0, k1, dtype=dtype)
-    k = k[np.gcd(k, r) == 1]
-    edge = np.full(k.shape, r, dtype=dtype)
-    return np.stack((np.concatenate((edge, edge, k, k)), np.concatenate((-k, k, -edge, edge))))
+    step = max(1, 4 * _CHUNK // hi)
+    for r0 in range(lo, hi + 1, step):
+        r1 = min(r0 + step, hi + 1)
+        edges = np.arange(r0, r1, dtype=np.int16)
+        mask = np.arange(1, r1 - 1) < edges[:, None]
+        for row, r in zip(mask, range(r0, r1)):
+            for p, _ in factorize(r):
+                row[p - 1 :: p] = False
+        rows, cols = np.nonzero(mask)
+        phi = np.count_nonzero(mask, axis=1)
+        first = 3 * (np.cumsum(phi) - phi)[rows] + np.arange(rows.size)
+        span = phi[rows]
+        idx = np.concatenate((first, first + span, first + 2 * span, first + 3 * span))
+        edge, k = edges[rows], (cols + 1).astype(np.int16)
+        pairs = np.empty((2, idx.size), dtype=np.int16)
+        pairs[0, idx] = np.concatenate((edge, edge, k, k))
+        pairs[1, idx] = np.concatenate((-k, k, -edge, edge))
+        yield pairs, 4 * phi
 
 
 def _cached_pairs(radius: int) -> np.ndarray:
@@ -82,35 +93,12 @@ def _cached_pairs(radius: int) -> np.ndarray:
         shell_1 = np.array([[1, 1, 1], [-1, 0, 1]], dtype=np.int16)
         _table = (shell_1, np.array([0, 3], dtype=np.int64))
     pairs, ends = _table
-    top = len(ends) - 1
-    if radius > top:
-        new_ends = np.empty(radius + 1, dtype=np.int64)
-        new_ends[: top + 1] = ends
-        new_ends[top + 1 :] = ends[top] + np.cumsum(4 * _totients(radius)[top + 1 :])
-        new_pairs = np.empty((2, new_ends[radius]), dtype=np.int16)
-        new_pairs[:, : ends[top]] = pairs
-        for r in range(top + 1, radius + 1):
-            new_pairs[:, new_ends[r - 1] : new_ends[r]] = _shell(r, 1, r, np.int16)
-        pairs, ends = _table = (new_pairs, new_ends)
+    if radius >= len(ends):
+        blocks, sizes = zip(*_shells(len(ends), radius))
+        pairs = np.concatenate((pairs, *blocks), axis=1)
+        ends = np.concatenate((ends, ends[-1] + np.cumsum(np.concatenate(sizes))))
+        _table = (pairs, ends)
     return pairs[:, : ends[radius]]
-
-
-def _far_pairs(lo: int, hi: int):
-    """Coprime pairs on shells lo..hi (lo >= 2) as int64 blocks of <= _CHUNK pairs."""
-    import numpy as np
-
-    step = _CHUNK // 4
-    blocks, size = [], 0
-    for r in range(lo, hi + 1):
-        for k0 in range(1, r, step):
-            block = _shell(r, k0, min(k0 + step, r), np.int64)
-            if size + block.shape[1] > _CHUNK:
-                yield np.concatenate(blocks, axis=1)
-                blocks, size = [], 0
-            blocks.append(block)
-            size += block.shape[1]
-    if blocks:
-        yield np.concatenate(blocks, axis=1)
 
 
 def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: float, pairs) -> None:
@@ -154,28 +142,23 @@ def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: fl
             out[i] += complex(tau2.sum(), -2.0 * den.sum())
 
 
-def _lattice_sums(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
-    """S at every x in ``xs``, all sharing one coprime enumeration."""
+def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
+    """S at one x."""
+    return complex(lattice_sum_batch((x,), y, s_re, s_im, radius)[0])
+
+
+def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """S at many x values sharing one coprime enumeration."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros(xs.shape[0], dtype=np.complex128)
     cap = _CACHE_RADIUS
     _accumulate(out, xs, y, s_re, s_im, _cached_pairs(min(radius, cap)))
-    for block in _far_pairs(cap + 1, radius):
+    for block, _ in _shells(cap + 1, radius):
         _accumulate(out, xs, y, s_re, s_im, block)
     out += 1.0
     return out
-
-
-def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
-    """S at one x."""
-    return complex(_lattice_sums((x,), y, s_re, s_im, radius)[0])
-
-
-def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
-    """S at many x values sharing one coprime enumeration."""
-    return _lattice_sums(xs, y, s_re, s_im, radius)
 
 
 def bessel_k_trapezoid(a: float, b: float, y: float, h: float, nsteps: int) -> complex:

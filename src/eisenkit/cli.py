@@ -272,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verbose", action="store_true", help="print effective settings to stderr")
     lattice = argparse.ArgumentParser(add_help=False)
     lattice.add_argument(
-        "--radius", type=int, default=DEFAULT_TRUNCATION.lattice_radius, help="lattice radius"
+        "--radius",
+        type=int,
+        default=DEFAULT_TRUNCATION.lattice_radius,
+        help="lattice radius, 10 to 32767",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,15 +53,22 @@ _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
 class TruncationPolicy:
     """Truncation radius of the lattice sum, the one setting of the evaluators.
 
-    The Fourier mode count and the extraction's node count follow from
-    bounds on a_n instead.
+    The radius is an integer in 10..32767: the lattice kernels hold every
+    coprime pair in int16, and the sum's cost grows as radius^2.  The Fourier
+    mode count and the extraction's node count follow from bounds on a_n
+    instead.
     """
 
     lattice_radius: int = 1000
 
     def __post_init__(self):
-        if self.lattice_radius < 10:
-            raise DomainError("lattice_radius must be >= 10")
+        try:
+            radius = operator.index(self.lattice_radius)
+        except TypeError:
+            got = self.lattice_radius
+            raise DomainError(f"lattice_radius must be an integer, got {got!r}") from None
+        if not 10 <= radius <= 32767:
+            raise DomainError(f"lattice_radius must be in 10..32767, got {radius}")
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()

@@ -150,12 +150,12 @@ class LProductValue(NamedTuple):
     factor_count: int
 
 
-def _tail_estimate(data: LFunctionData, s: complex, max_q: int) -> float:
+def _tail_estimate(data: LFunctionData, abscissa: float, s: complex, max_q: int) -> float:
     # |log L_full/L_truncated| <~ dim * sum_{p > Q} p^(theta - sigma), bounded
     # by the prime-counting integral Q^(1 + theta - sigma)/((sigma - theta - 1) ln Q)
     if not data.places:
         return 0.0
-    theta = data.convergence_abscissa() - 1.0
+    theta = abscissa - 1.0
     sigma = complex(s).real
     gap = sigma - theta - 1.0
     q = max(max_q, 2)
@@ -171,11 +171,10 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     DomainError for a non-finite s.
     """
     s = finite_complex(s, "Euler product")
-    margin = s.real - data.convergence_abscissa()
+    abscissa = data.convergence_abscissa()
+    margin = s.real - abscissa
     if margin <= 0.0:
-        raise DivergenceError(
-            f"Euler product needs Re(s) > {data.convergence_abscissa():.6g}, got {s.real:.6g}"
-        )
+        raise DivergenceError(f"Euler product needs Re(s) > {abscissa:.6g}, got {s.real:.6g}")
     if margin < _THIN_MARGIN:
         warnings.warn(
             f"Euler product margin {margin:.3g} below {_THIN_MARGIN}; "
@@ -190,7 +189,7 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
             break
         value *= local_factor(place, s)
         count += 1
-    return LProductValue(value, _tail_estimate(data, s, max_q), margin, count)
+    return LProductValue(value, _tail_estimate(data, abscissa, s, max_q), margin, count)
 
 
 def constant_term_ratio(spec: RatioSpec, s: complex, max_q: int) -> LProductValue:

@@ -77,6 +77,11 @@ def test_eval_lattice_below_abscissa_exits_2(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert "ValueError" in err
+    # so is a radius past the int16 pair table
+    argv = ["eval", "--z", "0+1i", "--s", "2.5", "--method", "lattice", "--radius", "32768"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "DomainError" in err
 
 
 def test_eval_fourier_json_schema(capsys):

@@ -41,8 +41,10 @@ def test_half_plane_point_validation():
 
 
 def test_truncation_policy_validation():
-    with pytest.raises(DomainError):
-        TruncationPolicy(lattice_radius=5)
+    # an integer radius the int16 pair table can hold
+    for radius in (5, 500.5, 32768):
+        with pytest.raises(DomainError):
+            TruncationPolicy(lattice_radius=radius)
 
 
 def test_spectral_parameter_distance():

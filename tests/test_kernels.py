@@ -134,6 +134,33 @@ def _mobius(d):
     return -result if d > 1 else result
 
 
+def _shell_order(radius):
+    # shell 1, then for each r the sides (r, -k), (r, k), (k, -r), (k, r), k ascending
+    pairs = [(1, -1), (1, 0), (1, 1)]
+    for r in range(2, radius + 1):
+        ks = [k for k in range(1, r) if math.gcd(k, r) == 1]
+        pairs += [(r, -k) for k in ks] + [(r, k) for k in ks]
+        pairs += [(k, -r) for k in ks] + [(k, r) for k in ks]
+    return pairs
+
+
+@pytest.mark.parametrize("chunk", [_kernels._CHUNK, 16])
+def test_prefix_is_in_shell_order(monkeypatch, chunk):
+    # bit-identical sums need the order, not just the set; a 16-pair chunk
+    # makes blocks of max(1, 64 // radius) shells, so growth spans many blocks
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    want = {radius: _shell_order(radius) for radius in RADII}
+    for radius in RADII:
+        _fresh_table(monkeypatch)
+        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+    # grown shell range by shell range, each after the first starting past shell 2
+    _fresh_table(monkeypatch)
+    for radius in RADII:
+        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+    for radius in RADII:
+        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+
+
 def test_prefix_length_is_mobius_count():
     # coprime (m, n) with 1 <= m <= R, |n| <= R: 2 sum_d mu(d) floor(R/d)^2 + 1
     for radius in RADII + (1000,):
@@ -143,8 +170,9 @@ def test_prefix_length_is_mobius_count():
 
 @pytest.mark.parametrize("chunk", [_kernels._CHUNK, 64])
 def test_sum_past_cache_cap_matches_brute_loop(monkeypatch, chunk):
-    # shells 51..60 come from the per-call int64 path; a 64-pair block also
-    # splits shells and the cached prefix across many summation blocks
+    # shells 51..60 come from the per-call sieve; a 64-pair block also makes
+    # them four-shell sieve blocks and splits shells and the cached prefix
+    # across many summation blocks
     monkeypatch.setattr(_kernels, "_CACHE_RADIUS", 50)
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     x, y = 0.3, 1.2
@@ -154,13 +182,13 @@ def test_sum_past_cache_cap_matches_brute_loop(monkeypatch, chunk):
         assert abs(got - want) < 1e-12 * abs(want)
 
 
-def test_far_shells_are_int64_blocks():
-    # a shell past the int16 range: int64, coprime, on the shell, 4 phi(r) pairs
-    r = 40_000  # phi(40000) = 16000
-    blocks = list(_kernels._far_pairs(r, r))
-    assert all(b.dtype == np.int64 and b.shape[1] <= _kernels._CHUNK for b in blocks)
-    pairs = _pair_list(np.concatenate(blocks, axis=1))
-    assert len(pairs) == len(set(pairs)) == 4 * 16_000
+def test_far_shells_are_int16_blocks():
+    # the last shell int16 holds: int16, coprime, on the shell, 4 phi(r) pairs
+    r = 32_767  # phi(32767) = 27000
+    blocks = list(_kernels._shells(r, r))
+    assert all(b.dtype == np.int16 and b.shape[1] == sizes.sum() for b, sizes in blocks)
+    pairs = _pair_list(np.concatenate([b for b, _ in blocks], axis=1))
+    assert len(pairs) == len(set(pairs)) == 4 * 27_000
     assert all(max(m, abs(n)) == r and m >= 1 and math.gcd(m, abs(n)) == 1 for m, n in pairs)
 
 
