@@ -11,17 +11,16 @@ The coprime pairs are enumerated once per process, not once per call.  One
 int16 table lists them shell by shell, ordered by the max-norm
 r = max(m, |n|): shell r >= 2 holds (r, +-k) and (k, +-r) for 1 <= k < r
 coprime to r, 4 phi(r) pairs, and shell 1 holds (1, -1), (1, 0), (1, 1).  So
-the pairs of radius R are the table's prefix up to the end of shell R.  The
-table grows lazily to the largest radius asked for, but never past
-_CACHE_RADIUS (about 19.5 MB of int16); shells beyond it are enumerated per
-call.  One sieve, _shells, makes both: int16 blocks of whole shells, which is
-why a radius stops at 32767.  Both parts are summed in blocks of at most
-_CHUNK = 2^14 pairs.  Every array pass writes into seven float64 buffers of
-one block each (0.9 MB, inside a 2 MB L2 cache), allocated once per call, so
-the transient memory of a sum is bounded whatever the radius and no pass
-makes a temporary.  Each block reduces by numpy's pairwise ``.sum()``, never
-by a BLAS call, whose split of the work can follow the thread count; so a sum
-does not depend on the thread count.
+the pairs of radius R are the table's prefix up to the end of shell R,
+whatever radii came before.  It is allocated once for every shell up to
+MAX_RADIUS, the only radius bound, and filled in place by _shells blocks, so
+growth copies no table and the pages past the filled part stay untouched.
+A prefix is summed in blocks of at most _CHUNK = 2^14 pairs.  Every array
+pass writes into seven float64 buffers of one block each (0.9 MB, inside a
+2 MB L2 cache), allocated once per call, so the transient memory of a sum is
+bounded whatever the radius and no pass makes a temporary.  Blocks reduce by
+numpy's pairwise ``.sum()``, never by BLAS, whose split of the work can
+follow the thread count; so a sum does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
 everything that never sums the lattice run without it.
@@ -44,12 +43,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 1 << 14  # pairs per summation block
-_CACHE_RADIUS = 2000  # largest radius whose pairs are kept in the table
+MAX_RADIUS = 2000  # a sum costs R^2; its tail shrinks only as R^(2 - 2 Re s)
 
-# (pairs, ends): pairs is a (2, ends[-1]) int16 array of (m, n) columns in
-# shell order, and ends[r] is where shell r ends.  None until the first sum;
-# then replaced by one assignment whenever it grows, so a caller that reads it
-# once never sees it half grown.
+# (pairs, ends): pairs is a (2, 2 R (R - 1) + 3) int16 array, R = MAX_RADIUS,
+# room for 4 (r - 1) >= 4 phi(r) pairs per shell.  Its first ends[-1] columns
+# are (m, n) in shell order, and the list ends[r] is where shell r ends; a
+# block is written before its shells join ends.  None until the first sum.
 _table = None
 
 
@@ -85,19 +84,19 @@ def _shells(lo: int, hi: int):
 
 
 def _cached_pairs(radius: int) -> np.ndarray:
-    """Coprime pairs of max-norm <= radius <= _CACHE_RADIUS, from the table."""
+    """Coprime pairs of max-norm <= radius <= MAX_RADIUS, from the table."""
     global _table
     import numpy as np
 
     if _table is None:
-        shell_1 = np.array([[1, 1, 1], [-1, 0, 1]], dtype=np.int16)
-        _table = (shell_1, np.array([0, 3], dtype=np.int64))
+        pairs = np.empty((2, 2 * MAX_RADIUS * (MAX_RADIUS - 1) + 3), dtype=np.int16)
+        pairs[:, :3] = ((1, 1, 1), (-1, 0, 1))
+        _table = (pairs, [0, 3])
     pairs, ends = _table
     if radius >= len(ends):
-        blocks, sizes = zip(*_shells(len(ends), radius))
-        pairs = np.concatenate((pairs, *blocks), axis=1)
-        ends = np.concatenate((ends, ends[-1] + np.cumsum(np.concatenate(sizes))))
-        _table = (pairs, ends)
+        for block, sizes in _shells(len(ends), radius):
+            pairs[:, ends[-1] : ends[-1] + block.shape[1]] = block
+            ends += (ends[-1] + np.cumsum(sizes)).tolist()
     return pairs[:, : ends[radius]]
 
 
@@ -153,10 +152,7 @@ def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np
 
     xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros(xs.shape[0], dtype=np.complex128)
-    cap = _CACHE_RADIUS
-    _accumulate(out, xs, y, s_re, s_im, _cached_pairs(min(radius, cap)))
-    for block, _ in _shells(cap + 1, radius):
-        _accumulate(out, xs, y, s_re, s_im, block)
+    _accumulate(out, xs, y, s_re, s_im, _cached_pairs(radius))
     out += 1.0
     return out
 

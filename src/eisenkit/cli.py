@@ -18,7 +18,7 @@ import json
 import sys
 import warnings
 
-from . import __version__
+from . import __version__, _kernels
 from .eisenstein import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
@@ -216,7 +216,6 @@ def cmd_euler(args) -> dict:
 
     s = parse_complex(args.s)
     data = read_place_data(args.input)
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always", ConvergenceWarning)
         result = partial_l(data, s, args.max_q)
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--radius",
         type=int,
         default=DEFAULT_TRUNCATION.lattice_radius,
-        help="lattice radius, 10 to 32767",
+        help=f"lattice radius, 10 to {_kernels.MAX_RADIUS}",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

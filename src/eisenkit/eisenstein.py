@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
 from ._arith import primes_up_to
-from .errors import AccuracyError, DivergenceError, DomainError, PoleError, finite_complex
+from .errors import AccuracyError, DivergenceError, DomainError, PoleError, finite_complex, integer
 from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
 
 #: Parameter values where the expansion's xi factors hit poles.
@@ -53,22 +52,18 @@ _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
 class TruncationPolicy:
     """Truncation radius of the lattice sum, the one setting of the evaluators.
 
-    The radius is an integer in 10..32767: the lattice kernels hold every
-    coprime pair in int16, and the sum's cost grows as radius^2.  The Fourier
-    mode count and the extraction's node count follow from bounds on a_n
-    instead.
+    The radius is an integer in 10.._kernels.MAX_RADIUS (2000), the reach of
+    the kernels' one table of coprime pairs: a sum's cost grows as radius^2
+    while its tail shrinks only as radius^(2 - 2 Re s).  The Fourier mode
+    count and the extraction's node count follow from bounds on a_n instead.
     """
 
     lattice_radius: int = 1000
 
     def __post_init__(self):
-        try:
-            radius = operator.index(self.lattice_radius)
-        except TypeError:
-            got = self.lattice_radius
-            raise DomainError(f"lattice_radius must be an integer, got {got!r}") from None
-        if not 10 <= radius <= 32767:
-            raise DomainError(f"lattice_radius must be in 10..32767, got {radius}")
+        radius = integer(self.lattice_radius, "lattice_radius")
+        if not 10 <= radius <= _kernels.MAX_RADIUS:
+            raise DomainError(f"lattice_radius must be in 10..{_kernels.MAX_RADIUS}, got {radius}")
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()
@@ -83,11 +78,9 @@ class SeriesValue(NamedTuple):
 
 def _point(z) -> tuple[float, float]:
     """(x, y) of z; DomainError unless z is finite with y > 0."""
-    z = complex(z)
+    z = finite_complex(z, "half-plane point")
     if not z.imag > 0.0:
         raise DomainError(f"upper half-plane needs y > 0, got y = {z.imag}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"half-plane point must be finite, got {z}")
     return z.real, z.imag
 
 
@@ -173,6 +166,7 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     a_n = 2 |n|^(s - 1/2) sigma_(1-2s)(|n|) sqrt(y) K_(s-1/2)(2 pi |n| y) / xi(2s),
     which depends on n only through |n|.
     """
+    n = integer(n, "mode number n")
     _point(complex(0.0, y))
     s = _require_off_poles(s, "fourier_coefficient")
     xi_2s = xi_completed(2.0 * s)
@@ -263,7 +257,6 @@ def functional_equation_defect(z, s) -> float:
     Zero in exact arithmetic; numerically bounded by the evaluators'
     truncation and the accuracy of xi.
     """
-    s = complex(s)
     lhs = eval_fourier(z, s).value
     rhs = scattering_ratio(s) * eval_fourier(z, 1.0 - s).value
     return abs(lhs - rhs)
@@ -310,6 +303,7 @@ def extract_coefficient_by_quadrature(
     """
     import numpy as np
 
+    n = integer(n, "mode number n")
     _point(complex(0.0, y))
     if source != "lattice":
         raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit, and its finite-input check.
+"""Exception and warning types shared across the toolkit, and its input checks.
 
 Numeric routines refuse to return garbage: anything evaluated inside a pole
 exclusion disk raises PoleError, divergent series raise DivergenceError, an
@@ -8,6 +8,7 @@ OverflowError.
 """
 
 import cmath
+import operator
 
 
 class EisenkitError(Exception):
@@ -54,3 +55,11 @@ def finite_complex(value, what: str) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"{what} needs a finite argument, got {value}")
     return value
+
+
+def integer(value, what: str) -> int:
+    """value as an int (numpy integers pass); DomainError unless it is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -30,7 +30,7 @@ import random
 
 from . import _kernels
 from ._arith import factorize
-from .errors import AccuracyError, DomainError, PoleError, finite_complex
+from .errors import AccuracyError, DomainError, PoleError, finite_complex, integer
 
 POLE_EXCLUSION_RADIUS = 1e-9
 
@@ -179,12 +179,14 @@ def zeta(s: complex) -> complex:
 def xi_completed(s: complex) -> complex:
     """Completed zeta pi^(-s/2) Gamma(s/2) zeta(s); poles at s = 0 and 1.
 
-    Satisfies the reflection xi(s) = xi(1-s); the test suite checks this to
-    1e-10 rather than assuming it.
+    Satisfies the reflection xi(s) = xi(1-s), which the test suite checks to
+    1e-10 and which gives the value next to the poles s = -2, -4, ... of Gamma.
     """
     s = finite_complex(s, "xi_completed")
     if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
+    if s.real < -1.0 and abs(0.5 * s - round(0.5 * s.real)) < POLE_EXCLUSION_RADIUS:
+        s = 1.0 - s  # a pole of Gamma(s/2), cancelled by a zero of zeta(s)
     value = cmath.exp(-0.5 * s * math.log(math.pi))
     value *= gamma(0.5 * s)
     value *= zeta(s)
@@ -198,8 +200,7 @@ def sigma_power(n: int, s: complex) -> complex:
     exponents take an exact integer-arithmetic path, so e.g. the divisor
     count (s = 0) and divisor sum (s = 1) come out exact.
     """
-    if n < 1:
-        raise DomainError(f"sigma_power needs n >= 1, got {n}")
+    n = integer(n, "sigma_power's n")
     s = finite_complex(s, "sigma_power")
     is_int_exp = s.imag == 0.0 and s.real == round(s.real) and abs(s.real) <= 64
     total = 1.0 + 0.0j

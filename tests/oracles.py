@@ -213,7 +213,8 @@ def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
 
     z is first pulled back by ``sl2z_pullback``, then the expansion is summed
     at the image with mpmath's own gamma, zeta and K-Bessel until a mode
-    falls below 10^-dps of the total.  Shares no code with the package.
+    falls below 10^-dps of the total; xi(u) is taken as xi(1 - u) for
+    Re u < 0.  Shares no code with the package.
     """
     import mpmath
 
@@ -223,6 +224,9 @@ def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
         s = mpmath.mpc(s)
 
         def xi(u):
+            # through xi(1 - u) left of 0, where gamma(u / 2) has its poles
+            if u.real < 0:
+                u = 1 - u
             return mpmath.pi ** (-u / 2) * mpmath.gamma(u / 2) * mpmath.zeta(u)
 
         xi_2s = xi(2 * s)

@@ -77,11 +77,14 @@ def test_eval_lattice_below_abscissa_exits_2(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert "ValueError" in err
-    # so is a radius past the int16 pair table
-    argv = ["eval", "--z", "0+1i", "--s", "2.5", "--method", "lattice", "--radius", "32768"]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (2, "")
-    assert "DomainError" in err
+    # so is a radius past the kernels' pair table, which ends at 2000
+    for radius in ("2001", "32768"):
+        argv = ["eval", "--z", "0+1i", "--s", "2.5", "--method", "lattice", "--radius", radius]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "DomainError" in err
+    argv = ["eval", "--z", "0+1i", "--s", "2.5", "--method", "lattice", "--radius", "2000"]
+    assert run_cli(argv, capsys)[0] == 0
 
 
 def test_eval_fourier_json_schema(capsys):

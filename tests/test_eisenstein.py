@@ -5,6 +5,7 @@ reflection."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -38,13 +39,22 @@ def test_half_plane_point_validation():
             fourier_coefficient(1, y, 2.5)
         with pytest.raises(DomainError):
             extract_coefficient_by_quadrature(1, y, 2.5)
+    # mode numbers are integers; numpy integers pass
+    for n in (1.5, 6.5):
+        with pytest.raises(DomainError):
+            fourier_coefficient(n, 1.0, 2.5)
+        with pytest.raises(DomainError):
+            extract_coefficient_by_quadrature(n, 1.0, 2.5)
+    assert fourier_coefficient(np.int64(2), 1.0, 2.5) == fourier_coefficient(2, 1.0, 2.5)
 
 
 def test_truncation_policy_validation():
-    # an integer radius the int16 pair table can hold
-    for radius in (5, 500.5, 32768):
+    # an integer radius the kernels' pair table holds: 10..MAX_RADIUS
+    for radius in (5, 500.5, 2001, 32768):
         with pytest.raises(DomainError):
             TruncationPolicy(lattice_radius=radius)
+    for radius in (10, np.int64(2000)):
+        assert TruncationPolicy(lattice_radius=radius).lattice_radius == radius
 
 
 def test_spectral_parameter_distance():
@@ -237,6 +247,14 @@ def _random_sl2z(rng: random.Random, bound: int):
     b = (a * d - 1) // c
     assert a * d - b * c == 1 and max(abs(a), abs(b)) <= bound
     return a, b, c, d
+
+
+def test_fourier_where_xi_meets_a_pole_of_gamma():
+    # xi(2s - 1) or xi(2s) is taken at -2 or -4, a pole of Gamma but not of xi
+    pytest.importorskip("mpmath")
+    for s in (-0.5, -1.0, -1.5):
+        want = oracles.eisenstein_mpmath(0.3 + 1.2j, s)
+        assert abs(eval_fourier(0.3 + 1.2j, s).value - want) < 1e-12 * abs(want), s
 
 
 def test_fourier_is_sl2z_invariant():

@@ -99,7 +99,7 @@ def _pair_list(pairs):
 
 
 def _fresh_table(monkeypatch):
-    # the table as the module starts it: not built yet
+    # the table as the module starts it: not allocated yet
     monkeypatch.setattr(_kernels, "_table", None)
 
 
@@ -163,33 +163,47 @@ def test_prefix_is_in_shell_order(monkeypatch, chunk):
 
 def test_prefix_length_is_mobius_count():
     # coprime (m, n) with 1 <= m <= R, |n| <= R: 2 sum_d mu(d) floor(R/d)^2 + 1
-    for radius in RADII + (1000,):
+    for radius in RADII + (1000, _kernels.MAX_RADIUS):
         count = 2 * sum(_mobius(d) * (radius // d) ** 2 for d in range(1, radius + 1)) + 1
         assert _kernels._cached_pairs(radius).shape[1] == count
-
-
-@pytest.mark.parametrize("chunk", [_kernels._CHUNK, 64])
-def test_sum_past_cache_cap_matches_brute_loop(monkeypatch, chunk):
-    # shells 51..60 come from the per-call sieve; a 64-pair block also makes
-    # them four-shell sieve blocks and splits shells and the cached prefix
-    # across many summation blocks
-    monkeypatch.setattr(_kernels, "_CACHE_RADIUS", 50)
-    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-    x, y = 0.3, 1.2
-    for s in (2.5, complex(3, 1), complex(2.2, -7)):
-        want = oracles.eisenstein_brute(complex(x, y), s, 60) / complex(y) ** s
-        got = _kernels.lattice_sum(x, y, complex(s).real, complex(s).imag, 60)
-        assert abs(got - want) < 1e-12 * abs(want)
+    # the table's one allocation holds every shell
+    assert count <= _kernels._table[0].shape[1]
 
 
 def test_far_shells_are_int16_blocks():
-    # the last shell int16 holds: int16, coprime, on the shell, 4 phi(r) pairs
-    r = 32_767  # phi(32767) = 27000
+    # the table's last shell: int16, coprime, on the shell, 4 phi(r) pairs
+    r = _kernels.MAX_RADIUS  # phi(2000) = 800
     blocks = list(_kernels._shells(r, r))
     assert all(b.dtype == np.int16 and b.shape[1] == sizes.sum() for b, sizes in blocks)
     pairs = _pair_list(np.concatenate([b for b, _ in blocks], axis=1))
-    assert len(pairs) == len(set(pairs)) == 4 * 27_000
+    assert len(pairs) == len(set(pairs)) == 4 * 800
     assert all(max(m, abs(n)) == r and m >= 1 and math.gcd(m, abs(n)) == 1 for m, n in pairs)
+
+
+def test_sums_do_not_depend_on_growth_history(monkeypatch):
+    # the same bits from a fresh table, one grown straight to the top, and
+    # one grown in many small steps of one-shell sieve blocks
+    radii = (10, 45, 300, 1000, _kernels.MAX_RADIUS)
+    xs = np.array([-0.4, 0.0, 0.3])
+
+    def bits(radius):
+        return [(v.real, v.imag) for v in _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius).tolist()]
+
+    fresh = {}
+    for radius in radii:
+        _fresh_table(monkeypatch)
+        fresh[radius] = bits(radius)
+    _fresh_table(monkeypatch)
+    _kernels._cached_pairs(_kernels.MAX_RADIUS)
+    assert {radius: bits(radius) for radius in radii} == fresh
+    _fresh_table(monkeypatch)
+    chunk = _kernels._CHUNK
+    monkeypatch.setattr(_kernels, "_CHUNK", 16)
+    for radius in range(2, _kernels.MAX_RADIUS + 1, 37):
+        _kernels._cached_pairs(radius)
+    _kernels._cached_pairs(_kernels.MAX_RADIUS)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    assert {radius: bits(radius) for radius in radii} == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,17 @@ def test_xi_poles():
         xi_completed(complex(math.nan, 1.0))
 
 
+def test_xi_is_entire_at_the_poles_of_gamma():
+    # Gamma(s/2) has poles at s = -2, -4, ..., cancelled by zeros of zeta;
+    # mpmath takes the value through xi(1 - w), away from its own gamma pole
+    mp = pytest.importorskip("mpmath")
+    assert xi_completed(-2) == xi_completed(3)
+    for s in (-2.0, complex(-4, 1e-10)):
+        w = 1 - mp.mpc(s)
+        want = complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
+        assert abs(xi_completed(s) - want) < 1e-14 * abs(want), s
+
+
 # ---------------------------------------------------------------------------
 # power-divisor sums
 
@@ -222,6 +233,10 @@ def test_sigma_large_n_and_domain():
         sigma_power(10**12 + 1, 2)
     with pytest.raises(DomainError):
         sigma_power(6, complex(math.nan, 0.0))
+    # n is an integer, not a float with an integer part
+    for n in (1.5, 6.5):
+        with pytest.raises(DomainError):
+            sigma_power(n, 1)
 
 
 # ---------------------------------------------------------------------------
