@@ -23,12 +23,21 @@ few dozen modes meet the accuracy target for any z, however close to the
 real axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
 blows up as y -> 0.
+
+The parts of the expansion that depend on s alone -- xi(2s), c(s) and the
+divisor factors n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes -- form one
+immutable record per s.  The last two records are kept, keyed on the bits
+of s, so a sweep over z at one s (or the functional equation's s and 1 - s)
+computes them once; a kept record is the one a fresh call builds, so every
+result is the same bit for bit, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,14 +158,36 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> Ser
     return SeriesValue(_cpow(y, s) * raw, _lattice_tail_bound(y, s.real, policy.lattice_radius))
 
 
+class _SpectralRecord(NamedTuple):
+    """What the expansion needs of s alone: xi(2s), c(s) = xi(2s - 1)/xi(2s)
+    and the divisor factors c_0..c_F of _divisor_factors, F = _MODE_FLOOR."""
+
+    xi_2s: complex
+    ratio: complex
+    factors: tuple[complex, ...]
+
+
+def _spectral_record(s: complex) -> _SpectralRecord:
+    # keyed on the bits of s: 2.5-0j equals 2.5+0j, but its values may carry
+    # other signed zeros
+    return _record_of_bits(struct.pack("<2d", s.real, s.imag))
+
+
+@functools.lru_cache(maxsize=2)
+def _record_of_bits(bits: bytes) -> _SpectralRecord:
+    s = complex(*struct.unpack("<2d", bits))
+    xi_2s = xi_completed(2.0 * s)
+    ratio = xi_completed(2.0 * s - 1.0) / xi_2s
+    return _SpectralRecord(xi_2s, ratio, tuple(_divisor_factors(s, _MODE_FLOOR)))
+
+
 def scattering_ratio(s) -> complex:
     """Constant-term ratio c(s) = xi(2s - 1) / xi(2s).
 
     Satisfies c(s) c(1 - s) = 1 and |c| = 1 on the critical line, both forced
     by the xi reflection; the tests verify rather than assume this.
     """
-    s = _require_off_poles(s, "scattering_ratio")
-    return xi_completed(2.0 * s - 1.0) / xi_completed(2.0 * s)
+    return _spectral_record(_require_off_poles(s, "scattering_ratio")).ratio
 
 
 def fourier_coefficient(n: int, y: float, s) -> complex:
@@ -169,23 +200,23 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     n = integer(n, "mode number n")
     _point(complex(0.0, y))
     s = _require_off_poles(s, "fourier_coefficient")
-    xi_2s = xi_completed(2.0 * s)
+    record = _spectral_record(s)
     if n == 0:
-        return _constant_term(y, s, xi_2s)
+        return _constant_term(y, s, record.ratio)
     n = abs(n)
     factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
-    return _mode(n, y, s, factor, 1.0 / xi_2s)
+    return _mode(n, y, s - 0.5, math.sqrt(y), factor, 1.0 / record.xi_2s)
 
 
-def _constant_term(y: float, s: complex, xi_2s: complex) -> complex:
-    # a_0 = y^s + c(s) y^(1-s), reusing the caller's xi(2s)
-    return _cpow(y, s) + xi_completed(2.0 * s - 1.0) / xi_2s * _cpow(y, 1.0 - s)
+def _constant_term(y: float, s: complex, ratio: complex) -> complex:
+    # a_0 = y^s + c(s) y^(1-s)
+    return _cpow(y, s) + ratio * _cpow(y, 1.0 - s)
 
 
-def _mode(n: int, y: float, s: complex, factor: complex, inv_xi: complex) -> complex:
-    # a_n for n >= 1, given its divisor factor n^(s-1/2) sigma_(1-2s)(n) and
-    # the caller's 1/xi(2s)
-    return 2.0 * factor * math.sqrt(y) * bessel_k(s - 0.5, _TWO_PI * n * y) * inv_xi
+def _mode(n: int, y: float, nu: complex, sqrt_y: float, factor: complex, inv_xi: complex) -> complex:
+    # a_n for n >= 1, given nu = s - 1/2, sqrt(y), its divisor factor
+    # n^nu sigma_(1-2s)(n) and 1/xi(2s)
+    return 2.0 * factor * sqrt_y * bessel_k(nu, _TWO_PI * n * y) * inv_xi
 
 
 def _divisor_factors(s: complex, count: int) -> list[complex]:
@@ -196,7 +227,8 @@ def _divisor_factors(s: complex, count: int) -> list[complex]:
     costs one complex exp per prime.  Each c(p^e) multiplies into the entries
     whose p-part is exactly p^e.  |c_n| <= tau(n) n^|Re s - 1/2| stays in
     double range: eval_fourier builds 30 entries first, and grows the table
-    only after bessel_k has accepted |s - 1/2| <= 100.
+    only after bessel_k has accepted |s - 1/2| <= 100.  An entry does not
+    depend on count, so a grown table extends the first one bit for bit.
     """
     nu = s - 0.5
     c = [1.0 + 0.0j] * (count + 1)
@@ -226,18 +258,23 @@ def eval_fourier(z, s) -> SeriesValue:
     returned tail bound is the geometric-series bound seeded by that last
     mode.  Raises AccuracyError if 512 modes do not reach the target, rather
     than return a value that missed it.
+
+    xi(2s), c(s) and the first 30 divisor factors come from the record of s
+    (see the module docstring), so calls at the s of the call before pay only
+    for their modes; a table grown past 30 modes stays local to the call.
     """
     x, y = _pullback(*_point(z))
     s = _require_off_poles(s, "eval_fourier")
-    xi_2s = xi_completed(2.0 * s)
-    inv_xi = 1.0 / xi_2s
-    total = _constant_term(y, s, xi_2s)
+    record = _spectral_record(s)
+    inv_xi = 1.0 / record.xi_2s
+    total = _constant_term(y, s, record.ratio)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
-    factors = _divisor_factors(s, _MODE_FLOOR)
+    nu, sqrt_y = s - 0.5, math.sqrt(y)
+    factors = record.factors
     for n in range(1, _MODE_BOUND + 1):
         if n == len(factors):
             factors = _divisor_factors(s, min(2 * n, _MODE_BOUND))
-        a_n = _mode(n, y, s, factors[n], inv_xi)
+        a_n = _mode(n, y, nu, sqrt_y, factors[n], inv_xi)
         total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
         last_mag = 2.0 * abs(a_n)
         if n >= _MODE_FLOOR and last_mag <= target:
@@ -255,7 +292,9 @@ def functional_equation_defect(z, s) -> float:
     """|E(z, s) - c(s) E(z, 1-s)| with both sides from the Fourier evaluator.
 
     Zero in exact arithmetic; numerically bounded by the evaluators'
-    truncation and the accuracy of xi.
+    truncation and the accuracy of xi.  c(s) comes from the record that
+    eval_fourier(z, s) leaves, so xi is evaluated at 2s, 2s - 1, 2 - 2s and
+    1 - 2s once each.
     """
     lhs = eval_fourier(z, s).value
     rhs = scattering_ratio(s) * eval_fourier(z, 1.0 - s).value

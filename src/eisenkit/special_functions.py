@@ -81,6 +81,9 @@ TARGET_ABS_ERROR = 1e-14
 # bessel_k's trapezoid stops where the integrand's envelope is e^(-W)/2 of its
 # peak, and W also sets the step: W = ln(1e15) + 6
 _BESSEL_W = math.log(1e15) + 6.0
+_BESSEL_RISE = _BESSEL_W + math.log(2.0)  # log-fall of the envelope at the cut
+_BESSEL_2W = 2.0 * _BESSEL_W
+_BESSEL_STRIP_RATE = 2.0 * _BESSEL_W / math.pi
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -229,18 +232,17 @@ def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) ->
     # The transform of the integrand decays on the scale set by the larger of
     # the analyticity-strip rate 2W/pi and the saddle bandwidth sqrt(2 W kappa);
     # the oscillation b shifts both.
-    omega = max(2.0 * _BESSEL_W / math.pi, math.sqrt(2.0 * _BESSEL_W * kappa)) + b + 2.0
+    omega = max(_BESSEL_STRIP_RATE, math.sqrt(_BESSEL_2W * kappa)) + b + 2.0
     h = 2.0 * math.pi / omega
     # Nodes run to t_max >= 0.5, right of where the envelope exp(-g(t)),
     # g(t) = y cosh t - a t, has fallen to e^(-W)/2 of its peak at
     # t_peak = asinh(a/y); an absolute cut would stop at about 1e-4 of the
     # peak once y >~ 20.  At u = t - t_peak the fall is
     # F(u) = kappa (cosh u - 1) + a (sinh u - u), kappa = hypot(a, y), and
-    # 0 <= sinh u - u <= cosh u - 1 puts the root of F(u) = rise in
-    # [acosh(1 + rise/(kappa + a)), acosh(1 + rise/kappa)].  The upper end is
+    # 0 <= sinh u - u <= cosh u - 1 puts the root of F(u) = R, R = W + ln 2,
+    # in [acosh(1 + R/(kappa + a)), acosh(1 + R/kappa)].  The upper end is
     # never left of the root and overshoots it by at most the bracket width.
-    rise = _BESSEL_W + math.log(2.0)
-    return h, math.ceil(max(t_peak + math.acosh(1.0 + rise / kappa), 0.5) / h)
+    return h, math.ceil(max(t_peak + math.acosh(1.0 + _BESSEL_RISE / kappa), 0.5) / h)
 
 
 def bessel_k(order: complex, y: float) -> complex:

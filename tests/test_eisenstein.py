@@ -160,10 +160,12 @@ def test_divisor_table_matches_sigma_power():
 
 
 def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
-    # a floor of 40 modes makes eval_fourier double its divisor table once;
-    # z is in the fundamental domain, so the modes are taken at y = 1.3
+    # a floor of 40 modes makes eval_fourier double the 30-mode divisor table
+    # of the record of s once; z is in the fundamental domain, so the modes
+    # are taken at y = 1.3
     mode = eisenstein._mode
     for s in _panel_parameters(random.Random(67), 6):
+        eisenstein._spectral_record(s)
         terms = {}
 
         def record(n, *args):
@@ -179,6 +181,90 @@ def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
         for n, a_n in terms.items():
             want = fourier_coefficient(n, 1.3, s)
             assert abs(a_n - want) <= 1e-12 * abs(want)
+
+
+def _bits(result):
+    # every bit of a SeriesValue: == would let 0.0 stand for -0.0
+    return (result.value.real.hex(), result.value.imag.hex(), result.tail_bound.hex())
+
+
+def _fresh(z, s):
+    eisenstein._record_of_bits.cache_clear()
+    return _bits(eval_fourier(z, s))
+
+
+def test_spectral_record_keeps_results_bit_identical(monkeypatch):
+    # 24 points: z over the fundamental domain and the cusp, Re s in [-1, 3],
+    # |Im s| <= 30; every evaluation must match one made with the memo empty
+    rng = random.Random(71)
+    panel = [
+        (complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.5)), s)
+        for s in _panel_parameters(rng, 22)
+    ]
+    panel += [(0.3 + 1.2j, 2.5 + 0j), (0.3 + 1.2j, complex(2.5, -0.0))]
+    others = _panel_parameters(random.Random(73), len(panel))
+    fresh = {(z, repr(s)): _fresh(z, s) for z, s in panel}
+    fresh.update({(0.1 + 2.0j, repr(s)): _fresh(0.1 + 2.0j, s) for s in others})
+    eisenstein._record_of_bits.cache_clear()
+    for z, s in panel + panel[::-1]:
+        assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
+    for (z, s), other in zip(panel, others):
+        assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
+        assert _bits(eval_fourier(0.1 + 2.0j, other)) == fresh[0.1 + 2.0j, repr(other)], other
+        assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
+    # a floor of 40 modes grows the table of a record built for 30
+    for z, s in panel[:6]:
+        eisenstein._record_of_bits.cache_clear()
+        eval_fourier(z, s)
+        table = eisenstein._spectral_record(s).factors
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_MODE_FLOOR", 40)
+            grown = _bits(eval_fourier(z, s))
+            assert eisenstein._spectral_record(s).factors is table
+            assert len(table) == 31
+            assert grown == _fresh(z, s)
+            eisenstein._record_of_bits.cache_clear()
+
+
+def test_spectral_record_is_paid_once_per_s(monkeypatch):
+    calls = []
+    xi = eisenstein.xi_completed
+
+    def spy(s):
+        calls.append(s)
+        return xi(s)
+
+    monkeypatch.setattr(eisenstein, "xi_completed", spy)
+    eisenstein._record_of_bits.cache_clear()
+    s = complex(0.7, 12.5)
+    for k in range(8):
+        eval_fourier(complex(0.4 * k - 1.5, 0.05 + 0.3 * k), s)
+    assert calls == [2.0 * s, 2.0 * s - 1.0]
+    eval_fourier(0.2 + 1.1j, 2.5)
+    assert len(calls) == 4
+    # the memo is keyed on bits, so 2.5-0j, equal to 2.5, gets its own record
+    eval_fourier(0.2 + 1.1j, complex(2.5, -0.0))
+    assert len(calls) == 6
+    # the functional equation takes c(s) from the record of s
+    calls.clear()
+    s = complex(0.3, 2.5)
+    r = 1.0 - s
+    functional_equation_defect(0.1 + 1.1j, s)
+    assert calls == [2.0 * s, 2.0 * s - 1.0, 2.0 * r, 2.0 * r - 1.0]
+    # a raising call keeps no record: xi(2s) overflows at s = 200
+    eisenstein._record_of_bits.cache_clear()
+    with pytest.raises(OverflowError):
+        eval_fourier(0.2 + 1.1j, 200.0)
+    assert eisenstein._record_of_bits.cache_info().currsize == 0
+    # nor does an AccuracyError past the mode bound change later results
+    points = [(0.3 + 1.2j, 2.5), (-0.1 + 0.02j, complex(0.7, 12.5)), (0.4 + 0.9j, complex(-0.6, -7.0))]
+    want = [_fresh(z, s) for z, s in points]
+    for z, s in points:
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_MODE_BOUND", 3)
+            with pytest.raises(AccuracyError):
+                eval_fourier(z, s)
+        assert [_bits(eval_fourier(z, s)) for z, s in points] == want
 
 
 def test_cross_evaluator_agreement():
