@@ -24,12 +24,16 @@ real axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
 blows up as y -> 0.
 
-The parts of the expansion that depend on s alone -- xi(2s), c(s) and the
-divisor factors n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes -- form one
-immutable record per s.  The last two records are kept, keyed on the bits
-of s, so a sweep over z at one s (or the functional equation's s and 1 - s)
-computes them once; a kept record is the one a fresh call builds, so every
-result is the same bit for bit, and a call that raises keeps nothing.
+The parts of the expansion that depend on s alone are computed once per s:
+a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
+the functional equation's s and 1 - s), another the divisor factors
+n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes for the last two s, each
+keyed on the bits of its argument.  So a sweep over z at one s computes
+them once, and a one-shot call pays only for what it returns:
+scattering_ratio builds no divisor table, and fourier_coefficient with
+n != 0 needs xi(2s) alone.  A kept value is the one a fresh call computes,
+so every result is the same bit for bit; a computation that raises keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class TruncationPolicy:
     """Truncation radius of the lattice sum, the one setting of the evaluators.
 
     The radius is an integer in 10.._kernels.MAX_RADIUS (2000), the reach of
-    the kernels' one table of coprime pairs: a sum's cost grows as radius^2
+    the kernels' table of coprime pairs, which keeps one int16 entry (r, k)
+    per four pairs (about 4.9 MB when full): a sum's cost grows as radius^2
     while its tail shrinks only as radius^(2 - 2 Re s).  The Fourier mode
     count and the extraction's node count follow from bounds on a_n instead.
     """
@@ -158,27 +163,37 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> Ser
     return SeriesValue(_cpow(y, s) * raw, _lattice_tail_bound(y, s.real, policy.lattice_radius))
 
 
-class _SpectralRecord(NamedTuple):
-    """What the expansion needs of s alone: xi(2s), c(s) = xi(2s - 1)/xi(2s)
-    and the divisor factors c_0..c_F of _divisor_factors, F = _MODE_FLOOR."""
-
-    xi_2s: complex
-    ratio: complex
-    factors: tuple[complex, ...]
+def _bits(u: complex) -> bytes:
+    # a memo key: 2.5-0j equals 2.5+0j, but values at it may carry other
+    # signed zeros
+    return struct.pack("<2d", u.real, u.imag)
 
 
-def _spectral_record(s: complex) -> _SpectralRecord:
-    # keyed on the bits of s: 2.5-0j equals 2.5+0j, but its values may carry
-    # other signed zeros
-    return _record_of_bits(struct.pack("<2d", s.real, s.imag))
+def _xi(u: complex) -> complex:
+    """xi(u) through a memo of the last four arguments."""
+    return _xi_of_bits(_bits(u))
+
+
+@functools.lru_cache(maxsize=4)
+def _xi_of_bits(bits: bytes) -> complex:
+    return xi_completed(complex(*struct.unpack("<2d", bits)))
+
+
+def _xi_and_ratio(s: complex) -> tuple[complex, complex]:
+    """xi(2s) and c(s) = xi(2s - 1)/xi(2s)."""
+    xi_2s = _xi(2.0 * s)
+    return xi_2s, _xi(2.0 * s - 1.0) / xi_2s
+
+
+def _floor_factors(s: complex) -> tuple[complex, ...]:
+    """The divisor factors c_0..c_F of _divisor_factors, F = _MODE_FLOOR,
+    through a memo of the last two s."""
+    return _factors_of_bits(_bits(s))
 
 
 @functools.lru_cache(maxsize=2)
-def _record_of_bits(bits: bytes) -> _SpectralRecord:
-    s = complex(*struct.unpack("<2d", bits))
-    xi_2s = xi_completed(2.0 * s)
-    ratio = xi_completed(2.0 * s - 1.0) / xi_2s
-    return _SpectralRecord(xi_2s, ratio, tuple(_divisor_factors(s, _MODE_FLOOR)))
+def _factors_of_bits(bits: bytes) -> tuple[complex, ...]:
+    return tuple(_divisor_factors(complex(*struct.unpack("<2d", bits)), _MODE_FLOOR))
 
 
 def scattering_ratio(s) -> complex:
@@ -187,7 +202,7 @@ def scattering_ratio(s) -> complex:
     Satisfies c(s) c(1 - s) = 1 and |c| = 1 on the critical line, both forced
     by the xi reflection; the tests verify rather than assume this.
     """
-    return _spectral_record(_require_off_poles(s, "scattering_ratio")).ratio
+    return _xi_and_ratio(_require_off_poles(s, "scattering_ratio"))[1]
 
 
 def fourier_coefficient(n: int, y: float, s) -> complex:
@@ -200,12 +215,11 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     n = integer(n, "mode number n")
     _point(complex(0.0, y))
     s = _require_off_poles(s, "fourier_coefficient")
-    record = _spectral_record(s)
     if n == 0:
-        return _constant_term(y, s, record.ratio)
+        return _constant_term(y, s, _xi_and_ratio(s)[1])
     n = abs(n)
     factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
-    return _mode(n, y, s - 0.5, math.sqrt(y), factor, 1.0 / record.xi_2s)
+    return _mode(n, y, s - 0.5, math.sqrt(y), factor, 1.0 / _xi(2.0 * s))
 
 
 def _constant_term(y: float, s: complex, ratio: complex) -> complex:
@@ -259,18 +273,18 @@ def eval_fourier(z, s) -> SeriesValue:
     mode.  Raises AccuracyError if 512 modes do not reach the target, rather
     than return a value that missed it.
 
-    xi(2s), c(s) and the first 30 divisor factors come from the record of s
-    (see the module docstring), so calls at the s of the call before pay only
-    for their modes; a table grown past 30 modes stays local to the call.
+    xi(2s), c(s) and the first 30 divisor factors come from the memos (see
+    the module docstring), so calls at the s of the call before pay only for
+    their modes; a table grown past 30 modes stays local to the call.
     """
     x, y = _pullback(*_point(z))
     s = _require_off_poles(s, "eval_fourier")
-    record = _spectral_record(s)
-    inv_xi = 1.0 / record.xi_2s
-    total = _constant_term(y, s, record.ratio)
+    xi_2s, ratio = _xi_and_ratio(s)
+    inv_xi = 1.0 / xi_2s
+    total = _constant_term(y, s, ratio)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
     nu, sqrt_y = s - 0.5, math.sqrt(y)
-    factors = record.factors
+    factors = _floor_factors(s)
     for n in range(1, _MODE_BOUND + 1):
         if n == len(factors):
             factors = _divisor_factors(s, min(2 * n, _MODE_BOUND))
@@ -292,9 +306,9 @@ def functional_equation_defect(z, s) -> float:
     """|E(z, s) - c(s) E(z, 1-s)| with both sides from the Fourier evaluator.
 
     Zero in exact arithmetic; numerically bounded by the evaluators'
-    truncation and the accuracy of xi.  c(s) comes from the record that
-    eval_fourier(z, s) leaves, so xi is evaluated at 2s, 2s - 1, 2 - 2s and
-    1 - 2s once each.
+    truncation and the accuracy of xi.  c(s) comes from the xi values that
+    eval_fourier(z, s) leaves in the memo, so xi is evaluated at 2s, 2s - 1,
+    2 - 2s and 1 - 2s once each.
     """
     lhs = eval_fourier(z, s).value
     rhs = scattering_ratio(s) * eval_fourier(z, 1.0 - s).value

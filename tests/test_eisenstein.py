@@ -160,12 +160,12 @@ def test_divisor_table_matches_sigma_power():
 
 
 def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
-    # a floor of 40 modes makes eval_fourier double the 30-mode divisor table
-    # of the record of s once; z is in the fundamental domain, so the modes
-    # are taken at y = 1.3
+    # a floor of 40 modes makes eval_fourier double the kept 30-mode divisor
+    # table of s once; z is in the fundamental domain, so the modes are taken
+    # at y = 1.3
     mode = eisenstein._mode
     for s in _panel_parameters(random.Random(67), 6):
-        eisenstein._spectral_record(s)
+        eisenstein._floor_factors(s)
         terms = {}
 
         def record(n, *args):
@@ -188,8 +188,13 @@ def _bits(result):
     return (result.value.real.hex(), result.value.imag.hex(), result.tail_bound.hex())
 
 
+def _clear_memos():
+    eisenstein._xi_of_bits.cache_clear()
+    eisenstein._factors_of_bits.cache_clear()
+
+
 def _fresh(z, s):
-    eisenstein._record_of_bits.cache_clear()
+    _clear_memos()
     return _bits(eval_fourier(z, s))
 
 
@@ -205,57 +210,83 @@ def test_spectral_record_keeps_results_bit_identical(monkeypatch):
     others = _panel_parameters(random.Random(73), len(panel))
     fresh = {(z, repr(s)): _fresh(z, s) for z, s in panel}
     fresh.update({(0.1 + 2.0j, repr(s)): _fresh(0.1 + 2.0j, s) for s in others})
-    eisenstein._record_of_bits.cache_clear()
+    _clear_memos()
     for z, s in panel + panel[::-1]:
         assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
     for (z, s), other in zip(panel, others):
         assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
         assert _bits(eval_fourier(0.1 + 2.0j, other)) == fresh[0.1 + 2.0j, repr(other)], other
         assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
-    # a floor of 40 modes grows the table of a record built for 30
+    # a floor of 40 modes grows the kept table, built for 30, in its call
     for z, s in panel[:6]:
-        eisenstein._record_of_bits.cache_clear()
+        _clear_memos()
         eval_fourier(z, s)
-        table = eisenstein._spectral_record(s).factors
+        table = eisenstein._floor_factors(s)
         with monkeypatch.context() as patch:
             patch.setattr(eisenstein, "_MODE_FLOOR", 40)
             grown = _bits(eval_fourier(z, s))
-            assert eisenstein._spectral_record(s).factors is table
+            assert eisenstein._floor_factors(s) is table
             assert len(table) == 31
             assert grown == _fresh(z, s)
-            eisenstein._record_of_bits.cache_clear()
+            _clear_memos()
 
 
 def test_spectral_record_is_paid_once_per_s(monkeypatch):
-    calls = []
-    xi = eisenstein.xi_completed
+    calls, tables = [], []
+    xi, factors = eisenstein.xi_completed, eisenstein._divisor_factors
 
     def spy(s):
         calls.append(s)
         return xi(s)
 
+    def table_spy(s, count):
+        tables.append(s)
+        return factors(s, count)
+
     monkeypatch.setattr(eisenstein, "xi_completed", spy)
-    eisenstein._record_of_bits.cache_clear()
+    monkeypatch.setattr(eisenstein, "_divisor_factors", table_spy)
+    _clear_memos()
     s = complex(0.7, 12.5)
     for k in range(8):
         eval_fourier(complex(0.4 * k - 1.5, 0.05 + 0.3 * k), s)
     assert calls == [2.0 * s, 2.0 * s - 1.0]
+    assert tables == [s]
     eval_fourier(0.2 + 1.1j, 2.5)
     assert len(calls) == 4
-    # the memo is keyed on bits, so 2.5-0j, equal to 2.5, gets its own record
+    # the memos are keyed on bits: at 2.5-0j, equal to 2.5, xi's arguments 2s
+    # and 2s - 1 have the bits they have at 2.5, but s has its own table
     eval_fourier(0.2 + 1.1j, complex(2.5, -0.0))
-    assert len(calls) == 6
-    # the functional equation takes c(s) from the record of s
+    assert len(calls) == 4
+    assert len(tables) == 3
+    # at Re s < 0 they keep the sign of zero, and -0.6-0j computes xi anew
+    eval_fourier(0.2 + 1.1j, -0.6)
+    eval_fourier(0.2 + 1.1j, complex(-0.6, -0.0))
+    assert len(calls) == 8
+    # the functional equation takes c(s) from the xi values of eval_fourier(z, s)
     calls.clear()
     s = complex(0.3, 2.5)
     r = 1.0 - s
     functional_equation_defect(0.1 + 1.1j, s)
     assert calls == [2.0 * s, 2.0 * s - 1.0, 2.0 * r, 2.0 * r - 1.0]
-    # a raising call keeps no record: xi(2s) overflows at s = 200
-    eisenstein._record_of_bits.cache_clear()
+    # one-shot calls pay only for what they return: c(s) and a_0 build no
+    # divisor table, and a_n for n != 0 needs xi(2s) alone
+    calls.clear()
+    tables.clear()
+    s = complex(1.7, -4.0)
+    scattering_ratio(s)
+    fourier_coefficient(0, 1.1, s)
+    assert calls == [2.0 * s, 2.0 * s - 1.0]
+    s = complex(2.3, 6.0)
+    fourier_coefficient(1, 1.1, s)
+    fourier_coefficient(-3, 0.4, s)
+    assert calls[2:] == [2.0 * s]
+    assert tables == []
+    # a raising call keeps nothing: xi(2s) overflows at s = 200
+    _clear_memos()
     with pytest.raises(OverflowError):
         eval_fourier(0.2 + 1.1j, 200.0)
-    assert eisenstein._record_of_bits.cache_info().currsize == 0
+    assert eisenstein._xi_of_bits.cache_info().currsize == 0
+    assert eisenstein._factors_of_bits.cache_info().currsize == 0
     # nor does an AccuracyError past the mode bound change later results
     points = [(0.3 + 1.2j, 2.5), (-0.1 + 0.02j, complex(0.7, 12.5)), (0.4 + 0.9j, complex(-0.6, -7.0))]
     want = [_fresh(z, s) for z, s in points]

@@ -33,10 +33,11 @@ def test_batch_consistent_with_single_point():
 
 
 def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
-    # 2,511 pairs in blocks of 1,000: two full blocks and a short last one
+    # 627 entries (2,508 pairs, and shell 1's three summed apart) in blocks of
+    # 250 entries, 1,000 pairs: two full blocks and a short last one
     monkeypatch.setattr(_kernels, "_CHUNK", 1000)
     radius, y = 45, 1.2
-    assert _kernels._cached_pairs(radius).shape[1] % 1000 == 511
+    assert _kernels._cached_entries(radius)[0].size % 250 == 127
     xs = np.array([-0.4, 0.0, 0.3])
     for s in (complex(2.5), complex(3, 1), complex(2.2, -7)):
         batch = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)
@@ -94,8 +95,19 @@ def _box(radius):
     }
 
 
-def _pair_list(pairs):
-    return list(zip(pairs[0].tolist(), pairs[1].tolist()))
+def _entry_list(entries):
+    r, k = entries
+    return list(zip(r.tolist(), k.tolist()))
+
+
+def _pair_list(entries):
+    # the lattice pairs a table prefix stands for: shell 1, which the kernels
+    # sum apart, then the four sides (r, -k), (r, k), (k, -r), (k, r) of each
+    # entry (r, k)
+    pairs = [(1, -1), (1, 0), (1, 1)]
+    for r, k in _entry_list(entries):
+        pairs += [(r, -k), (r, k), (k, -r), (k, r)]
+    return pairs
 
 
 def _fresh_table(monkeypatch):
@@ -106,7 +118,7 @@ def _fresh_table(monkeypatch):
 def test_prefix_is_coprime_box_fresh(monkeypatch):
     for radius in RADII:
         _fresh_table(monkeypatch)
-        got = _pair_list(_kernels._cached_pairs(radius))
+        got = _pair_list(_kernels._cached_entries(radius))
         assert len(got) == len(set(got))
         assert set(got) == _box(radius)
 
@@ -114,9 +126,9 @@ def test_prefix_is_coprime_box_fresh(monkeypatch):
 def test_prefix_is_coprime_box_after_growth(monkeypatch):
     # radii below the largest one asked for must still stop at their own shell
     _fresh_table(monkeypatch)
-    _kernels._cached_pairs(400)
+    _kernels._cached_entries(400)
     for radius in RADII:
-        got = _pair_list(_kernels._cached_pairs(radius))
+        got = _pair_list(_kernels._cached_entries(radius))
         assert len(got) == len(set(got))
         assert set(got) == _box(radius)
 
@@ -135,13 +147,8 @@ def _mobius(d):
 
 
 def _shell_order(radius):
-    # shell 1, then for each r the sides (r, -k), (r, k), (k, -r), (k, r), k ascending
-    pairs = [(1, -1), (1, 0), (1, 1)]
-    for r in range(2, radius + 1):
-        ks = [k for k in range(1, r) if math.gcd(k, r) == 1]
-        pairs += [(r, -k) for k in ks] + [(r, k) for k in ks]
-        pairs += [(k, -r) for k in ks] + [(k, r) for k in ks]
-    return pairs
+    # shells 2..radius, each (r, k) with k < r coprime to r, k ascending
+    return [(r, k) for r in range(2, radius + 1) for k in range(1, r) if math.gcd(k, r) == 1]
 
 
 @pytest.mark.parametrize("chunk", [_kernels._CHUNK, 16])
@@ -152,32 +159,52 @@ def test_prefix_is_in_shell_order(monkeypatch, chunk):
     want = {radius: _shell_order(radius) for radius in RADII}
     for radius in RADII:
         _fresh_table(monkeypatch)
-        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+        assert _entry_list(_kernels._cached_entries(radius)) == want[radius]
     # grown shell range by shell range, each after the first starting past shell 2
     _fresh_table(monkeypatch)
     for radius in RADII:
-        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+        assert _entry_list(_kernels._cached_entries(radius)) == want[radius]
     for radius in RADII:
-        assert _pair_list(_kernels._cached_pairs(radius)) == want[radius]
+        assert _entry_list(_kernels._cached_entries(radius)) == want[radius]
+
+
+def _mobius_count(radius):
+    # coprime (m, n) with 1 <= m <= R, |n| <= R: 2 sum_d mu(d) floor(R/d)^2 + 1
+    return 2 * sum(_mobius(d) * (radius // d) ** 2 for d in range(1, radius + 1)) + 1
 
 
 def test_prefix_length_is_mobius_count():
-    # coprime (m, n) with 1 <= m <= R, |n| <= R: 2 sum_d mu(d) floor(R/d)^2 + 1
+    # each entry stands for four pairs, and shell 1 adds three
     for radius in RADII + (1000, _kernels.MAX_RADIUS):
-        count = 2 * sum(_mobius(d) * (radius // d) ** 2 for d in range(1, radius + 1)) + 1
-        assert _kernels._cached_pairs(radius).shape[1] == count
-    # the table's one allocation holds every shell
-    assert count <= _kernels._table[0].shape[1]
+        r, k = _kernels._cached_entries(radius)
+        assert 4 * r.size + 3 == 4 * k.size + 3 == _mobius_count(radius)
+    # the table's one allocation holds every shell, and no more
+    assert 4 * _kernels._table[0].size + 3 == _mobius_count(_kernels.MAX_RADIUS)
 
 
 def test_far_shells_are_int16_blocks():
-    # the table's last shell: int16, coprime, on the shell, 4 phi(r) pairs
+    # the table's last shell: int16, k < r coprime to r, phi(r) entries
     r = _kernels.MAX_RADIUS  # phi(2000) = 800
     blocks = list(_kernels._shells(r, r))
-    assert all(b.dtype == np.int16 and b.shape[1] == sizes.sum() for b, sizes in blocks)
-    pairs = _pair_list(np.concatenate([b for b, _ in blocks], axis=1))
-    assert len(pairs) == len(set(pairs)) == 4 * 800
-    assert all(max(m, abs(n)) == r and m >= 1 and math.gcd(m, abs(n)) == 1 for m, n in pairs)
+    for rs, ks, phi in blocks:
+        assert rs.dtype == ks.dtype == np.int16
+        assert rs.size == ks.size == phi.sum()
+    entries = [e for rs, ks, _ in blocks for e in _entry_list((rs, ks))]
+    assert len(entries) == len(set(entries)) == 800
+    assert all(edge == r and 1 <= k < r and math.gcd(k, r) == 1 for edge, k in entries)
+
+
+def test_table_footprint():
+    # two int16 arrays, each under numpy's 4 MiB hugepage threshold, so only
+    # the filled prefix of each is resident; a prefix costs 4 bytes per entry,
+    # about one per lattice pair (RSS itself depends on the host's
+    # transparent-hugepage mode, so it is not measured here)
+    r, k = _kernels._cached_entries(1000)
+    for prefix, column in zip((r, k), _kernels._table[:2]):
+        assert prefix.base is column
+        assert column.dtype == np.int16
+        assert column.nbytes < 1 << 22
+    assert r.nbytes + k.nbytes == _mobius_count(1000) - 3 == 1_216_764
 
 
 def test_sums_do_not_depend_on_growth_history(monkeypatch):
@@ -194,14 +221,14 @@ def test_sums_do_not_depend_on_growth_history(monkeypatch):
         _fresh_table(monkeypatch)
         fresh[radius] = bits(radius)
     _fresh_table(monkeypatch)
-    _kernels._cached_pairs(_kernels.MAX_RADIUS)
+    _kernels._cached_entries(_kernels.MAX_RADIUS)
     assert {radius: bits(radius) for radius in radii} == fresh
     _fresh_table(monkeypatch)
     chunk = _kernels._CHUNK
     monkeypatch.setattr(_kernels, "_CHUNK", 16)
     for radius in range(2, _kernels.MAX_RADIUS + 1, 37):
-        _kernels._cached_pairs(radius)
-    _kernels._cached_pairs(_kernels.MAX_RADIUS)
+        _kernels._cached_entries(radius)
+    _kernels._cached_entries(_kernels.MAX_RADIUS)
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     assert {radius: bits(radius) for radius in radii} == fresh
 
