@@ -27,13 +27,13 @@ blows up as y -> 0.
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
 the functional equation's s and 1 - s), another the divisor factors
-n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes for the last two s, each
-keyed on the bits of its argument.  So a sweep over z at one s computes
-them once, and a one-shot call pays only for what it returns:
-scattering_ratio builds no divisor table, and fourier_coefficient with
-n != 0 needs xi(2s) alone.  A kept value is the one a fresh call computes,
-so every result is the same bit for bit; a computation that raises keeps
-nothing.
+n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes for the last two s.  So a
+sweep over z at one s computes them once, and a one-shot call pays only for
+what it returns: scattering_ratio builds no divisor table, and
+fourier_coefficient with n != 0 needs xi(2s) alone.  A kept value is the one
+a fresh call computes, so every result is the same bit for bit; a
+computation that raises keeps nothing.  The memos are keyed on s itself, and
+s enters with -0.0 parts made +0.0, so 2.5-0j shares the entries of 2.5.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,7 +98,7 @@ def _point(z) -> tuple[float, float]:
 
 
 def _require_off_poles(s, what: str) -> complex:
-    s = finite_complex(s, "spectral parameter")
+    s = finite_complex(s, "spectral parameter") + 0j  # -0.0 parts become +0.0
     if min(abs(s - p) for p in POLE_POINTS) <= _POLE_RADIUS:
         raise PoleError(
             f"{what}: s = {s} is within {_POLE_RADIUS} of a pole (pole points {POLE_POINTS})"
@@ -163,20 +162,10 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> Ser
     return SeriesValue(_cpow(y, s) * raw, _lattice_tail_bound(y, s.real, policy.lattice_radius))
 
 
-def _bits(u: complex) -> bytes:
-    # a memo key: 2.5-0j equals 2.5+0j, but values at it may carry other
-    # signed zeros
-    return struct.pack("<2d", u.real, u.imag)
-
-
+@functools.lru_cache(maxsize=4)
 def _xi(u: complex) -> complex:
     """xi(u) through a memo of the last four arguments."""
-    return _xi_of_bits(_bits(u))
-
-
-@functools.lru_cache(maxsize=4)
-def _xi_of_bits(bits: bytes) -> complex:
-    return xi_completed(complex(*struct.unpack("<2d", bits)))
+    return xi_completed(u)
 
 
 def _xi_and_ratio(s: complex) -> tuple[complex, complex]:
@@ -185,15 +174,11 @@ def _xi_and_ratio(s: complex) -> tuple[complex, complex]:
     return xi_2s, _xi(2.0 * s - 1.0) / xi_2s
 
 
+@functools.lru_cache(maxsize=2)
 def _floor_factors(s: complex) -> tuple[complex, ...]:
     """The divisor factors c_0..c_F of _divisor_factors, F = _MODE_FLOOR,
     through a memo of the last two s."""
-    return _factors_of_bits(_bits(s))
-
-
-@functools.lru_cache(maxsize=2)
-def _factors_of_bits(bits: bytes) -> tuple[complex, ...]:
-    return tuple(_divisor_factors(complex(*struct.unpack("<2d", bits)), _MODE_FLOOR))
+    return tuple(_divisor_factors(s, _MODE_FLOOR))
 
 
 def scattering_ratio(s) -> complex:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from ._arith import prime_power_base, primes_up_to
 from .errors import ConvergenceWarning, DivergenceError, DomainError, PlaceDataError
-from .errors import PoleError, finite_complex
+from .errors import PoleError, finite_complex, integer
 
 _FACTOR_EXCLUSION = 1e-12
 _THIN_MARGIN = 0.1
@@ -60,7 +60,8 @@ class PlaceDatum:
     satake: SatakeClass
 
     def __post_init__(self):
-        if self.q < 2 or prime_power_base(self.q) is None:
+        q = integer(self.q, "q")
+        if q < 2 or prime_power_base(q) is None:
             raise DomainError(f"q must be a prime power >= 2, got {self.q}")
 
 
@@ -107,7 +108,7 @@ class RatioSpec:
         m = len(self.levels)
         if not 1 <= m <= 8:
             raise DomainError(f"need 1 <= m <= 8 levels, got {m}")
-        a_values = [a for a, _ in self.levels]
+        a_values = [integer(a, "level integer a_j") for a, _ in self.levels]
         if any(a < 1 for a in a_values):
             raise DomainError("level integers a_j must be positive")
         if any(b <= a for a, b in zip(a_values, a_values[1:])):
@@ -118,7 +119,7 @@ def trivial_zeta_data(limit: int) -> LFunctionData:
     """All-ones one-dimensional Satake data at every prime < limit; its Euler
     product is the truncated zeta."""
     one = SatakeClass((1.0 + 0.0j,))
-    places = tuple(PlaceDatum(p, one) for p in primes_up_to(limit - 1))
+    places = tuple(PlaceDatum(p, one) for p in primes_up_to(integer(limit, "limit") - 1))
     return LFunctionData(places)
 
 
@@ -171,6 +172,7 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     DomainError for a non-finite s.
     """
     s = finite_complex(s, "Euler product")
+    max_q = integer(max_q, "max_q")
     abscissa = data.convergence_abscissa()
     margin = s.real - abscissa
     if margin <= 0.0:

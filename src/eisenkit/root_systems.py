@@ -19,11 +19,9 @@ groups) is only checked dimensionally here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
-from .errors import InvalidTypeError
-
-_LETTERS = "ABCDEFG"
+from .errors import InvalidTypeError, integer
 
 #: supported ranks per type; A-D stop at 32 because the decomposition table
 #: costs about rank^3.7 (0.09 s at A32, 6.4 s at A100 on a 2-core Xeon), so
@@ -39,14 +37,15 @@ _RANK_RANGE = {
 }
 
 
-def _validate_type(cartan_type: str, rank: int) -> str:
+def _validate_type(cartan_type: str, rank: int) -> tuple[str, int]:
     letter = str(cartan_type).upper()
-    if letter not in _LETTERS:
+    if letter not in _RANK_RANGE:
         raise InvalidTypeError(f"unknown Cartan type {cartan_type!r}")
+    rank = integer(rank, "rank")
     low, high = _RANK_RANGE[letter]
     if not low <= rank <= high:
         raise InvalidTypeError(f"{letter}_{rank}: type {letter} takes ranks {low} to {high}")
-    return letter
+    return letter, rank
 
 
 def cartan_matrix(cartan_type: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -56,8 +55,10 @@ def cartan_matrix(cartan_type: str, rank: int) -> tuple[tuple[int, ...], ...]:
     for D, node 2 hanging off node 4 in E, the double edge in the middle of F
     (alpha_1, alpha_2 long) and alpha_1 short in G.
     """
-    letter = _validate_type(cartan_type, rank)
-    n = rank
+    return _cartan(*_validate_type(cartan_type, rank))
+
+
+def _cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def link(i, j, cij=-1, cji=-1):
@@ -92,11 +93,11 @@ def cartan_matrix(cartan_type: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Simple root system with integer-coefficient positive roots."""
+    """Simple root system with integer-coefficient positive roots; the simple
+    roots are the unit vectors."""
 
     cartan_type: str
     rank: int
-    simple_roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
 
@@ -113,9 +114,8 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     root is reached, since a non-simple one is s_i of a lower positive root.
     Roots are ordered by height then coefficients (graded lexicographic).
     """
-    letter = _validate_type(cartan_type, rank)
-    c = cartan_matrix(letter, rank)
-    n = rank
+    letter, n = _validate_type(cartan_type, rank)
+    c = _cartan(letter, n)
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     # column i of C restricted to its nonzero entries: i and its neighbours
     columns = [[(j, c[j][i]) for j in range(n) if c[j][i]] for i in range(n)]
@@ -134,7 +134,7 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
                         fresh.append(w)
         frontier = fresh
     positives = sorted(seen, key=lambda v: (sum(v), v))
-    return RootSystem(letter, rank, simple, tuple(positives), c)
+    return RootSystem(letter, n, tuple(positives), c)
 
 
 @dataclass(frozen=True)
@@ -145,26 +145,18 @@ class ParabolicDatum:
     removed_index: int
 
     def __post_init__(self):
-        if not 0 <= self.removed_index < self.system.rank:
+        if not 0 <= integer(self.removed_index, "removed_index") < self.system.rank:
             raise InvalidTypeError(
                 f"removed_index {self.removed_index} out of range for {self.system.name}"
             )
 
 
 @dataclass(frozen=True)
-class DecompositionLevel:
-    """Graded level j of the nilradical: its roots and dimension."""
-
-    a: int
-    roots: tuple[tuple[int, ...], ...]
-    dimension: int
-
-
-@dataclass(frozen=True)
 class AdjointDecomposition:
-    """Nilradical graded by the removed simple root's coefficient."""
+    """Nilradical graded by the removed simple root's coefficient: levels[j - 1]
+    holds the roots of level j."""
 
-    levels: tuple[DecompositionLevel, ...]
+    levels: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def m(self) -> int:
@@ -172,11 +164,11 @@ class AdjointDecomposition:
 
     @property
     def dimensions(self) -> tuple[int, ...]:
-        return tuple(level.dimension for level in self.levels)
+        return tuple(len(roots) for roots in self.levels)
 
     @property
     def a_values(self) -> tuple[int, ...]:
-        return tuple(level.a for level in self.levels)
+        return tuple(range(1, self.m + 1))
 
 
 def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
@@ -191,11 +183,7 @@ def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
         if v[k] >= 1:
             buckets.setdefault(v[k], []).append(v)
     m = max(buckets) if buckets else 0
-    levels = []
-    for j in range(1, m + 1):
-        roots = tuple(buckets.get(j, ()))
-        levels.append(DecompositionLevel(a=j, roots=roots, dimension=len(roots)))
-    return AdjointDecomposition(tuple(levels))
+    return AdjointDecomposition(tuple(tuple(buckets.get(j, ())) for j in range(1, m + 1)))
 
 
 def _classify_component(nodes: set[int], cartan, neighbours) -> tuple[str, int]:
@@ -247,14 +235,11 @@ def format_levi(factors: list[tuple[str, int]]) -> str:
     return "+".join(f"{letter}{rank}" for letter, rank in factors) if factors else "T"
 
 
-TABLE_COLUMNS = ("type", "rank", "removed_index", "levi", "m", "dims", "a")
-
-
 @dataclass(frozen=True)
 class TableRow:
-    """One maximal parabolic in the decomposition table, fields in TABLE_COLUMNS order."""
+    """One maximal parabolic in the decomposition table, one field per column."""
 
-    cartan_type: str
+    type: str
     rank: int
     removed_index: int
     levi: str
@@ -263,11 +248,10 @@ class TableRow:
     a: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        values = (getattr(self, f.name) for f in fields(self))
-        return {
-            column: list(value) if isinstance(value, tuple) else value
-            for column, value in zip(TABLE_COLUMNS, values)
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+
+TABLE_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:
@@ -281,7 +265,7 @@ def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:
             dec = nilradical_decomposition(p)
             rows.append(
                 TableRow(
-                    cartan_type=rs.cartan_type,
+                    type=rs.cartan_type,
                     rank=rs.rank,
                     removed_index=k,
                     levi=format_levi(levi_type(p)),

@@ -210,6 +210,48 @@ def test_fe_check_xi_sweep(capsys):
     assert report["max_defect"] < 1e-10
 
 
+def test_fe_check_first_coefficient_sweep(capsys):
+    code, out, _ = run_cli(["fe-check", "--check", "first-coefficient", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["points"] == 20
+    assert report["skipped"] == 0
+    assert report["max_defect"] < 1e-12
+
+
+def test_text_output_lists_rows_after_the_keys(capsys):
+    code, out, _ = run_cli(["fe-check", "--check", "scattering", "--points", "0.3+2i,0.5"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == [
+        "command: fe-check", "check: scattering", "z: 0.3+1.4i", "points: 2", "skipped: 1"
+    ]
+    assert lines[5].startswith("max_defect: ")
+    assert lines[6].startswith("  s=0.3+2i  defect=")
+    assert lines[7] == "  s=0.5+0i  skipped=PoleError: pole exclusion"
+    assert len(lines) == 8
+    code, out, _ = run_cli(["decompose", "G", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "command: decompose",
+        "columns: ['type', 'rank', 'removed_index', 'levi', 'm', 'dims', 'a']",
+        "  type=G  rank=2  removed_index=0  levi=A1  m=3  dims=[2, 1, 2]  a=[1, 2, 3]",
+        "  type=G  rank=2  removed_index=1  levi=A1  m=2  dims=[4, 1]  a=[1, 2]",
+    ]
+
+
+def test_csv_output_without_rows_is_key_value(capsys):
+    code, out, _ = run_cli(["xi", "--s", "2", "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert [row[0] for row in rows[1:]] == [
+        "command", "s", "xi_re", "xi_im", "xi_reflected_re", "xi_reflected_im", "reflection_defect"
+    ]
+    assert rows[1] == ["command", "xi"] and rows[2] == ["s", "2+0i"]
+    assert float(rows[3][1]) == pytest.approx(0.5235987755982989)  # xi(2) = pi/6
+
+
 def test_euler_trivial_file_close_to_zeta2(tmp_path, capsys):
     from eisenkit._arith import primes_up_to
 
@@ -238,6 +280,20 @@ def test_euler_malformed_line_exits_3(tmp_path, capsys):
         assert code == 3
         assert "line 2" in err
         assert out == ""
+
+
+def test_euler_inconsistent_places_exit_3(tmp_path, capsys):
+    # a repeated q, and Satake classes of two dimensions
+    path = tmp_path / "places.txt"
+    for text, message in (
+        ("2 1.0 0.0\n3 1.0 0.0\n2 0.5 0.0\n", "duplicate place(s) q = [2]"),
+        ("2 1.0 0.0\n3 1.0 0.0 1.0 0.0\n", "inconsistent Satake dimensions [1, 2]"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(["euler", "--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "PlaceDataError" in err and message in err
 
 
 def test_euler_missing_file_exits_3(tmp_path, capsys):
@@ -274,7 +330,10 @@ def test_decompose_a1(capsys):
 
 
 def test_decompose_invalid_type_exits_2(capsys):
-    for argv in (["H", "2"], ["A", "33"], ["D", "33"], ["--table", "A2,,G2"], ["--table", "A2,"]):
+    # neither TYPE RANK nor --table, a bad type or rank, a bad --table token
+    for argv in (
+        [], ["G"], ["H", "2"], ["A", "33"], ["D", "33"], ["--table", "A2,,G2"], ["--table", "A2,"]
+    ):
         code, _, err = run_cli(["decompose", *argv], capsys)
         assert code == 2, argv
         assert "InvalidTypeError" in err

@@ -189,8 +189,8 @@ def _bits(result):
 
 
 def _clear_memos():
-    eisenstein._xi_of_bits.cache_clear()
-    eisenstein._factors_of_bits.cache_clear()
+    eisenstein._xi.cache_clear()
+    eisenstein._floor_factors.cache_clear()
 
 
 def _fresh(z, s):
@@ -253,15 +253,16 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     assert tables == [s]
     eval_fourier(0.2 + 1.1j, 2.5)
     assert len(calls) == 4
-    # the memos are keyed on bits: at 2.5-0j, equal to 2.5, xi's arguments 2s
-    # and 2s - 1 have the bits they have at 2.5, but s has its own table
+    assert len(tables) == 2
+    # s enters with -0.0 parts made +0.0: 2.5-0j and -0.6-0j reuse the xi
+    # values and divisor tables of 2.5 and -0.6
     eval_fourier(0.2 + 1.1j, complex(2.5, -0.0))
     assert len(calls) == 4
-    assert len(tables) == 3
-    # at Re s < 0 they keep the sign of zero, and -0.6-0j computes xi anew
+    assert len(tables) == 2
     eval_fourier(0.2 + 1.1j, -0.6)
     eval_fourier(0.2 + 1.1j, complex(-0.6, -0.0))
-    assert len(calls) == 8
+    assert len(calls) == 6
+    assert len(tables) == 3
     # the functional equation takes c(s) from the xi values of eval_fourier(z, s)
     calls.clear()
     s = complex(0.3, 2.5)
@@ -285,8 +286,8 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     _clear_memos()
     with pytest.raises(OverflowError):
         eval_fourier(0.2 + 1.1j, 200.0)
-    assert eisenstein._xi_of_bits.cache_info().currsize == 0
-    assert eisenstein._factors_of_bits.cache_info().currsize == 0
+    assert eisenstein._xi.cache_info().currsize == 0
+    assert eisenstein._floor_factors.cache_info().currsize == 0
     # nor does an AccuracyError past the mode bound change later results
     points = [(0.3 + 1.2j, 2.5), (-0.1 + 0.02j, complex(0.7, 12.5)), (0.4 + 0.9j, complex(-0.6, -7.0))]
     want = [_fresh(z, s) for z, s in points]

@@ -48,7 +48,7 @@ def test_place_datum_accepts_prime_powers_only():
     one = SatakeClass((1.0,))
     for q in (2, 3, 8, 9, 125):
         PlaceDatum(q, one)
-    for q in (1, 6, 12, 100):
+    for q in (1, 6, 12, 100, 4.5, 4.0, "4"):
         with pytest.raises(DomainError):
             PlaceDatum(q, one)
 
@@ -74,6 +74,10 @@ def test_ratio_spec_validation():
         RatioSpec(((1, data), (1, data)))
     with pytest.raises(DomainError):
         RatioSpec(tuple((j + 1, data) for j in range(9)))
+    # the a_j are positive integers
+    for bad in (((0, data),), ((-1, data), (1, data)), ((1.5, data),), ((1, data), (2.0, data))):
+        with pytest.raises(DomainError):
+            RatioSpec(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,15 @@ def test_partial_l_truncation_counts_places():
     data = trivial_zeta_data(100)
     assert partial_l(data, 2.0, 10).factor_count == 4  # 2, 3, 5, 7
     assert partial_l(data, 2.0, 1).factor_count == 0
+
+
+def test_cutoffs_are_integers():
+    data = trivial_zeta_data(100)
+    for bad in (100.0, 10.5, "100"):
+        with pytest.raises(DomainError):
+            trivial_zeta_data(bad)
+        with pytest.raises(DomainError):
+            partial_l(data, 2.0, bad)
 
 
 def test_partial_l_monotone_stabilization():

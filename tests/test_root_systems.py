@@ -2,10 +2,11 @@
 
 import pytest
 
-from eisenkit.errors import InvalidTypeError
+from eisenkit.errors import DomainError, InvalidTypeError
 from eisenkit.root_systems import (
     ParabolicDatum,
     build_root_system,
+    cartan_matrix,
     enumerate_table,
     format_levi,
     levi_type,
@@ -66,8 +67,7 @@ def test_positive_root_counts_match_closed_form(cartan_type, rank):
 
 def test_simple_roots_are_unit_vectors():
     rs = build_root_system("B", 3)
-    assert rs.simple_roots == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for unit in rs.simple_roots:
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert unit in rs.positive_roots
 
 
@@ -87,6 +87,21 @@ def test_invalid_types_rejected():
         with pytest.raises(InvalidTypeError):
             build_root_system(cartan_type, rank)
     assert build_root_system("D", 32).rank == 32  # the largest rank accepted
+
+
+def test_rank_must_be_an_integer():
+    for rank in (2.0, 2.5, "2"):
+        with pytest.raises(DomainError):
+            build_root_system("A", rank)
+        with pytest.raises(DomainError):
+            cartan_matrix("A", rank)
+
+
+def test_removed_index_must_be_an_integer():
+    rs = build_root_system("A", 2)
+    for index in (1.0, 0.5, "1"):
+        with pytest.raises(DomainError):
+            ParabolicDatum(rs, index)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +182,7 @@ def test_a2_grading_example():
     dec = nilradical_decomposition(ParabolicDatum(build_root_system("A", 2), 0))
     assert dec.m == 1
     assert dec.dimensions == (2,)
-    assert set(dec.levels[0].roots) == {(1, 0), (1, 1)}
+    assert set(dec.levels[0]) == {(1, 0), (1, 1)}
 
 
 def test_g2_long_root_parabolic_grading():
@@ -177,8 +192,8 @@ def test_g2_long_root_parabolic_grading():
     assert dec.m == 2
     assert dec.dimensions == (4, 1)
     assert dec.a_values == (1, 2)
-    assert set(dec.levels[0].roots) == {(0, 1), (1, 1), (2, 1), (3, 1)}
-    assert dec.levels[1].roots == ((3, 2),)
+    assert set(dec.levels[0]) == {(0, 1), (1, 1), (2, 1), (3, 1)}
+    assert dec.levels[1] == ((3, 2),)
 
 
 def test_rank_one_grading():
@@ -202,9 +217,9 @@ def test_grading_invariants(cartan_type, rank):
         assert dec.a_values == tuple(range(1, dec.m + 1))
         # well-defined: each nilradical root in exactly one level, coefficient >= 1
         seen = set()
-        for level in dec.levels:
-            for root in level.roots:
-                assert root[k] == level.a >= 1
+        for j, roots in enumerate(dec.levels, start=1):
+            for root in roots:
+                assert root[k] == j
                 assert root not in seen
                 seen.add(root)
         assert len(seen) == sum(dec.dimensions)
