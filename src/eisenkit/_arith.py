@@ -1,4 +1,4 @@
-"""Elementary integer arithmetic: sieves, factorization, prime powers."""
+"""Elementary integer arithmetic: sieves and factorization."""
 
 from __future__ import annotations
 
@@ -49,14 +49,4 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def prime_power_base(q: int) -> int | None:
-    """Return p if q = p^k for a prime p and k >= 1, else None."""
-    if q < 2:
-        return None
-    fac = factorize(q)
-    if len(fac) != 1:
-        return None
-    return fac[0][0]
 

@@ -18,16 +18,16 @@ exposed as numeric defect checks.
 Both evaluators use the full SL2(Z) invariance of E: they pull z back into
 the fundamental domain |x| <= 1/2, |z| >= 1 (Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 7.4.2) before summing.  There
-y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and a
-few dozen modes meet the accuracy target for any z, however close to the
-real axis; and every lattice term at max-norm radius r is at most
+y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and
+30 modes meet the accuracy target for any z, however close to the real
+axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
 blows up as y -> 0.
 
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
 the functional equation's s and 1 - s), another the divisor factors
-n^(s-1/2) sigma_(1-2s)(n) of the first 30 modes for the last two s.  So a
+n^(s-1/2) sigma_(1-2s)(n) of the 30 modes for the last two s.  So a
 sweep over z at one s computes them once, and a one-shot call pays only for
 what it returns: scattering_ratio builds no divisor table, and
 fourier_coefficient with n != 0 needs xi(2s) alone.  A kept value is the one
@@ -53,8 +53,11 @@ from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_compl
 POLE_POINTS = (0.0, 0.5, 1.0)
 
 _TWO_PI = 2.0 * math.pi
-_MODE_FLOOR = 30  # fewest modes eval_fourier sums
-_MODE_BOUND = 512  # most modes eval_fourier sums
+# modes eval_fourier sums.  At the pulled-back y' >= sqrt(3)/2 mode 30 has
+# K-Bessel argument 2 pi 30 y' >= 163, past the turning point |nu| <= 100 of
+# every order nu = s - 1/2 that bessel_k accepts, where the modes fall
+# monotonically (DLMF 10.45; Olver, Asymptotics and Special Functions, ch. 10)
+_MODES = 30
 _NODE_BOUND = 4096  # most x-nodes extract_coefficient_by_quadrature samples
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
@@ -174,13 +177,6 @@ def _xi_and_ratio(s: complex) -> tuple[complex, complex]:
     return xi_2s, _xi(2.0 * s - 1.0) / xi_2s
 
 
-@functools.lru_cache(maxsize=2)
-def _floor_factors(s: complex) -> tuple[complex, ...]:
-    """The divisor factors c_0..c_F of _divisor_factors, F = _MODE_FLOOR,
-    through a memo of the last two s."""
-    return tuple(_divisor_factors(s, _MODE_FLOOR))
-
-
 def scattering_ratio(s) -> complex:
     """Constant-term ratio c(s) = xi(2s - 1) / xi(2s).
 
@@ -218,49 +214,48 @@ def _mode(n: int, y: float, nu: complex, sqrt_y: float, factor: complex, inv_xi:
     return 2.0 * factor * sqrt_y * bessel_k(nu, _TWO_PI * n * y) * inv_xi
 
 
-def _divisor_factors(s: complex, count: int) -> list[complex]:
-    """c_n = n^(s-1/2) sigma_(1-2s)(n) for n = 0..count (c_0 = 1 is unused).
+@functools.lru_cache(maxsize=2)
+def _divisor_factors(s: complex) -> tuple[complex, ...]:
+    """c_n = n^(s-1/2) sigma_(1-2s)(n) for n = 0.._MODES (c_0 = 1 is unused),
+    through a memo of the last two s.
 
     c_n = sum over a d = n of (a/d)^(s-1/2) is multiplicative, and on prime
     powers c(p^e) = q c(p^(e-1)) + q^(-e) with q = p^(s-1/2), so the table
     costs one complex exp per prime.  Each c(p^e) multiplies into the entries
     whose p-part is exactly p^e.  |c_n| <= tau(n) n^|Re s - 1/2| stays in
-    double range: eval_fourier builds 30 entries first, and grows the table
-    only after bessel_k has accepted |s - 1/2| <= 100.  An entry does not
-    depend on count, so a grown table extends the first one bit for bit.
+    double range for the orders bessel_k accepts, |s - 1/2| <= 100; past
+    them no mode uses the table, as bessel_k refuses the order.
     """
     nu = s - 0.5
-    c = [1.0 + 0.0j] * (count + 1)
-    for p in primes_up_to(count):
+    c = [1.0 + 0.0j] * (_MODES + 1)
+    for p in primes_up_to(_MODES):
         q = _cpow(float(p), nu)
         q_inv = 1.0 / q
         pe, c_pe, q_inv_e = p, 1.0, 1.0
-        while pe <= count:
+        while pe <= _MODES:
             q_inv_e *= q_inv
             c_pe = q * c_pe + q_inv_e
-            for m in range(pe, count + 1, pe):
+            for m in range(pe, _MODES + 1, pe):
                 if m % (pe * p):
                     c[m] *= c_pe
             pe *= p
-    return c
+    return tuple(c)
 
 
 def eval_fourier(z, s) -> SeriesValue:
     """Fourier-expansion evaluation, valid for every s off the pole points.
 
     Pulls z back under SL2(Z) to z' = x' + i y' with |x'| <= 1/2, |z'| >= 1
-    (E is invariant, so E(z) = E(z')), then sums a_0 plus paired modes
-    a_n (e^(2 pi i n x') + e^(-2 pi i n x')) at z'.  Since y' >= sqrt(3)/2
-    the e^(-2 pi n y') K-Bessel decay truncates the series after a few modes
-    for any z.  At least 30 modes are summed, then more until the last one
-    falls below the fixed accuracy target (1e-14 times max(1, |a_0|)); the
-    returned tail bound is the geometric-series bound seeded by that last
-    mode.  Raises AccuracyError if 512 modes do not reach the target, rather
-    than return a value that missed it.
+    (E is invariant, so E(z) = E(z')), then sums a_0 plus the paired modes
+    a_n (e^(2 pi i n x') + e^(-2 pi i n x')), n = 1..30, at z'.  The returned
+    tail bound is the geometric-series bound seeded by mode 30, and it covers
+    truncation only.  Raises AccuracyError if mode 30 is above the fixed
+    accuracy target (1e-14 times max(1, |a_0|)), rather than return a value
+    that missed it.
 
-    xi(2s), c(s) and the first 30 divisor factors come from the memos (see
-    the module docstring), so calls at the s of the call before pay only for
-    their modes; a table grown past 30 modes stays local to the call.
+    xi(2s), c(s) and the divisor factors come from the memos (see the module
+    docstring), so calls at the s of the call before pay only for their
+    modes.
     """
     x, y = _pullback(*_point(z))
     s = _require_off_poles(s, "eval_fourier")
@@ -269,18 +264,14 @@ def eval_fourier(z, s) -> SeriesValue:
     total = _constant_term(y, s, ratio)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
     nu, sqrt_y = s - 0.5, math.sqrt(y)
-    factors = _floor_factors(s)
-    for n in range(1, _MODE_BOUND + 1):
-        if n == len(factors):
-            factors = _divisor_factors(s, min(2 * n, _MODE_BOUND))
+    factors = _divisor_factors(s)
+    for n in range(1, _MODES + 1):
         a_n = _mode(n, y, nu, sqrt_y, factors[n], inv_xi)
         total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
-        last_mag = 2.0 * abs(a_n)
-        if n >= _MODE_FLOOR and last_mag <= target:
-            break
-    else:
+    last_mag = 2.0 * abs(a_n)
+    if not last_mag <= target:  # NaN included
         raise AccuracyError(
-            f"eval_fourier: mode {_MODE_BOUND} at z' = {x}+{y}i, s = {s} is {last_mag:.3g}, "
+            f"eval_fourier: mode {_MODES} at z' = {x}+{y}i, s = {s} is {last_mag:.3g}, "
             f"above the target {target:.3g}"
         )
     decay = math.exp(-_TWO_PI * y)

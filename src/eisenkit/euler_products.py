@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._arith import prime_power_base, primes_up_to
+from ._arith import factorize, primes_up_to
 from .errors import ConvergenceWarning, DivergenceError, DomainError, PlaceDataError
 from .errors import PoleError, finite_complex, integer
 
@@ -61,7 +61,7 @@ class PlaceDatum:
 
     def __post_init__(self):
         q = integer(self.q, "q")
-        if q < 2 or prime_power_base(q) is None:
+        if q < 2 or len(factorize(q)) != 1:
             raise DomainError(f"q must be a prime power >= 2, got {self.q}")
 
 
@@ -108,6 +108,9 @@ class RatioSpec:
         m = len(self.levels)
         if not 1 <= m <= 8:
             raise DomainError(f"need 1 <= m <= 8 levels, got {m}")
+        for level in self.levels:
+            if not (isinstance(level, (tuple, list)) and len(level) == 2 and isinstance(level[1], LFunctionData)):
+                raise DomainError("each level must be an (a_j, LFunctionData) pair")
         a_values = [integer(a, "level integer a_j") for a, _ in self.levels]
         if any(a < 1 for a in a_values):
             raise DomainError("level integers a_j must be positive")

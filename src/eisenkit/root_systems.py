@@ -48,17 +48,13 @@ def _validate_type(cartan_type: str, rank: int) -> tuple[str, int]:
     return letter, rank
 
 
-def cartan_matrix(cartan_type: str, rank: int) -> tuple[tuple[int, ...], ...]:
+def _cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in the convention C[i][j] = 2 (a_i, a_j) / (a_j, a_j).
 
     Node numbering follows Bourbaki: chains for A/B/C, the fork at the tail
     for D, node 2 hanging off node 4 in E, the double edge in the middle of F
     (alpha_1, alpha_2 long) and alpha_1 short in G.
     """
-    return _cartan(*_validate_type(cartan_type, rank))
-
-
-def _cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def link(i, j, cij=-1, cji=-1):
@@ -175,7 +171,9 @@ def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
     """Partition the nilradical's roots by coefficient at the removed node.
 
     Levels come out consecutive, a_j = j for j = 1..m, and their dimensions
-    sum to |Phi+| - |Phi+_Levi|.
+    sum to |Phi+| - |Phi+_Levi|.  This grading equals the coroot grading
+    <alpha~, beta^vee> of the constant term only for the simply-laced types
+    A, D and E; for B, C, F and G the two differ.
     """
     k = p.removed_index
     buckets: dict[int, list[tuple[int, ...]]] = {}

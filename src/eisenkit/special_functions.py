@@ -105,15 +105,13 @@ def gamma(s: complex) -> complex:
     """Gamma(s) by the Lanczos approximation, reflection for Re(s) < 1/2.
 
     Raises PoleError within 1e-9 of a nonpositive integer and OverflowError
-    when the value exceeds double range (on the real axis: Re(s) > 170).
+    when the value exceeds double range (on the real axis: s above 171.62).
     """
     s = finite_complex(s, "gamma")
     if s.real < 0.5:
         near = round(s.real)
         if near <= 0 and abs(s - near) < POLE_EXCLUSION_RADIUS:
             raise PoleError(f"gamma has a pole at {near}")
-    if s.real > 170.0 and abs(s.imag) < 1e-9:
-        raise OverflowError("gamma overflows double range for Re(s) > 170 on the real axis")
     return _finite(_gamma_unchecked(s), "gamma")
 
 

@@ -192,11 +192,16 @@ def test_fe_check_mode_bound_failure_exits_nonzero(capsys, monkeypatch):
     # must fail the run, not become a skipped row
     from eisenkit import eisenstein
 
-    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 2)
-    code, out, err = run_cli(
-        ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--format", "json"],
-        capsys,
-    )
+    # the divisor memo is keyed on s alone: no table of 3 entries may outlive the patch
+    eisenstein._divisor_factors.cache_clear()
+    monkeypatch.setattr(eisenstein, "_MODES", 2)
+    try:
+        code, out, err = run_cli(
+            ["fe-check", "--check", "eisenstein", "--points", "0.3+2i", "--format", "json"],
+            capsys,
+        )
+    finally:
+        eisenstein._divisor_factors.cache_clear()
     assert code == 4
     assert out == ""
     assert "AccuracyError" in err

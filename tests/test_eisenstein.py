@@ -2,6 +2,8 @@
 coefficient extraction, and the first-coefficient route to the xi
 reflection."""
 
+import cmath
+import contextlib
 import math
 import random
 
@@ -148,24 +150,19 @@ def _panel_parameters(rng, count):
 
 
 def test_divisor_table_matches_sigma_power():
-    # the table up to the mode bound, and its first doubling, against the
-    # per-mode product n^(s-1/2) sigma_(1-2s)(n)
+    # the table's 30 modes against the per-mode product n^(s-1/2) sigma_(1-2s)(n)
     for s in _panel_parameters(random.Random(61), 24):
-        table = eisenstein._divisor_factors(s, 512)
-        for n in range(1, 513):
+        table = eisenstein._divisor_factors(s)
+        assert len(table) == 31
+        for n in range(1, 31):
             want = eisenstein._cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
             assert abs(table[n] - want) <= 1e-12 * abs(want)
-        # eval_fourier's first doubling rebuilds to 62: the prefix is unchanged
-        assert eisenstein._divisor_factors(s, 62)[:31] == eisenstein._divisor_factors(s, 30)
 
 
 def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
-    # a floor of 40 modes makes eval_fourier double the kept 30-mode divisor
-    # table of s once; z is in the fundamental domain, so the modes are taken
-    # at y = 1.3
+    # z is in the fundamental domain, so the modes are taken at y = 1.3
     mode = eisenstein._mode
     for s in _panel_parameters(random.Random(67), 6):
-        eisenstein._floor_factors(s)
         terms = {}
 
         def record(n, *args):
@@ -173,11 +170,9 @@ def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
             return terms[n]
 
         with monkeypatch.context() as patch:
-            patch.setattr(eisenstein, "_MODE_FLOOR", 40)
             patch.setattr(eisenstein, "_mode", record)
             eval_fourier(0.2 + 1.3j, s)
-        assert sorted(terms) == list(range(1, len(terms) + 1))
-        assert len(terms) >= 40
+        assert sorted(terms) == list(range(1, 31))
         for n, a_n in terms.items():
             want = fourier_coefficient(n, 1.3, s)
             assert abs(a_n - want) <= 1e-12 * abs(want)
@@ -190,7 +185,20 @@ def _bits(result):
 
 def _clear_memos():
     eisenstein._xi.cache_clear()
-    eisenstein._floor_factors.cache_clear()
+    eisenstein._divisor_factors.cache_clear()
+
+
+@contextlib.contextmanager
+def _mode_count(monkeypatch, count):
+    # the divisor memo is keyed on s alone, so no table built for one mode
+    # count may be read under another
+    _clear_memos()
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "_MODES", count)
+        try:
+            yield
+        finally:
+            _clear_memos()
 
 
 def _fresh(z, s):
@@ -198,7 +206,7 @@ def _fresh(z, s):
     return _bits(eval_fourier(z, s))
 
 
-def test_spectral_record_keeps_results_bit_identical(monkeypatch):
+def test_spectral_record_keeps_results_bit_identical():
     # 24 points: z over the fundamental domain and the cusp, Re s in [-1, 3],
     # |Im s| <= 30; every evaluation must match one made with the memo empty
     rng = random.Random(71)
@@ -217,52 +225,39 @@ def test_spectral_record_keeps_results_bit_identical(monkeypatch):
         assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
         assert _bits(eval_fourier(0.1 + 2.0j, other)) == fresh[0.1 + 2.0j, repr(other)], other
         assert _bits(eval_fourier(z, s)) == fresh[z, repr(s)], (z, s)
-    # a floor of 40 modes grows the kept table, built for 30, in its call
-    for z, s in panel[:6]:
-        _clear_memos()
-        eval_fourier(z, s)
-        table = eisenstein._floor_factors(s)
-        with monkeypatch.context() as patch:
-            patch.setattr(eisenstein, "_MODE_FLOOR", 40)
-            grown = _bits(eval_fourier(z, s))
-            assert eisenstein._floor_factors(s) is table
-            assert len(table) == 31
-            assert grown == _fresh(z, s)
-            _clear_memos()
 
 
 def test_spectral_record_is_paid_once_per_s(monkeypatch):
-    calls, tables = [], []
-    xi, factors = eisenstein.xi_completed, eisenstein._divisor_factors
+    calls = []
+    xi = eisenstein.xi_completed
 
     def spy(s):
         calls.append(s)
         return xi(s)
 
-    def table_spy(s, count):
-        tables.append(s)
-        return factors(s, count)
+    def tables():
+        # divisor tables built: the misses of their memo
+        return eisenstein._divisor_factors.cache_info().misses
 
     monkeypatch.setattr(eisenstein, "xi_completed", spy)
-    monkeypatch.setattr(eisenstein, "_divisor_factors", table_spy)
     _clear_memos()
     s = complex(0.7, 12.5)
     for k in range(8):
         eval_fourier(complex(0.4 * k - 1.5, 0.05 + 0.3 * k), s)
     assert calls == [2.0 * s, 2.0 * s - 1.0]
-    assert tables == [s]
+    assert tables() == 1
     eval_fourier(0.2 + 1.1j, 2.5)
     assert len(calls) == 4
-    assert len(tables) == 2
+    assert tables() == 2
     # s enters with -0.0 parts made +0.0: 2.5-0j and -0.6-0j reuse the xi
     # values and divisor tables of 2.5 and -0.6
     eval_fourier(0.2 + 1.1j, complex(2.5, -0.0))
     assert len(calls) == 4
-    assert len(tables) == 2
+    assert tables() == 2
     eval_fourier(0.2 + 1.1j, -0.6)
     eval_fourier(0.2 + 1.1j, complex(-0.6, -0.0))
     assert len(calls) == 6
-    assert len(tables) == 3
+    assert tables() == 3
     # the functional equation takes c(s) from the xi values of eval_fourier(z, s)
     calls.clear()
     s = complex(0.3, 2.5)
@@ -272,7 +267,7 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     # one-shot calls pay only for what they return: c(s) and a_0 build no
     # divisor table, and a_n for n != 0 needs xi(2s) alone
     calls.clear()
-    tables.clear()
+    built = tables()
     s = complex(1.7, -4.0)
     scattering_ratio(s)
     fourier_coefficient(0, 1.1, s)
@@ -281,19 +276,18 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     fourier_coefficient(1, 1.1, s)
     fourier_coefficient(-3, 0.4, s)
     assert calls[2:] == [2.0 * s]
-    assert tables == []
+    assert tables() == built
     # a raising call keeps nothing: xi(2s) overflows at s = 200
     _clear_memos()
     with pytest.raises(OverflowError):
         eval_fourier(0.2 + 1.1j, 200.0)
     assert eisenstein._xi.cache_info().currsize == 0
-    assert eisenstein._floor_factors.cache_info().currsize == 0
-    # nor does an AccuracyError past the mode bound change later results
+    assert eisenstein._divisor_factors.cache_info().currsize == 0
+    # nor does an AccuracyError at the last mode change later results
     points = [(0.3 + 1.2j, 2.5), (-0.1 + 0.02j, complex(0.7, 12.5)), (0.4 + 0.9j, complex(-0.6, -7.0))]
     want = [_fresh(z, s) for z, s in points]
     for z, s in points:
-        with monkeypatch.context() as patch:
-            patch.setattr(eisenstein, "_MODE_BOUND", 3)
+        with _mode_count(monkeypatch, 3):
             with pytest.raises(AccuracyError):
                 eval_fourier(z, s)
         assert [_bits(eval_fourier(z, s)) for z, s in points] == want
@@ -398,14 +392,66 @@ def test_pullback_lands_in_fundamental_domain():
     assert eisenstein._pullback(1.3, 1.2) == (1.3 - 1.0, 1.2)
 
 
+def _disk_sweep(rng):
+    # s over |s - 1/2| <= 100, 0.001 clear of the pole points, in four strata:
+    # the ring 95..100, next to s = rho/2 for the first five zeta zeros rho,
+    # Re s near +-100, and the interior
+    gammas = (14.134725141734693, 21.022039638771555, 25.010857580145688, 30.424876125859513,
+              32.93506158773919)
+
+    def turn():
+        return rng.uniform(-math.pi, math.pi)
+
+    strata = (
+        lambda: 0.5 + cmath.rect(rng.uniform(95.0, 100.0), turn()),
+        lambda: complex(0.25, 0.5 * rng.choice(gammas)) + cmath.rect(10.0 ** rng.uniform(-8.0, -2.0), turn()),
+        lambda: 0.5 + cmath.rect(rng.uniform(90.0, 100.0), rng.uniform(-0.3, 0.3) + rng.choice((0.0, math.pi))),
+        lambda: 0.5 + cmath.rect(100.0 * math.sqrt(rng.random()), turn()),
+    )
+    for draw, count in zip(strata, (700, 300, 300, 700)):
+        for _ in range(count):
+            s = draw()
+            while min(abs(s - p) for p in eisenstein.POLE_POINTS) < 1e-3:
+                s = draw()
+            yield s
+
+
+def test_thirty_modes_meet_the_target_on_the_bessel_disk():
+    # |s - 1/2| <= 100 is every order bessel_k accepts.  z is at the corner
+    # of the fundamental domain, where y' = sqrt(3)/2 is lowest, or inside
+    # it.  Each call returns with mode 30, read back from the tail bound,
+    # ten times below the target, or raises OverflowError because xi(2s) or
+    # xi(2s - 1) leaves double range
+    rng = random.Random(83)
+    returned = 0
+    for s in _disk_sweep(rng):
+        if rng.random() < 0.5:
+            z = complex(rng.choice((-0.5, 0.5)), math.sqrt(3.0) / 2.0)
+        else:
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0))
+        try:
+            tail = eval_fourier(z, s).tail_bound
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                scattering_ratio(s)
+            continue
+        _, y = eisenstein._pullback(z.real, z.imag)
+        decay = math.exp(-2.0 * math.pi * y)
+        last = tail * (1.0 - decay) / decay
+        target = TARGET_ABS_ERROR * max(1.0, abs(fourier_coefficient(0, y, s)))
+        assert last <= 0.1 * target, (z, s, last, target)
+        returned += 1
+    # xi leaves double range only where Re s is below about -85
+    assert returned >= 1700
+
+
 def test_fourier_raises_at_mode_bound(monkeypatch):
     # at z = 0.3+1.2i, s = 2.5 the first mode below the target is n = 5
-    monkeypatch.setattr(eisenstein, "_MODE_FLOOR", 1)
-    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 5)
-    assert eval_fourier(0.3 + 1.2j, 2.5).value
-    monkeypatch.setattr(eisenstein, "_MODE_BOUND", 3)
-    with pytest.raises(AccuracyError):
-        eval_fourier(0.3 + 1.2j, 2.5)
+    with _mode_count(monkeypatch, 5):
+        assert eval_fourier(0.3 + 1.2j, 2.5).value
+    with _mode_count(monkeypatch, 3):
+        with pytest.raises(AccuracyError):
+            eval_fourier(0.3 + 1.2j, 2.5)
 
 
 def test_fourier_raises_at_pullback_step_bound(monkeypatch):

@@ -78,6 +78,11 @@ def test_ratio_spec_validation():
     for bad in (((0, data),), ((-1, data), (1, data)), ((1.5, data),), ((1, data), (2.0, data))):
         with pytest.raises(DomainError):
             RatioSpec(bad)
+    # each level is an (a_j, LFunctionData) pair: a str as the data would
+    # fail only later, in constant_term_ratio, with an AttributeError
+    for bad in (((1, "x"),), (1,), ((1, data, data),), ((1,),), ((1, data), (2, None))):
+        with pytest.raises(DomainError):
+            RatioSpec(bad)
 
 
 # ---------------------------------------------------------------------------

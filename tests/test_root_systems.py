@@ -6,7 +6,6 @@ from eisenkit.errors import DomainError, InvalidTypeError
 from eisenkit.root_systems import (
     ParabolicDatum,
     build_root_system,
-    cartan_matrix,
     enumerate_table,
     format_levi,
     levi_type,
@@ -93,8 +92,6 @@ def test_rank_must_be_an_integer():
     for rank in (2.0, 2.5, "2"):
         with pytest.raises(DomainError):
             build_root_system("A", rank)
-        with pytest.raises(DomainError):
-            cartan_matrix("A", rank)
 
 
 def test_removed_index_must_be_an_integer():

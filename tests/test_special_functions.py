@@ -64,8 +64,10 @@ def test_gamma_pole_and_overflow():
         with pytest.raises(PoleError):
             gamma(bad)
     with pytest.raises(OverflowError):
-        gamma(171.0)
-    gamma(169.9)  # still in range
+        gamma(172.0)
+    # Gamma(171) = 170! is near the top of double range, and still returned
+    want = float(math.factorial(170))
+    assert abs(gamma(171.0) - want) <= 1e-14 * want
     with pytest.raises(DomainError):
         gamma(math.nan)
 
