@@ -165,6 +165,15 @@ def _grid_points(args) -> list[complex]:
     return list(xi_reflection_sample() if args.check == "xi" else functional_equation_grid())
 
 
+# fe-check's --check names and the defect each computes at (z, s)
+_FE_CHECKS = {
+    "eisenstein": functional_equation_defect,
+    "xi": lambda z, s: abs(xi_completed(s) - xi_completed(1.0 - s)),
+    "first-coefficient": lambda z, s: first_coefficient_xi_check(s),
+    "scattering": lambda z, s: abs(scattering_ratio(s) * scattering_ratio(1.0 - s) - 1.0),
+}
+
+
 def cmd_fe_check(args) -> dict:
     z = parse_complex(args.z)
     rows = []
@@ -174,14 +183,7 @@ def cmd_fe_check(args) -> dict:
     for s in points:
         row = {"s": format_complex(s)}
         try:
-            if args.check == "eisenstein":
-                defect = functional_equation_defect(z, s)
-            elif args.check == "xi":
-                defect = abs(xi_completed(s) - xi_completed(1.0 - s))
-            elif args.check == "first-coefficient":
-                defect = first_coefficient_xi_check(s)
-            else:  # scattering
-                defect = abs(scattering_ratio(s) * scattering_ratio(1.0 - s) - 1.0)
+            defect = _FE_CHECKS[args.check](z, s)
             row["defect"] = defect
             defects.append(defect)
         except PoleError as exc:
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe = sub.add_parser("fe-check", parents=[common], help="verification sweeps")
     p_fe.add_argument(
         "--check",
-        choices=("eisenstein", "xi", "first-coefficient", "scattering"),
+        choices=tuple(_FE_CHECKS),
         default="eisenstein",
     )
     p_fe.add_argument("--z", default="0.3+1.4i", help="half-plane point for the eisenstein sweep")

@@ -75,8 +75,8 @@ _B_EVEN = (
 _EM_MAX_CORRECTIONS = len(_B_EVEN) - 2
 
 
-#: Absolute error target of the adaptive evaluators (zeta here, the Fourier
-#: mode sum in eisenstein), scaled by max(1, |value|).
+#: Absolute error target, scaled by max(1, |value|), of zeta's adaptive
+#: Euler-Maclaurin and of the last of eisenstein's 30 Fourier modes.
 TARGET_ABS_ERROR = 1e-14
 # bessel_k's trapezoid stops where the integrand's envelope is e^(-W)/2 of its
 # peak, and W also sets the step: W = ln(1e15) + 6
@@ -180,14 +180,14 @@ def zeta(s: complex) -> complex:
 def xi_completed(s: complex) -> complex:
     """Completed zeta pi^(-s/2) Gamma(s/2) zeta(s); poles at s = 0 and 1.
 
-    Satisfies the reflection xi(s) = xi(1-s), which the test suite checks to
-    1e-10 and which gives the value next to the poles s = -2, -4, ... of Gamma.
+    Left of Re s = -1 it returns xi(1 - s), by xi(s) = xi(1 - s), so neither
+    the poles of Gamma(s/2) at -2, -4, ... nor zeta's reflection is met there.
     """
     s = finite_complex(s, "xi_completed")
     if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
-    if s.real < -1.0 and abs(0.5 * s - round(0.5 * s.real)) < POLE_EXCLUSION_RADIUS:
-        s = 1.0 - s  # a pole of Gamma(s/2), cancelled by a zero of zeta(s)
+    if s.real < -1.0:
+        s = 1.0 - s
     value = cmath.exp(-0.5 * s * math.log(math.pi))
     value *= gamma(0.5 * s)
     value *= zeta(s)
@@ -203,17 +203,13 @@ def sigma_power(n: int, s: complex) -> complex:
     """
     n = integer(n, "sigma_power's n")
     s = finite_complex(s, "sigma_power")
-    is_int_exp = s.imag == 0.0 and s.real == round(s.real) and abs(s.real) <= 64
+    k = int(s.real) if s.imag == 0.0 and s.real == round(s.real) and abs(s.real) <= 64 else None
     total = 1.0 + 0.0j
     for p, e in factorize(n):
-        if is_int_exp:
-            k = int(round(s.real))
-            if k >= 0:
-                block = sum(p ** (i * k) for i in range(e + 1))
-            else:
-                # sum_i p^(-i|k|) over one common denominator, rounded once
-                block = sum(p ** (i * -k) for i in range(e + 1)) / p ** (e * -k)
-            total *= float(block)
+        if k is not None:
+            # sum_i p^(ik) over one common denominator p^(e max(0, -k)),
+            # exact in integers and rounded once by the division
+            total *= sum(p ** (i * abs(k)) for i in range(e + 1)) / p ** (e * max(0, -k))
         else:
             p_s = cmath.exp(s * math.log(p))
             power = 1.0 + 0.0j

@@ -1,5 +1,6 @@
 """CLI surface: parsing, exit codes, formats, golden files."""
 
+import cmath
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from eisenkit import cli
 from eisenkit.eisenstein import fourier_coefficient
 
@@ -95,6 +97,20 @@ def test_eval_fourier_json_schema(capsys):
     report = json.loads(out)
     for key in ("value_re", "value_im", "tail_bound"):
         assert key in report
+
+
+def test_eval_fourier_far_left_exits_0(capsys):
+    # left of Re u = -1 xi(u) comes from xi(1 - u), so xi(2s) and xi(2s - 1)
+    # stay in double range at Re s < -85
+    argv = ["eval", "--z", "0.3+1.2i", "--s", "-90+1i", "--method", "fourier", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    value = complex(report["value_re"], report["value_im"])
+    assert cmath.isfinite(value)
+    pytest.importorskip("mpmath")
+    want = complex(oracles.eisenstein_mpmath(0.3 + 1.2j, -90 + 1j, dps=40))
+    assert abs(value - want) < 1e-12 * abs(want)
 
 
 def test_xi_pole_exits_4(capsys):

@@ -419,30 +419,20 @@ def _disk_sweep(rng):
 def test_thirty_modes_meet_the_target_on_the_bessel_disk():
     # |s - 1/2| <= 100 is every order bessel_k accepts.  z is at the corner
     # of the fundamental domain, where y' = sqrt(3)/2 is lowest, or inside
-    # it.  Each call returns with mode 30, read back from the tail bound,
-    # ten times below the target, or raises OverflowError because xi(2s) or
-    # xi(2s - 1) leaves double range
+    # it.  Every call returns, with mode 30, read back from the tail bound,
+    # ten times below the target
     rng = random.Random(83)
-    returned = 0
     for s in _disk_sweep(rng):
         if rng.random() < 0.5:
             z = complex(rng.choice((-0.5, 0.5)), math.sqrt(3.0) / 2.0)
         else:
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0))
-        try:
-            tail = eval_fourier(z, s).tail_bound
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                scattering_ratio(s)
-            continue
+        tail = eval_fourier(z, s).tail_bound
         _, y = eisenstein._pullback(z.real, z.imag)
         decay = math.exp(-2.0 * math.pi * y)
         last = tail * (1.0 - decay) / decay
         target = TARGET_ABS_ERROR * max(1.0, abs(fourier_coefficient(0, y, s)))
         assert last <= 0.1 * target, (z, s, last, target)
-        returned += 1
-    # xi leaves double range only where Re s is below about -85
-    assert returned >= 1700
 
 
 def test_fourier_raises_at_mode_bound(monkeypatch):

@@ -182,6 +182,25 @@ def test_xi_is_entire_at_the_poles_of_gamma():
         assert abs(xi_completed(s) - want) < 1e-14 * abs(want), s
 
 
+def test_xi_left_half_plane_matches_mpmath():
+    # left of Re u = -1 xi comes from xi(1 - u); the reference composes
+    # pi^(-u/2) Gamma(u/2) zeta(u) at u itself in 40 digits, where nothing
+    # overflows.  The panel takes the Gamma poles -2, ..., -78 at 1e-12..1e-6
+    # and u = -180 - 3i, where zeta's reflection leaves double range
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(29)
+    panel = [complex(rng.uniform(-200.0, -1.0), rng.uniform(-50.0, 50.0)) for _ in range(150)]
+    panel += [-2.0 * k + cmath.rect(10.0 ** rng.uniform(-12.0, -6.0), rng.uniform(-math.pi, math.pi))
+              for k in range(1, 40)]
+    panel.append(complex(-180.0, -3.0))
+    assert xi_completed(-180 - 3j) == xi_completed(181 + 3j)
+    with mp.workdps(40):
+        for u in panel:
+            w = mp.mpc(u.real, u.imag)
+            want = complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
+            assert abs(xi_completed(u) - want) < 2e-13 * abs(want), u
+
+
 # ---------------------------------------------------------------------------
 # power-divisor sums
 
