@@ -17,7 +17,7 @@ euler_products
     ratios that, for SL2, give the Eisenstein scattering coefficient.
 root_systems
     Simple root systems, maximal parabolics, their Levi types and the graded
-    nilradical decomposition behind the ratio integers a_j.
+    nilradical decomposition whose level j takes argument js in the ratio.
 cli
     The ``eisenkit`` command-line tool tying everything together.
 """
@@ -35,11 +35,11 @@ _EXPORTS = {
         "extract_coefficient_by_quadrature", "first_coefficient_xi_check",
     ),
     "euler_products": (
-        "SatakeClass", "PlaceDatum", "LFunctionData", "RatioSpec", "local_factor",
+        "SatakeClass", "PlaceDatum", "LFunctionData", "local_factor",
         "partial_l", "constant_term_ratio", "read_place_data", "trivial_zeta_data",
     ),
     "root_systems": (
-        "RootSystem", "ParabolicDatum", "AdjointDecomposition", "build_root_system",
+        "RootSystem", "ParabolicDatum", "build_root_system",
         "levi_type", "nilradical_decomposition", "enumerate_table",
     ),
     "errors": (

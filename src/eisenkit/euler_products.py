@@ -7,11 +7,12 @@ at a prime-power cutoff with an explicit convergence-abscissa check (Euler
 products diverge gracefully and misleadingly, so a thin margin warns and a
 nonpositive margin refuses).
 
-The constant-term ratio prod_j L(a_j s) / L(1 + a_j s) is built on top.
-Archimedean and ramified local factors are out of numeric scope.  For SL2
-(a = (1,)) the ratio at 2s - 1 times sqrt(pi) Gamma(s - 1/2) / Gamma(s) is
-the Eisenstein constant-term coefficient; the acceptance suite checks it
-against ``eisenstein.scattering_ratio`` within the products' tail estimates.
+The constant-term ratio prod_j L(js) / L(1 + js) over levels j = 1..m is
+built on top: level j takes argument js.  Archimedean and ramified local
+factors are out of numeric scope.  For SL2 (one level) the ratio at 2s - 1
+times sqrt(pi) Gamma(s - 1/2) / Gamma(s) is the Eisenstein constant-term
+coefficient; the acceptance suite checks it against
+``eisenstein.scattering_ratio`` within the products' tail estimates.
 """
 
 from __future__ import annotations
@@ -98,26 +99,6 @@ class LFunctionData:
         return 1.0 + max(p.satake.max_log_abs() / math.log(p.q) for p in self.places)
 
 
-@dataclass(frozen=True)
-class RatioSpec:
-    """Graded levels (a_j, L-data) feeding the constant-term ratio product."""
-
-    levels: tuple[tuple[int, LFunctionData], ...]
-
-    def __post_init__(self):
-        m = len(self.levels)
-        if not 1 <= m <= 8:
-            raise DomainError(f"need 1 <= m <= 8 levels, got {m}")
-        for level in self.levels:
-            if not (isinstance(level, (tuple, list)) and len(level) == 2 and isinstance(level[1], LFunctionData)):
-                raise DomainError("each level must be an (a_j, LFunctionData) pair")
-        a_values = [integer(a, "level integer a_j") for a, _ in self.levels]
-        if any(a < 1 for a in a_values):
-            raise DomainError("level integers a_j must be positive")
-        if any(b <= a for a, b in zip(a_values, a_values[1:])):
-            raise DomainError(f"a_j must be strictly increasing, got {a_values}")
-
-
 def trivial_zeta_data(limit: int) -> LFunctionData:
     """All-ones one-dimensional Satake data at every prime < limit; its Euler
     product is the truncated zeta."""
@@ -197,22 +178,27 @@ def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
     return LProductValue(value, _tail_estimate(data, abscissa, s, max_q), margin, count)
 
 
-def constant_term_ratio(spec: RatioSpec, s: complex, max_q: int) -> LProductValue:
-    """prod_j L(a_j s) / L(1 + a_j s) over the spec's graded levels.
+def constant_term_ratio(levels: tuple[LFunctionData, ...], s: complex, max_q: int) -> LProductValue:
+    """prod_j L(js) / L(1 + js) over the graded levels j = 1..m.
 
-    The tail bound is the sum of the 2m products' tail bounds, the margin
-    the smallest of their margins and the factor count their total.  Errors
-    from a constituent product are re-raised with the offending level index
-    attached.
+    ``levels[j - 1]`` is the LFunctionData of level j; 1 to 8 levels, else
+    DomainError.  The tail bound is the sum of the 2m products' tail bounds,
+    the margin the smallest of their margins and the factor count their
+    total.  Errors from a constituent product are re-raised with the
+    offending level attached.
     """
+    if not 1 <= len(levels) <= 8:
+        raise DomainError(f"need 1 <= m <= 8 levels, got {len(levels)}")
+    if not all(isinstance(data, LFunctionData) for data in levels):
+        raise DomainError("each level must be an LFunctionData")
     s = complex(s)
     value, tail, margin, count = 1.0 + 0.0j, 0.0, math.inf, 0
-    for j, (a, data) in enumerate(spec.levels, start=1):
+    for j, data in enumerate(levels, start=1):
         try:
-            numerator = partial_l(data, a * s, max_q)
-            denominator = partial_l(data, 1.0 + a * s, max_q)
+            numerator = partial_l(data, j * s, max_q)
+            denominator = partial_l(data, 1.0 + j * s, max_q)
         except (PoleError, DivergenceError) as exc:
-            raise type(exc)(f"level j = {j} (a_j = {a}): {exc}") from exc
+            raise type(exc)(f"level j = {j}: {exc}") from exc
         value *= numerator.value / denominator.value
         tail += numerator.tail_bound + denominator.tail_bound
         margin = min(margin, numerator.margin, denominator.margin)

@@ -10,11 +10,11 @@ to Lie Algebras, 10.2), so a reflected root is kept when its i-th coefficient
 stays >= 0.
 
 Removing one simple root selects a maximal parabolic; grading the nilradical
-roots by their coefficient at the removed node yields the levels j = 1..m
-whose dimensions are the candidate irreducible-constituent dimensions and
-whose integers a_j = j drive the constant-term ratio bookkeeping.  The
-irreducibility of each graded level (true for maximal parabolics of simple
-groups) is only checked dimensionally here.
+roots by their coefficient at the removed node yields the levels j = 1..m,
+whose dimensions are the candidate irreducible-constituent dimensions; level
+j takes argument js in the constant-term ratio.  The irreducibility of each
+graded level (true for maximal parabolics of simple groups) is only checked
+dimensionally here.
 """
 
 from __future__ import annotations
@@ -147,33 +147,15 @@ class ParabolicDatum:
             )
 
 
-@dataclass(frozen=True)
-class AdjointDecomposition:
-    """Nilradical graded by the removed simple root's coefficient: levels[j - 1]
-    holds the roots of level j."""
-
-    levels: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.levels)
-
-    @property
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(len(roots) for roots in self.levels)
-
-    @property
-    def a_values(self) -> tuple[int, ...]:
-        return tuple(range(1, self.m + 1))
-
-
-def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
+def nilradical_decomposition(p: ParabolicDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition the nilradical's roots by coefficient at the removed node.
 
-    Levels come out consecutive, a_j = j for j = 1..m, and their dimensions
-    sum to |Phi+| - |Phi+_Levi|.  This grading equals the coroot grading
-    <alpha~, beta^vee> of the constant term only for the simply-laced types
-    A, D and E; for B, C, F and G the two differ.
+    Level j, the roots with coefficient j, sits at index j - 1 and carries
+    the argument js of the constant-term ratio.  Levels come out
+    consecutive, j = 1..m, and their sizes sum to |Phi+| - |Phi+_Levi|.
+    This grading equals the coroot grading <alpha~, beta^vee> of the
+    constant term only for the simply-laced types A, D and E; for B, C, F
+    and G the two differ.
     """
     k = p.removed_index
     buckets: dict[int, list[tuple[int, ...]]] = {}
@@ -181,7 +163,7 @@ def nilradical_decomposition(p: ParabolicDatum) -> AdjointDecomposition:
         if v[k] >= 1:
             buckets.setdefault(v[k], []).append(v)
     m = max(buckets) if buckets else 0
-    return AdjointDecomposition(tuple(tuple(buckets.get(j, ())) for j in range(1, m + 1)))
+    return tuple(tuple(buckets.get(j, ())) for j in range(1, m + 1))
 
 
 def _classify_component(nodes: set[int], cartan, neighbours) -> tuple[str, int]:
@@ -260,16 +242,16 @@ def enumerate_table(types: list[tuple[str, int]]) -> list[TableRow]:
         rs = build_root_system(cartan_type, rank)
         for k in range(rs.rank):
             p = ParabolicDatum(rs, k)
-            dec = nilradical_decomposition(p)
+            levels = nilradical_decomposition(p)
             rows.append(
                 TableRow(
                     type=rs.cartan_type,
                     rank=rs.rank,
                     removed_index=k,
                     levi=format_levi(levi_type(p)),
-                    m=dec.m,
-                    dims=dec.dimensions,
-                    a=dec.a_values,
+                    m=len(levels),
+                    dims=tuple(map(len, levels)),
+                    a=tuple(range(1, len(levels) + 1)),
                 )
             )
     return rows

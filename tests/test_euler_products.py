@@ -19,7 +19,6 @@ from eisenkit.errors import (
 from eisenkit.euler_products import (
     LFunctionData,
     PlaceDatum,
-    RatioSpec,
     SatakeClass,
     constant_term_ratio,
     local_factor,
@@ -63,26 +62,17 @@ def test_lfunction_data_sorts_and_validates():
         LFunctionData((PlaceDatum(2, one), PlaceDatum(3, SatakeClass((1.0, 1.0)))))
 
 
-def test_ratio_spec_validation():
+def test_ratio_levels_validation():
     data = trivial_zeta_data(50)
-    RatioSpec(((1, data), (2, data)))
-    with pytest.raises(DomainError):
-        RatioSpec(())
-    with pytest.raises(DomainError):
-        RatioSpec(((2, data), (1, data)))
-    with pytest.raises(DomainError):
-        RatioSpec(((1, data), (1, data)))
-    with pytest.raises(DomainError):
-        RatioSpec(tuple((j + 1, data) for j in range(9)))
-    # the a_j are positive integers
-    for bad in (((0, data),), ((-1, data), (1, data)), ((1.5, data),), ((1, data), (2.0, data))):
-        with pytest.raises(DomainError):
-            RatioSpec(bad)
-    # each level is an (a_j, LFunctionData) pair: a str as the data would
-    # fail only later, in constant_term_ratio, with an AttributeError
-    for bad in (((1, "x"),), (1,), ((1, data, data),), ((1,),), ((1, data), (2, None))):
-        with pytest.raises(DomainError):
-            RatioSpec(bad)
+    constant_term_ratio((data, data), 2.0, 50)
+    for bad in ((), tuple(data for _ in range(9))):
+        with pytest.raises(DomainError, match="levels"):
+            constant_term_ratio(bad, 2.0, 50)
+    # every level is an LFunctionData: a str would fail only inside
+    # partial_l, with an AttributeError
+    for bad in (("x",), (data, None), ((1, data),)):
+        with pytest.raises(DomainError, match="LFunctionData"):
+            constant_term_ratio(bad, 2.0, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +184,7 @@ def test_partial_l_convergence_policing():
         with pytest.raises(DomainError):
             partial_l(data, s, 100)
         with pytest.raises(DomainError):
-            constant_term_ratio(RatioSpec(((1, data),)), s, 100)
+            constant_term_ratio((data,), s, 100)
         with pytest.raises(DomainError):
             local_factor(PlaceDatum(2, SatakeClass((1.0,))), s)
     with pytest.warns(ConvergenceWarning):
@@ -220,7 +210,7 @@ def test_partial_l_abscissa_accounts_for_eigenvalue_growth():
 
 def test_ratio_single_level_composes_partial_values():
     data = trivial_zeta_data(1000)
-    got = constant_term_ratio(RatioSpec(((1, data),)), 2.0, 1000)
+    got = constant_term_ratio((data,), 2.0, 1000)
     numerator, denominator = partial_l(data, 2.0, 1000), partial_l(data, 3.0, 1000)
     assert got.value == numerator.value / denominator.value
     # the error figures of both products are carried along
@@ -231,30 +221,28 @@ def test_ratio_single_level_composes_partial_values():
 
 def test_ratio_empty_truncation_is_one():
     data = trivial_zeta_data(1000)
-    spec = RatioSpec(((1, data), (2, data)))
-    ratio = constant_term_ratio(spec, 2.0, 1)
+    ratio = constant_term_ratio((data, data), 2.0, 1)
     assert ratio.value == 1.0
     assert ratio.factor_count == 0
 
 
 def test_ratio_two_levels_multiply():
     data = trivial_zeta_data(500)
-    spec2 = RatioSpec(((1, data), (2, data)))
-    r1 = constant_term_ratio(RatioSpec(((1, data),)), 2.0, 500).value
-    # level (2, data) alone: arguments 2s and 1 + 2s
+    r1 = constant_term_ratio((data,), 2.0, 500).value
+    # level 2 alone: arguments 2s and 1 + 2s
     r2 = partial_l(data, 4.0, 500).value / partial_l(data, 5.0, 500).value
-    assert constant_term_ratio(spec2, 2.0, 500).value == r1 * r2
+    assert constant_term_ratio((data, data), 2.0, 500).value == r1 * r2
 
 
 def test_ratio_error_names_offending_level():
     data = trivial_zeta_data(100)
     with pytest.raises(DivergenceError, match="level j = 1"):
-        constant_term_ratio(RatioSpec(((1, data), (3, data))), 0.4, 100)
+        constant_term_ratio((data, data), 0.4, 100)
     # second level carries data with abscissa 3 (|lambda| = q^2), so it is the
     # one that fails at s = 1.5 while the trivial first level is fine
     growth = LFunctionData((PlaceDatum(2, SatakeClass((4.0,))), PlaceDatum(3, SatakeClass((9.0,)))))
     with pytest.raises(DivergenceError, match="level j = 2"):
-        constant_term_ratio(RatioSpec(((1, data), (2, growth))), 1.5, 100)
+        constant_term_ratio((data, growth), 1.5, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -176,27 +176,23 @@ def test_levi_roots_closed_under_addition():
 
 
 def test_a2_grading_example():
-    dec = nilradical_decomposition(ParabolicDatum(build_root_system("A", 2), 0))
-    assert dec.m == 1
-    assert dec.dimensions == (2,)
-    assert set(dec.levels[0]) == {(1, 0), (1, 1)}
+    levels = nilradical_decomposition(ParabolicDatum(build_root_system("A", 2), 0))
+    assert len(levels) == 1
+    assert set(levels[0]) == {(1, 0), (1, 1)}
 
 
 def test_g2_long_root_parabolic_grading():
     # removing the long simple root: level 1 holds {b, a+b, 2a+b, 3a+b},
     # level 2 holds {3a+2b}; the 4-dimensional level is the symmetric-cube slot
-    dec = nilradical_decomposition(ParabolicDatum(build_root_system("G", 2), 1))
-    assert dec.m == 2
-    assert dec.dimensions == (4, 1)
-    assert dec.a_values == (1, 2)
-    assert set(dec.levels[0]) == {(0, 1), (1, 1), (2, 1), (3, 1)}
-    assert dec.levels[1] == ((3, 2),)
+    levels = nilradical_decomposition(ParabolicDatum(build_root_system("G", 2), 1))
+    assert tuple(map(len, levels)) == (4, 1)
+    assert set(levels[0]) == {(0, 1), (1, 1), (2, 1), (3, 1)}
+    assert levels[1] == ((3, 2),)
 
 
 def test_rank_one_grading():
-    dec = nilradical_decomposition(ParabolicDatum(build_root_system("A", 1), 0))
-    assert dec.m == 1
-    assert dec.dimensions == (1,)
+    levels = nilradical_decomposition(ParabolicDatum(build_root_system("A", 1), 0))
+    assert levels == (((1,),),)
 
 
 @pytest.mark.parametrize("cartan_type,rank", ALL_TYPES)
@@ -204,22 +200,23 @@ def test_grading_invariants(cartan_type, rank):
     rs = build_root_system(cartan_type, rank)
     for k in range(rank):
         p = ParabolicDatum(rs, k)
-        dec = nilradical_decomposition(p)
+        levels = nilradical_decomposition(p)
         levi_count = len(levi_positive_roots(p))
         # the Levi factors' closed-form root counts add up to the Levi's roots
         assert sum(positive_root_count_closed_form(*f) for f in levi_type(p)) == levi_count
         # dimension conservation
-        assert sum(dec.dimensions) == len(rs.positive_roots) - levi_count
-        # consecutive a_j = j
-        assert dec.a_values == tuple(range(1, dec.m + 1))
+        assert sum(map(len, levels)) == len(rs.positive_roots) - levi_count
+        # no level 1..m is empty, so level j's position is the j of its
+        # argument js in the constant-term ratio
+        assert levels and all(levels)
         # well-defined: each nilradical root in exactly one level, coefficient >= 1
         seen = set()
-        for j, roots in enumerate(dec.levels, start=1):
+        for j, roots in enumerate(levels, start=1):
             for root in roots:
                 assert root[k] == j
                 assert root not in seen
                 seen.add(root)
-        assert len(seen) == sum(dec.dimensions)
+        assert len(seen) == sum(map(len, levels))
 
 
 # ---------------------------------------------------------------------------

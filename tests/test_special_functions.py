@@ -9,6 +9,7 @@ trapezoid) and pinned here.
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,22 @@ def test_zeta_reflection_region_vs_mpmath():
         assert abs(zeta(s) - want) < 1e-12 * max(1.0, abs(want))
 
 
+def test_zeta_far_left_matches_mpmath_or_overflows():
+    # Gamma(1 - s) leaves double range left of Re s = -171 while zeta(s)
+    # does not; zeta(s) itself does only near Re s = -250 with |Im s| large
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1171)
+    with mp.workdps(30):
+        for _ in range(400):
+            s = complex(rng.uniform(-250.0, -0.5), rng.uniform(-50.0, 50.0))
+            want = mp.zeta(mp.mpc(s.real, s.imag))
+            if abs(want) > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    zeta(s)
+            else:
+                assert abs(zeta(s) - complex(want)) < 5e-13 * abs(complex(want)), s
+
+
 def test_zeta_trivial_zeros_and_pole():
     assert zeta(-10) == 0.0
     assert abs(zeta(-2)) < 1e-15
@@ -186,7 +203,8 @@ def test_xi_left_half_plane_matches_mpmath():
     # left of Re u = -1 xi comes from xi(1 - u); the reference composes
     # pi^(-u/2) Gamma(u/2) zeta(u) at u itself in 40 digits, where nothing
     # overflows.  The panel takes the Gamma poles -2, ..., -78 at 1e-12..1e-6
-    # and u = -180 - 3i, where zeta's reflection leaves double range
+    # and u = -180 - 3i, left of Re u = -171, where Gamma(1 - u) leaves
+    # double range
     mp = pytest.importorskip("mpmath")
     rng = random.Random(29)
     panel = [complex(rng.uniform(-200.0, -1.0), rng.uniform(-50.0, 50.0)) for _ in range(150)]
