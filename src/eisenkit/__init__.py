@@ -35,8 +35,8 @@ _EXPORTS = {
         "extract_coefficient_by_quadrature", "first_coefficient_xi_check",
     ),
     "euler_products": (
-        "SatakeClass", "PlaceDatum", "LFunctionData", "local_factor",
-        "partial_l", "constant_term_ratio", "read_place_data", "trivial_zeta_data",
+        "PlaceDatum", "LFunctionData", "local_factor", "partial_l",
+        "constant_term_ratio", "read_place_data", "trivial_zeta_data",
     ),
     "root_systems": (
         "RootSystem", "ParabolicDatum", "build_root_system",

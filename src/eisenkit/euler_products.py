@@ -1,8 +1,9 @@
 """Partial L-functions as Euler products over abstract Satake data.
 
-A place contributes det(I - rho(t_v) q_v^(-s))^(-1); since only the spectrum
-of the semisimple class enters, Satake data is carried as an eigenvalue
-multiset rather than any group-element realization.  Products are truncated
+A place contributes det(I - rho(t_v) q_v^(-s))^(-1).  Only the spectrum of
+the semisimple class enters, so a place is q_v and the eigenvalues of rho(t_v):
+``LFunctionData((PlaceDatum(2, (l1, l2)), PlaceDatum(3, (l1, l2)), ...))`` is
+what ``read_place_data`` builds from a file.  Products are truncated
 at a prime-power cutoff with an explicit convergence-abscissa check (Euler
 products diverge gracefully and misleadingly, so a thin margin warns and a
 nonpositive margin refuses).
@@ -31,39 +32,24 @@ _THIN_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
-class SatakeClass:
-    """Eigenvalue multiset of rho(t_v); all eigenvalues finite and nonzero."""
+class PlaceDatum:
+    """One unramified place: residue cardinality q (a prime power) and the
+    eigenvalue multiset of rho(t_v), all finite and nonzero."""
 
+    q: int
     eigenvalues: tuple[complex, ...]
 
     def __post_init__(self):
-        if not self.eigenvalues:
-            raise DomainError("a Satake class needs at least one eigenvalue")
         eigenvalues = tuple(finite_complex(e, "Satake class") for e in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        if any(e == 0 for e in self.eigenvalues):
+        if not eigenvalues:
+            raise DomainError("a Satake class needs at least one eigenvalue")
+        if any(e == 0 for e in eigenvalues):
             raise DomainError("Satake eigenvalues must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def max_log_abs(self) -> float:
-        return max(math.log(abs(e)) for e in self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class PlaceDatum:
-    """One unramified place: residue cardinality q (a prime power) plus its
-    Satake class."""
-
-    q: int
-    satake: SatakeClass
-
-    def __post_init__(self):
         q = integer(self.q, "q")
         if q < 2 or len(factorize(q)) != 1:
             raise DomainError(f"q must be a prime power >= 2, got {self.q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -71,40 +57,39 @@ class LFunctionData:
     """Ordered place data for one partial L-function L_S(s, pi, rho).
 
     Places are kept sorted by q ascending with one datum per q, and every
-    Satake class must have the same dimension (one fixed rho).
+    place must have the same number of eigenvalues (one fixed rho).
     """
 
     places: tuple[PlaceDatum, ...]
 
     def __post_init__(self):
+        if not all(isinstance(p, PlaceDatum) for p in self.places):
+            raise DomainError("each place must be a PlaceDatum")
         places = tuple(sorted(self.places, key=lambda p: p.q))
         object.__setattr__(self, "places", places)
         qs = [p.q for p in places]
         if len(set(qs)) != len(qs):
             dup = sorted({q for q in qs if qs.count(q) > 1})
             raise DomainError(f"duplicate place(s) q = {dup}")
-        dims = {p.satake.dim for p in places}
+        dims = {len(p.eigenvalues) for p in places}
         if len(dims) > 1:
             raise DomainError(f"inconsistent Satake dimensions {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.places[0].satake.dim if self.places else 0
 
     def convergence_abscissa(self) -> float:
         """Smallest sigma0 = 1 + max log|lambda| / log q with documented
         convergence for Re(s) > sigma0."""
         if not self.places:
             return 1.0
-        return 1.0 + max(p.satake.max_log_abs() / math.log(p.q) for p in self.places)
+        return 1.0 + max(
+            max(math.log(abs(e)) for e in p.eigenvalues) / math.log(p.q) for p in self.places
+        )
 
 
 def trivial_zeta_data(limit: int) -> LFunctionData:
     """All-ones one-dimensional Satake data at every prime < limit; its Euler
     product is the truncated zeta."""
-    one = SatakeClass((1.0 + 0.0j,))
-    places = tuple(PlaceDatum(p, one) for p in primes_up_to(integer(limit, "limit") - 1))
-    return LFunctionData(places)
+    primes = primes_up_to(integer(limit, "limit") - 1)
+    return LFunctionData(tuple(PlaceDatum(p, (1.0 + 0.0j,)) for p in primes))
 
 
 def local_factor(place: PlaceDatum, s: complex) -> complex:
@@ -115,7 +100,7 @@ def local_factor(place: PlaceDatum, s: complex) -> complex:
     s = finite_complex(s, "Euler product")
     q_pow = complex(place.q) ** (-s)
     denominator = 1.0 + 0.0j
-    for lam in place.satake.eigenvalues:
+    for lam in place.eigenvalues:
         factor = 1.0 - lam * q_pow
         if abs(factor) <= _FACTOR_EXCLUSION:
             raise PoleError(
@@ -144,7 +129,7 @@ def _tail_estimate(data: LFunctionData, abscissa: float, s: complex, max_q: int)
     sigma = complex(s).real
     gap = sigma - theta - 1.0
     q = max(max_q, 2)
-    return data.dim * q ** (-gap) / (gap * math.log(q)) * 2.0
+    return len(data.places[0].eigenvalues) * q ** (-gap) / (gap * math.log(q)) * 2.0
 
 
 def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:
@@ -240,7 +225,7 @@ def read_place_data(lines) -> LFunctionData:
             complex(re_part, im_part) for re_part, im_part in zip(comps[::2], comps[1::2])
         )
         try:
-            places.append(PlaceDatum(q, SatakeClass(eigenvalues)))
+            places.append(PlaceDatum(q, eigenvalues))
         except DomainError as exc:
             raise PlaceDataError(str(exc), lineno) from None
     try:

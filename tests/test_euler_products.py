@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 import oracles
@@ -19,7 +20,6 @@ from eisenkit.errors import (
 from eisenkit.euler_products import (
     LFunctionData,
     PlaceDatum,
-    SatakeClass,
     constant_term_ratio,
     local_factor,
     partial_l,
@@ -32,19 +32,19 @@ from eisenkit.special_functions import zeta
 # domain types
 
 
-def test_satake_class_validation():
-    SatakeClass((1.0, -1.0, 1j))
+def test_place_datum_eigenvalue_validation():
+    PlaceDatum(2, (1.0, -1.0, 1j))
     with pytest.raises(DomainError):
-        SatakeClass(())
+        PlaceDatum(2, ())
     with pytest.raises(DomainError):
-        SatakeClass((1.0, 0.0))
+        PlaceDatum(2, (1.0, 0.0))
     for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)):
         with pytest.raises(DomainError):
-            SatakeClass((1.0, bad))
+            PlaceDatum(2, (1.0, bad))
 
 
 def test_place_datum_accepts_prime_powers_only():
-    one = SatakeClass((1.0,))
+    one = (1.0,)
     for q in (2, 3, 8, 9, 125):
         PlaceDatum(q, one)
     for q in (1, 6, 12, 100, 4.5, 4.0, "4"):
@@ -52,14 +52,28 @@ def test_place_datum_accepts_prime_powers_only():
             PlaceDatum(q, one)
 
 
+def test_place_datum_stores_what_it_validated():
+    place = PlaceDatum(np.int64(5), [1, 2.5, 1j])
+    assert type(place.q) is int and place.q == 5
+    assert place.eigenvalues == (1 + 0j, 2.5 + 0j, 1j)
+    assert all(type(e) is complex for e in place.eigenvalues)
+
+
+def test_lfunction_data_refuses_entries_that_are_not_places():
+    # a bare (q, eigenvalues) pair would fail only at p.q, with an AttributeError
+    for bad in ((2, (1.0,)), None):
+        with pytest.raises(DomainError, match="PlaceDatum"):
+            LFunctionData((PlaceDatum(3, (1.0,)), bad))
+
+
 def test_lfunction_data_sorts_and_validates():
-    one = SatakeClass((1.0,))
+    one = (1.0,)
     data = LFunctionData((PlaceDatum(5, one), PlaceDatum(2, one), PlaceDatum(3, one)))
     assert [p.q for p in data.places] == [2, 3, 5]
     with pytest.raises(DomainError):
         LFunctionData((PlaceDatum(2, one), PlaceDatum(2, one)))
     with pytest.raises(DomainError):
-        LFunctionData((PlaceDatum(2, one), PlaceDatum(3, SatakeClass((1.0, 1.0)))))
+        LFunctionData((PlaceDatum(2, one), PlaceDatum(3, (1.0, 1.0))))
 
 
 def test_ratio_levels_validation():
@@ -80,19 +94,19 @@ def test_ratio_levels_validation():
 
 
 def test_local_factor_trivial_example():
-    place = PlaceDatum(2, SatakeClass((1.0,)))
+    place = PlaceDatum(2, (1.0,))
     assert local_factor(place, 1.0) == 2.0
 
 
 def test_local_factor_double_eigenvalue_example():
-    place = PlaceDatum(3, SatakeClass((1.0, 1.0)))
+    place = PlaceDatum(3, (1.0, 1.0))
     assert abs(local_factor(place, 2.0) - 81.0 / 64.0) < 1e-14
 
 
 def test_local_factor_conjugation_symmetry_for_unitary_pairs():
     theta = 1.234
     lam = cmath.exp(1j * theta)
-    place = PlaceDatum(7, SatakeClass((lam, 1.0 / lam)))
+    place = PlaceDatum(7, (lam, 1.0 / lam))
     for s in (complex(1.5, 2.0), complex(2.0, -3.3)):
         assert abs(local_factor(place, s.conjugate()) - local_factor(place, s).conjugate()) < 1e-14
 
@@ -106,7 +120,7 @@ def test_local_factor_matches_independent_determinant():
         )
         q = rng.choice((2, 3, 5, 7, 9, 11, 13))
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-2, 2))
-        place = PlaceDatum(q, SatakeClass(eigenvalues))
+        place = PlaceDatum(q, eigenvalues)
         q_pow = complex(q) ** (-s)
         matrix = [
             [(1.0 if i == j else 0.0) - (eigenvalues[i] * q_pow if i == j else 0.0) for j in range(dim)]
@@ -117,7 +131,7 @@ def test_local_factor_matches_independent_determinant():
 
 
 def test_local_factor_pole():
-    place = PlaceDatum(2, SatakeClass((1.0,)))
+    place = PlaceDatum(2, (1.0,))
     with pytest.raises(PoleError):
         local_factor(place, 0.0)  # 1 - 1*2^0 = 0
 
@@ -186,7 +200,7 @@ def test_partial_l_convergence_policing():
         with pytest.raises(DomainError):
             constant_term_ratio((data,), s, 100)
         with pytest.raises(DomainError):
-            local_factor(PlaceDatum(2, SatakeClass((1.0,))), s)
+            local_factor(PlaceDatum(2, (1.0,)), s)
     with pytest.warns(ConvergenceWarning):
         partial_l(data, 1.05, 100)
     with warnings.catch_warnings():
@@ -196,7 +210,7 @@ def test_partial_l_convergence_policing():
 
 def test_partial_l_abscissa_accounts_for_eigenvalue_growth():
     # |lambda| = q shifts the abscissa to 2
-    places = (PlaceDatum(2, SatakeClass((2.0,))), PlaceDatum(3, SatakeClass((3.0,))))
+    places = (PlaceDatum(2, (2.0,)), PlaceDatum(3, (3.0,)))
     data = LFunctionData(places)
     assert data.convergence_abscissa() == pytest.approx(2.0)
     with pytest.raises(DivergenceError):
@@ -240,7 +254,7 @@ def test_ratio_error_names_offending_level():
         constant_term_ratio((data, data), 0.4, 100)
     # second level carries data with abscissa 3 (|lambda| = q^2), so it is the
     # one that fails at s = 1.5 while the trivial first level is fine
-    growth = LFunctionData((PlaceDatum(2, SatakeClass((4.0,))), PlaceDatum(3, SatakeClass((9.0,)))))
+    growth = LFunctionData((PlaceDatum(2, (4.0,)), PlaceDatum(3, (9.0,))))
     with pytest.raises(DivergenceError, match="level j = 2"):
         constant_term_ratio((data, growth), 1.5, 100)
 
@@ -259,8 +273,8 @@ def test_read_place_data_round_trip(tmp_path):
     )
     data = read_place_data(str(path))
     assert [p.q for p in data.places] == [2, 3]
-    assert data.places[0].satake.dim == 2
-    assert data.places[1].satake.eigenvalues == (1.0 + 0j, 1.0 + 0j)
+    assert len(data.places[0].eigenvalues) == 2
+    assert data.places[1].eigenvalues == (1.0 + 0j, 1.0 + 0j)
 
 
 def test_read_place_data_reports_line_numbers(tmp_path):

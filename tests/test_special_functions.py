@@ -73,6 +73,26 @@ def test_gamma_pole_and_overflow():
         gamma(math.nan)
 
 
+def test_gamma_matches_mpmath_where_eval_fourier_reaches():
+    # xi(2s) at |s - 1/2| <= 100 takes Gamma(s) on |s| <= 100 (after the
+    # reflection xi(u) = xi(1 - u) left of Re u = -1): 400 points on the disk
+    # and 200 within 0.01..0.5 of a pole
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1000)
+    panel = []
+    while len(panel) < 400:
+        s = cmath.rect(100.0 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+        if round(s.real) > 0 or abs(s - round(s.real)) >= 0.01:
+            panel.append(s)
+    for _ in range(200):
+        offset = cmath.rect(10.0 ** rng.uniform(-2.0, -0.3), rng.uniform(-math.pi, math.pi))
+        panel.append(offset - rng.randrange(100))
+    with mp.workdps(30):
+        for s in panel:
+            want = complex(mp.gamma(mp.mpc(s.real, s.imag)))
+            assert abs(gamma(s) - want) <= 1e-12 * abs(want), s
+
+
 # ---------------------------------------------------------------------------
 # zeta
 
@@ -113,10 +133,24 @@ def test_zeta_matches_independent_euler_maclaurin_on_panel():
 
 def test_zeta_reflection_region_vs_mpmath():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for s in (complex(-5.0, 20.0), complex(-9.5, 0.0), complex(-18.2, 44.0), complex(-0.7, -3.0)):
-        want = complex(mp.zeta(mp.mpc(s)))
-        assert abs(zeta(s) - want) < 1e-12 * max(1.0, abs(want))
+    with mp.workdps(30):
+        for s in (complex(-5.0, 20.0), complex(-9.5, 0.0), complex(-18.2, 44.0), complex(-0.7, -3.0)):
+            want = complex(mp.zeta(mp.mpc(s)))
+            assert abs(zeta(s) - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_zeta_matches_mpmath_where_eval_fourier_reaches():
+    # xi(2s) at |s - 1/2| <= 100 takes zeta(u) with Re u >= -1 and
+    # |Im u| <= 200; 100 points on the reflection strip -1 <= Re u < 0.45 and
+    # 100 on Euler-Maclaurin's 0.45 <= Re u <= 6
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(2000)
+    panel = [complex(rng.uniform(lo, hi), rng.uniform(-200.0, 200.0))
+             for lo, hi in ((-1.0, 0.45), (0.45, 6.0)) for _ in range(100)]
+    with mp.workdps(30):
+        for s in panel:
+            want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(zeta(s) - want) <= 1e-12 * max(1.0, abs(want)), s
 
 
 def test_zeta_far_left_matches_mpmath_or_overflows():
@@ -193,10 +227,11 @@ def test_xi_is_entire_at_the_poles_of_gamma():
     # mpmath takes the value through xi(1 - w), away from its own gamma pole
     mp = pytest.importorskip("mpmath")
     assert xi_completed(-2) == xi_completed(3)
-    for s in (-2.0, complex(-4, 1e-10)):
-        w = 1 - mp.mpc(s)
-        want = complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
-        assert abs(xi_completed(s) - want) < 1e-14 * abs(want), s
+    with mp.workdps(30):
+        for s in (-2.0, complex(-4, 1e-10)):
+            w = 1 - mp.mpc(s)
+            want = complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
+            assert abs(xi_completed(s) - want) < 1e-14 * abs(want), s
 
 
 def test_xi_left_half_plane_matches_mpmath():
