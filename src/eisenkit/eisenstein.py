@@ -24,6 +24,15 @@ axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
 blows up as y -> 0.
 
+eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
+its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
+a_n = 2 c_n sqrt(y') K_(s-1/2)(2 pi n y') / xi(2s), so an error delta in its
+K moves E by at most 4 |c_n| sqrt(y') delta / |xi(2s)|.  Modes 1 to 29 each
+ask bessel_k for the abs_tol that keeps this below target / 30, which takes
+fewer trapezoid nodes wherever a mode is far below the target; mode 30 is
+taken at full accuracy, because it seeds the AccuracyError check and the
+tail bound.
+
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
 the functional equation's s and 1 - s), another the divisor factors
@@ -251,7 +260,8 @@ def eval_fourier(z, s) -> SeriesValue:
     tail bound is the geometric-series bound seeded by mode 30, and it covers
     truncation only.  Raises AccuracyError if mode 30 is above the fixed
     accuracy target (1e-14 times max(1, |a_0|)), rather than return a value
-    that missed it.
+    that missed it.  Modes 1-29 share that target (see the module
+    docstring); mode 30 is taken at full accuracy.
 
     xi(2s), c(s) and the divisor factors come from the memos (see the module
     docstring), so calls at the s of the call before pay only for their
@@ -265,9 +275,16 @@ def eval_fourier(z, s) -> SeriesValue:
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
     nu, sqrt_y = s - 0.5, math.sqrt(y)
     factors = _divisor_factors(s)
-    for n in range(1, _MODES + 1):
-        a_n = _mode(n, y, nu, sqrt_y, factors[n], inv_xi)
-        total += a_n * 2.0 * math.cos(_TWO_PI * n * x)
+    # mode n < 30 adds scale c_n K cos(2 pi n x'), so its share of the
+    # target allows K an error of budget / |c_n|
+    scale = 4.0 * sqrt_y * inv_xi
+    budget = target / (_MODES * abs(scale))
+    for n in range(1, _MODES):
+        c_n = factors[n]
+        k_n = bessel_k(nu, _TWO_PI * n * y, abs_tol=budget / abs(c_n))
+        total += scale * c_n * k_n * math.cos(_TWO_PI * n * x)
+    a_n = _mode(_MODES, y, nu, sqrt_y, factors[_MODES], inv_xi)
+    total += a_n * 2.0 * math.cos(_TWO_PI * _MODES * x)
     last_mag = 2.0 * abs(a_n)
     if not last_mag <= target:  # NaN included
         raise AccuracyError(

@@ -9,13 +9,15 @@ Accuracy targets (validated against independent oracles in the test suite):
 * ``gamma``:   relative error <= 1e-12 for |s| <= 50,
 * ``zeta``:    absolute error <= 1e-12 for |Im s| <= 50 (scaled by |zeta| when
   the value is large),
-* ``bessel_k``: absolute error <= 1e-14 M, where M = exp(a t_p - hypot(a, y)),
-  t_p = asinh(a/y), a = |Re s|, is the peak of the integrand's envelope
-  exp(-y cosh t + a t) (tested against mpmath for |Re s| <= 2.5,
-  |Im s| <= 30 and y from 1e-3 to 130: from 5 up, the modes eval_fourier
-  uses; below 5, the long node runs of small y).  The
-  bound is relative to that peak, not to |K|: for large |Im s| the integral
-  cancels and K is far smaller than M.
+* ``bessel_k``: absolute error <= max(1e-14 M, abs_tol), where
+  M = exp(a t_p - hypot(a, y)), t_p = asinh(a/y), a = |Re s|, is the peak of
+  the integrand's envelope exp(-y cosh t + a t), and abs_tol = 0 unless the
+  caller asks for less (tested against mpmath for |Re s| <= 2.5,
+  |Im s| <= 30: at abs_tol = 0 for y from 1e-3 to 130, from 5 up the modes
+  eval_fourier uses and below 5 the long node runs of small y; at
+  abs_tol = 1e-14 M to 1e-1 M for y from 1e-3 to 200).  The bound is
+  relative to that peak, not to |K|: for large |Im s| the integral cancels
+  and K is far smaller than M.
 
 Poles are never evaluated through: points inside the exclusion disk (radius
 1e-9) of a pole raise PoleError, and results that would leave double range
@@ -79,11 +81,12 @@ _EM_MAX_CORRECTIONS = len(_B_EVEN) - 2
 #: Euler-Maclaurin and of the last of eisenstein's 30 Fourier modes.
 TARGET_ABS_ERROR = 1e-14
 # bessel_k's trapezoid stops where the integrand's envelope is e^(-W)/2 of its
-# peak, and W also sets the step: W = ln(1e15) + 6
+# peak M, and W also sets the step: W = ln(10 M / tol) + 6 for an absolute
+# tolerance tol, so the default tol = 1e-14 M gives W = ln(1e15) + 6 and a
+# looser tol a smaller W, down to a floor that keeps a few nodes
 _BESSEL_W = math.log(1e15) + 6.0
-_BESSEL_RISE = _BESSEL_W + math.log(2.0)  # log-fall of the envelope at the cut
-_BESSEL_2W = 2.0 * _BESSEL_W
-_BESSEL_STRIP_RATE = 2.0 * _BESSEL_W / math.pi
+_BESSEL_W_FLOOR = 3.0
+_BESSEL_TOL_W = math.log(10.0) + 6.0  # W = log M - ln(tol) + _BESSEL_TOL_W
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -233,12 +236,46 @@ def sigma_power(n: int, s: complex) -> complex:
     return _finite(total, "sigma_power")
 
 
-def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) -> tuple[float, int]:
+def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
+    """K-Bessel function K_order(y) for finite y >= 1e-300 and |order| <= 100.
+
+    Evaluates the integral representation int_0^infty exp(-y cosh t)
+    cosh(order t) dt by the trapezoid rule, truncated where the integrand's
+    envelope falls far below its peak; the double-exponential decay in t
+    makes the rule spectrally accurate.  Even in the order by construction
+    (K_s = K_{-s} holds to the last bit).
+
+    The absolute error is at most max(1e-14 M, abs_tol), M the envelope's
+    peak (see the module docstring).  The step and the cut both follow the
+    accuracy asked (Trefethen & Weideman, SIAM Review 56, 2014), so a looser
+    abs_tol takes fewer nodes; abs_tol = 0, the default, asks for 1e-14 M.
+    A NaN or negative abs_tol raises DomainError.
+    """
+    # for smaller y the nodes would run past the double range of cosh t
+    if not 1e-300 <= y < math.inf:
+        raise DomainError(f"bessel_k needs finite y >= 1e-300, got {y}")
+    order = complex(order)
+    if not abs(order) <= 100.0:
+        raise DomainError(f"bessel_k supports |order| <= 100, got {order}")
+    if not abs_tol >= 0.0:  # NaN included
+        raise DomainError(f"bessel_k needs abs_tol >= 0, got {abs_tol}")
+    a = abs(order.real)
+    b = abs(order.imag)
+    # the envelope exp(-y cosh t + a t) peaks at t_peak with log-height
+    # log M = a t_peak - kappa; values beyond double range are refused
+    t_peak = math.asinh(a / y)
+    kappa = math.hypot(a, y)
+    log_peak = a * t_peak - kappa
+    if log_peak > _LOG_DBL_MAX - 5.0:
+        raise OverflowError("bessel_k integrand exceeds double range")
+    w = _BESSEL_W
+    if abs_tol > 0.0:
+        w = max(min(w, log_peak - math.log(abs_tol) + _BESSEL_TOL_W), _BESSEL_W_FLOOR)
     # Step and node count for the trapezoid rule on exp(-y cosh t) cosh(nu t).
     # The transform of the integrand decays on the scale set by the larger of
     # the analyticity-strip rate 2W/pi and the saddle bandwidth sqrt(2 W kappa);
     # the oscillation b shifts both.
-    omega = max(_BESSEL_STRIP_RATE, math.sqrt(_BESSEL_2W * kappa)) + b + 2.0
+    omega = max(2.0 * w / math.pi, math.sqrt(2.0 * w * kappa)) + b + 2.0
     h = 2.0 * math.pi / omega
     # Nodes run to t_max >= 0.5, right of where the envelope exp(-g(t)),
     # g(t) = y cosh t - a t, has fallen to e^(-W)/2 of its peak at
@@ -248,40 +285,16 @@ def _bessel_k_grid(a: float, b: float, y: float, t_peak: float, kappa: float) ->
     # 0 <= sinh u - u <= cosh u - 1 puts the root of F(u) = R, R = W + ln 2,
     # in [acosh(1 + R/(kappa + a)), acosh(1 + R/kappa)].  The upper end is
     # never left of the root and overshoots it by at most the bracket width.
-    return h, math.ceil(max(t_peak + math.acosh(1.0 + _BESSEL_RISE / kappa), 0.5) / h)
-
-
-def bessel_k(order: complex, y: float) -> complex:
-    """K-Bessel function K_order(y) for finite y >= 1e-300 and |order| <= 100.
-
-    Evaluates the integral representation int_0^infty exp(-y cosh t)
-    cosh(order t) dt by the trapezoid rule, truncated where the integrand's
-    envelope falls far below its peak; the double-exponential decay in t
-    makes the rule spectrally accurate.  Even in the order by construction
-    (K_s = K_{-s} holds to the last bit).
-    """
-    # for smaller y the nodes would run past the double range of cosh t
-    if not 1e-300 <= y < math.inf:
-        raise DomainError(f"bessel_k needs finite y >= 1e-300, got {y}")
-    order = complex(order)
-    if not abs(order) <= 100.0:
-        raise DomainError(f"bessel_k supports |order| <= 100, got {order}")
-    a = abs(order.real)
-    b = abs(order.imag)
-    # the envelope exp(-y cosh t + a t) peaks at t_peak with log-height
-    # a t_peak - kappa; values beyond double range are refused
-    t_peak = math.asinh(a / y)
-    kappa = math.hypot(a, y)
-    if a * t_peak - kappa > _LOG_DBL_MAX - 5.0:
-        raise OverflowError("bessel_k integrand exceeds double range")
-    h, nsteps = _bessel_k_grid(a, b, y, t_peak, kappa)
+    nsteps = math.ceil(max(t_peak + math.acosh(1.0 + (w + math.log(2.0)) / kappa), 0.5) / h)
     value = _kernels.bessel_k_trapezoid(a, b, y, h, nsteps)
-    # the kernel computed K for |Re|, |Im|; evenness and conjugation symmetry
-    # recover every sign combination
-    effective = order if (order.real > 0 or (order.real == 0 and order.imag >= 0)) else -order
-    if effective.imag < 0:
+    # the kernel computed K for |Re|, |Im|; K is even in the order and
+    # K_conj(order) = conj K_order, so conjugate where Re and Im have
+    # opposite signs
+    if (order.real > 0.0 and order.imag < 0.0) or (order.real < 0.0 and order.imag > 0.0):
         value = value.conjugate()
-    return _finite(value, "bessel_k")
+    if not cmath.isfinite(value):
+        raise OverflowError("bessel_k overflowed double precision")
+    return value
 
 
 def xi_reflection_sample() -> tuple[complex, ...]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eisenkit import eisenstein
+from eisenkit import _kernels, eisenstein
 from eisenkit.eisenstein import (
     TruncationPolicy,
     eval_fourier,
@@ -24,7 +24,7 @@ from eisenkit.eisenstein import (
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
-from eisenkit.special_functions import TARGET_ABS_ERROR, sigma_power
+from eisenkit.special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -160,22 +160,36 @@ def test_divisor_table_matches_sigma_power():
 
 
 def test_fourier_sums_the_closed_form_coefficients(monkeypatch):
-    # z is in the fundamental domain, so the modes are taken at y = 1.3
-    mode = eisenstein._mode
+    # z is in the fundamental domain, so the modes are taken at y = 1.3.
+    # Modes 1-29 ask bessel_k only for their share of the target: each a_n
+    # may miss the closed form by target / (2 * 30), as 2 a_n cos(2 pi n x)
+    # enters E.  Mode 30 is taken at full accuracy
+    x, y = 0.2, 1.3
     for s in _panel_parameters(random.Random(67), 6):
-        terms = {}
+        ks = {}
 
-        def record(n, *args):
-            terms[n] = mode(n, *args)
-            return terms[n]
+        def record(order, arg, **kwargs):
+            n = round(arg / (2.0 * math.pi * y))
+            ks[n] = bessel_k(order, arg, **kwargs)
+            return ks[n]
 
         with monkeypatch.context() as patch:
-            patch.setattr(eisenstein, "_mode", record)
-            eval_fourier(0.2 + 1.3j, s)
-        assert sorted(terms) == list(range(1, 31))
-        for n, a_n in terms.items():
-            want = fourier_coefficient(n, 1.3, s)
-            assert abs(a_n - want) <= 1e-12 * abs(want)
+            patch.setattr(eisenstein, "bessel_k", record)
+            got = eval_fourier(complex(x, y), s).value
+        assert sorted(ks) == list(range(1, 31))
+        total = fourier_coefficient(0, y, s)
+        target = TARGET_ABS_ERROR * max(1.0, abs(total))
+        size = abs(total)
+        xi_2s = xi_completed(2.0 * s)
+        for n, k_n in ks.items():
+            a_n = 2.0 * eisenstein._cpow(n, s - 0.5) * sigma_power(n, 1.0 - 2.0 * s) * math.sqrt(y) * k_n / xi_2s
+            want = fourier_coefficient(n, y, s)
+            share = target / (2.0 * 30) if n < 30 else 0.0
+            assert abs(a_n - want) <= 1e-12 * abs(want) + share, (s, n)
+            total += 2.0 * a_n * math.cos(2.0 * math.pi * n * x)
+            size += 2.0 * abs(a_n)
+        # and E is the sum of those terms, up to rounding
+        assert abs(got - total) <= 1e-14 * size, s
 
 
 def _bits(result):
@@ -433,6 +447,43 @@ def test_thirty_modes_meet_the_target_on_the_bessel_disk():
         last = tail * (1.0 - decay) / decay
         target = TARGET_ABS_ERROR * max(1.0, abs(fourier_coefficient(0, y, s)))
         assert last <= 0.1 * target, (z, s, last, target)
+
+
+def test_mode_budgets_keep_the_full_accuracy_sum(monkeypatch):
+    # modes 1-29 share the target: on the disk sweep and a seeded cusp panel,
+    # E moves from the sum with every K at full accuracy (eisenstein.bessel_k
+    # patched to drop abs_tol) by less than the target, with fewer nodes
+    kernel, nodes = _kernels.bessel_k_trapezoid, [0]
+
+    def count(a, b, y, h, nsteps):
+        nodes[0] += nsteps + 1
+        return kernel(a, b, y, h, nsteps)
+
+    monkeypatch.setattr(_kernels, "bessel_k_trapezoid", count)
+    rng = random.Random(4099)
+    points = []
+    for s in _disk_sweep(rng):
+        if rng.random() < 0.5:
+            z = complex(rng.choice((-0.5, 0.5)), math.sqrt(3.0) / 2.0)
+        else:
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0))
+        points.append((z, s))
+    for _ in range(400):
+        z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, -1.0))
+        points.append((z, complex(rng.uniform(-1.0, 3.0), rng.uniform(-30.0, 30.0))))
+    full = []
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "bessel_k", lambda order, arg, abs_tol=0.0: bessel_k(order, arg))
+        for z, s in points:
+            full.append(eval_fourier(z, s))
+    full_nodes, nodes[0] = nodes[0], 0
+    for (z, s), want in zip(points, full):
+        got = eval_fourier(z, s)
+        _, y = eisenstein._pullback(z.real, z.imag)
+        target = TARGET_ABS_ERROR * max(1.0, abs(fourier_coefficient(0, y, s)))
+        assert abs(got.value - want.value) <= target, (z, s)
+        assert got.tail_bound == want.tail_bound
+    assert nodes[0] < 0.75 * full_nodes  # 0.65 of them on this panel
 
 
 def test_fourier_raises_at_mode_bound(monkeypatch):

@@ -7,6 +7,7 @@ trapezoid) and pinned here.
 """
 
 import cmath
+import hashlib
 import math
 import random
 import sys
@@ -20,7 +21,6 @@ from eisenkit.errors import AccuracyError, DomainError, PoleError
 from eisenkit.special_functions import (
     _B_EVEN,
     _BESSEL_W,
-    _bessel_k_grid,
     bessel_k,
     gamma,
     sigma_power,
@@ -384,6 +384,53 @@ def test_bessel_peak_relative_accuracy_on_long_node_runs():
             assert abs(bessel_k(order, y) - want) <= 1e-14 * _bessel_peak(abs(order.real), y)
 
 
+def test_bessel_meets_an_absolute_tolerance():
+    # abs_tol from 1e-14 M to 1e-1 M on the row's orders, all four sign
+    # combinations, and y from 1e-3 to 200: the error stays within
+    # max(1e-14 M, abs_tol)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(149)
+    with mp.workdps(30):
+        for i in range(700):
+            sign_re, sign_im = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))[i % 4]
+            order = complex(sign_re * rng.uniform(0.0, 2.5), sign_im * rng.uniform(0.0, 30.0))
+            y = 10.0 ** rng.uniform(-3.0, math.log10(200.0))
+            peak = _bessel_peak(abs(order.real), y)
+            abs_tol = 10.0 ** rng.uniform(-14.0, -1.0) * peak
+            want = complex(mp.besselk(mp.mpc(order), y))
+            assert abs(bessel_k(order, y, abs_tol=abs_tol) - want) <= max(1e-14 * peak, abs_tol)
+
+
+def test_bessel_default_tolerance_keeps_its_bits():
+    # abs_tol = 0 is the rule without a tolerance: a seeded panel over all
+    # four sign combinations, signed zeros and y from 1e-3 to 10^3.5 hashes
+    # to the digest frozen from bessel_k before abs_tol existed
+    rng = random.Random(3000)
+    digest = hashlib.sha256()
+    for i in range(3000):
+        re = rng.choice((0.0, -0.0, rng.uniform(0.0, 2.5), rng.uniform(0.0, 70.0)))
+        im = rng.choice((0.0, -0.0, rng.uniform(0.0, 30.0), rng.uniform(0.0, 70.0)))
+        sign_re, sign_im = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))[i % 4]
+        order, y = complex(sign_re * re, sign_im * im), 10.0 ** rng.uniform(-3.0, 3.5)
+        try:
+            value = bessel_k(order, y, abs_tol=0.0)
+        except OverflowError:
+            digest.update(b"overflow")
+            continue
+        assert value == bessel_k(order, y)
+        digest.update(f"{value.real.hex()} {value.imag.hex()};".encode())
+    assert digest.hexdigest() == "3e67570480177fad0f7d1ad06a31ea9ab04b475a92fe5bef502629b7070e7774"
+
+
+def test_bessel_tolerance_domain():
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(DomainError, match="abs_tol"):
+            bessel_k(0.5, 2.0, abs_tol=bad)
+    # an infinite tolerance takes the floor W = 3, which still keeps a few nodes
+    closed = math.sqrt(math.pi / 4.0) * math.exp(-2.0)
+    assert abs(bessel_k(0.5, 2.0, abs_tol=math.inf) - closed) < 1e-2 * closed
+
+
 def _bisect_cutoff(a, y, target):
     # root of y cosh t - a t = target right of the peak, by bisection alone
     lo = math.asinh(a / y)
@@ -399,39 +446,60 @@ def _bisect_cutoff(a, y, target):
     return 0.5 * (lo + hi)
 
 
-def _bessel_cut_panel():
-    # seed-53 panel: node count from _bessel_k_grid, the bisection root of the
-    # rise (or the 0.5 floor), and the bracket [lower, upper] the closed-form
-    # cut takes its upper end from
+def _bessel_cut_panel(monkeypatch):
+    # seed-53 panel: the step and node count bessel_k hands its kernel, the
+    # bisection root of the rise (or the 0.5 floor), and the bracket
+    # [lower, upper] the closed-form cut takes its upper end from.  Half the
+    # points ask for an abs_tol, r M with r from 1e-14 to 10 or infinite,
+    # whose W is ln(10 M / abs_tol) + 6 clamped to [3, ln(1e15) + 6]; the
+    # draws bessel_k refuses (|order| > 100, or beyond double range) are
+    # skipped, as no call takes their grid
+    grids = []
+
+    def record(a, b, y, h, nsteps):
+        grids.append((h, nsteps))
+        return 0j
+
+    monkeypatch.setattr(_kernels, "bessel_k_trapezoid", record)
     rng = random.Random(53)
-    rise = _BESSEL_W + math.log(2.0)
     for _ in range(2400):
         y = 10.0 ** rng.uniform(-3.0, 4.0)
         a = rng.choice((0.0, rng.randrange(200) / 2.0, rng.uniform(0.0, 100.0)))
         b = rng.choice((0.0, rng.uniform(0.0, 100.0)))
+        ratio = rng.choice((0.0, 0.0, 10.0 ** rng.uniform(-14.0, 1.0), math.inf))
         t_peak, kappa = math.asinh(a / y), math.hypot(a, y)
-        h, nsteps = _bessel_k_grid(a, b, y, t_peak, kappa)
+        log_peak = a * t_peak - kappa
+        try:
+            abs_tol = ratio * math.exp(log_peak) if ratio < math.inf else math.inf
+            bessel_k(complex(a, b), y, abs_tol=abs_tol)
+        except (DomainError, OverflowError):
+            continue
+        w = _BESSEL_W
+        if abs_tol > 0.0:
+            w = max(min(w, log_peak + math.log(10.0) - math.log(abs_tol) + 6.0), 3.0)
+        rise = w + math.log(2.0)
+        h, nsteps = grids.pop()
         root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)
         lower = max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5)
         upper = max(t_peak + math.acosh(1.0 + rise / kappa), 0.5)
         yield h, nsteps, root, lower, upper
 
 
-def test_bessel_cutoff_is_the_peak_relative_root():
+def test_bessel_cutoff_is_the_peak_relative_root(monkeypatch):
     # the nodes must reach where the envelope has fallen to e^(-W)/2 of its
     # peak, i.e. where y cosh t - a t has risen by W + ln 2 above its minimum
     # hypot(a, y) - a asinh(a/y); the closed-form cut is never left of that
     # root and passes it by at most the bracket width upper - lower
-    for h, nsteps, root, lower, upper in _bessel_cut_panel():
+    for h, nsteps, root, lower, upper in _bessel_cut_panel(monkeypatch):
         assert nsteps * h >= root * (1.0 - 1e-12)  # a = 0 hits the root exactly
         assert (nsteps - 1) * h < root + (upper - lower)
 
 
-def test_bessel_bracket_never_moves_a_node():
+def test_bessel_bracket_never_moves_a_node(monkeypatch):
     # when both bracket ends fall in one node interval the count is the one
     # the exact root gives; when they straddle nodes it is at most
-    # ceil(width/h) more (11 nodes at a ~ 100 on this panel)
-    for h, nsteps, root, lower, upper in _bessel_cut_panel():
+    # ceil(width/h) more
+    for h, nsteps, root, lower, upper in _bessel_cut_panel(monkeypatch):
         if math.ceil(lower / h) == math.ceil(upper / h):
             assert nsteps == math.ceil(root / h)
         assert nsteps <= math.ceil(root / h) + math.ceil((upper - lower) / h)
