@@ -27,11 +27,11 @@ blows up as y -> 0.
 eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
 a_n = 2 c_n sqrt(y') K_(s-1/2)(2 pi n y') / xi(2s), so an error delta in its
-K moves E by at most 4 |c_n| sqrt(y') delta / |xi(2s)|.  Modes 1 to 29 each
-ask bessel_k for the abs_tol that keeps this below target / 30, which takes
-fewer trapezoid nodes wherever a mode is far below the target; mode 30 is
-taken at full accuracy, because it seeds the AccuracyError check and the
-tail bound.
+K moves E by at most 4 |c_n| sqrt(y') delta / |xi(2s)|.  One loop sums the
+30 modes.  Modes 1 to 29 ask bessel_k for the abs_tol that keeps this below
+target / 30, which takes fewer nodes wherever a mode is far below the
+target.  Mode 30, the loop's last, is taken at abs_tol = 0, because it seeds
+the AccuracyError check and the tail bound.
 
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
@@ -209,18 +209,12 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
         return _constant_term(y, s, _xi_and_ratio(s)[1])
     n = abs(n)
     factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
-    return _mode(n, y, s - 0.5, math.sqrt(y), factor, 1.0 / _xi(2.0 * s))
+    return 2.0 * factor * math.sqrt(y) * bessel_k(s - 0.5, _TWO_PI * n * y) * (1.0 / _xi(2.0 * s))
 
 
 def _constant_term(y: float, s: complex, ratio: complex) -> complex:
     # a_0 = y^s + c(s) y^(1-s)
     return _cpow(y, s) + ratio * _cpow(y, 1.0 - s)
-
-
-def _mode(n: int, y: float, nu: complex, sqrt_y: float, factor: complex, inv_xi: complex) -> complex:
-    # a_n for n >= 1, given nu = s - 1/2, sqrt(y), its divisor factor
-    # n^nu sigma_(1-2s)(n) and 1/xi(2s)
-    return 2.0 * factor * sqrt_y * bessel_k(nu, _TWO_PI * n * y) * inv_xi
 
 
 @functools.lru_cache(maxsize=2)
@@ -261,7 +255,7 @@ def eval_fourier(z, s) -> SeriesValue:
     truncation only.  Raises AccuracyError if mode 30 is above the fixed
     accuracy target (1e-14 times max(1, |a_0|)), rather than return a value
     that missed it.  Modes 1-29 share that target (see the module
-    docstring); mode 30 is taken at full accuracy.
+    docstring); mode 30 is taken at abs_tol = 0.
 
     xi(2s), c(s) and the divisor factors come from the memos (see the module
     docstring), so calls at the s of the call before pay only for their
@@ -270,22 +264,19 @@ def eval_fourier(z, s) -> SeriesValue:
     x, y = _pullback(*_point(z))
     s = _require_off_poles(s, "eval_fourier")
     xi_2s, ratio = _xi_and_ratio(s)
-    inv_xi = 1.0 / xi_2s
     total = _constant_term(y, s, ratio)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
-    nu, sqrt_y = s - 0.5, math.sqrt(y)
-    factors = _divisor_factors(s)
-    # mode n < 30 adds scale c_n K cos(2 pi n x'), so its share of the
-    # target allows K an error of budget / |c_n|
-    scale = 4.0 * sqrt_y * inv_xi
+    nu, factors = s - 0.5, _divisor_factors(s)
+    # mode n adds scale c_n K cos(2 pi n x'), so its share of the target
+    # allows K an error of budget / |c_n|; the last mode takes none
+    scale = 4.0 * math.sqrt(y) * (1.0 / xi_2s)
     budget = target / (_MODES * abs(scale))
-    for n in range(1, _MODES):
+    for n in range(1, _MODES + 1):
         c_n = factors[n]
-        k_n = bessel_k(nu, _TWO_PI * n * y, abs_tol=budget / abs(c_n))
-        total += scale * c_n * k_n * math.cos(_TWO_PI * n * x)
-    a_n = _mode(_MODES, y, nu, sqrt_y, factors[_MODES], inv_xi)
-    total += a_n * 2.0 * math.cos(_TWO_PI * _MODES * x)
-    last_mag = 2.0 * abs(a_n)
+        abs_tol = budget / abs(c_n) if n < _MODES else 0.0
+        term = scale * c_n * bessel_k(nu, _TWO_PI * n * y, abs_tol=abs_tol)
+        total += term * math.cos(_TWO_PI * n * x)
+    last_mag = abs(term)
     if not last_mag <= target:  # NaN included
         raise AccuracyError(
             f"eval_fourier: mode {_MODES} at z' = {x}+{y}i, s = {s} is {last_mag:.3g}, "
@@ -376,7 +367,9 @@ def first_coefficient_xi_check(s) -> float:
     K_(s-1/2) = K_(1/2-s) and |n|^(s-1/2) sigma_(1-2s) = |n|^(1/2-s)
     sigma_(2s-1) at n = 1 -- reduces the identity to xi(2s-1) = xi(2-2s);
     running the same matching at 1-s gives xi(2s) = xi(1-2s).  The returned
-    defect is the max of the two, hence symmetric in s <-> 1-s.
+    defect is the max of the two, hence symmetric in s <-> 1-s.  Outside
+    -1/2 <= Re s <= 3/2 it reads 0.0: xi_completed, which reflects left of
+    Re u = -1, takes both sides of each pair from one xi(u).
     """
     s = _require_off_poles(s, "first_coefficient_xi_check")
     d_forward = abs(xi_completed(2.0 * s - 1.0) - xi_completed(2.0 - 2.0 * s))

@@ -405,18 +405,25 @@ def test_json_output_round_trips(capsys):
     assert json.loads(json.dumps(report)) == report
 
 
-def _assert_matches(got, want, path=""):
+# floats compare relatively, so a golden tail bound of 1e-81 is checked;
+# only these keys, rounding noise of identities that are 0 in exact
+# arithmetic, also get an absolute floor
+_NOISE_KEYS = {"defect", "max_defect", "reflection_defect", "discrepancy"}
+
+
+def _assert_matches(got, want, path="", key=""):
     assert type(got) is type(want), f"{path}: {type(got)} != {type(want)}"
     if isinstance(want, dict):
         assert set(got) == set(want), f"{path}: keys {set(got)} != {set(want)}"
-        for key in want:
-            _assert_matches(got[key], want[key], f"{path}.{key}")
+        for k in want:
+            _assert_matches(got[k], want[k], f"{path}.{k}", k)
     elif isinstance(want, list):
         assert len(got) == len(want), f"{path}: length"
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_matches(g, w, f"{path}[{i}]")
+            _assert_matches(g, w, f"{path}[{i}]", key)
     elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), path
+        abs_tol = 1e-12 if key in _NOISE_KEYS else 0.0
+        assert got == pytest.approx(want, rel=1e-9, abs=abs_tol), path
     else:
         assert got == want, path
 
@@ -443,4 +450,16 @@ def test_golden_file(name, capsys):
     if name == "euler":
         # the input path echoes whatever the caller passed
         got["input"] = want["input"] = "<input>"
+    _assert_matches(got, want)
+
+
+def test_golden_floats_compare_relatively():
+    # a tail bound far below 1e-12 still fails when its sixth digit moves,
+    # while a defect stays within its absolute floor
+    want = json.loads((GOLDEN_DIR / "eval.json").read_text())
+    got = dict(want, tail_bound=want["tail_bound"] * (1.0 + 1e-5))
+    with pytest.raises(AssertionError, match="tail_bound"):
+        _assert_matches(got, want)
+    want = json.loads((GOLDEN_DIR / "fe-check.json").read_text())
+    got = dict(want, max_defect=want["max_defect"] + 5e-13)
     _assert_matches(got, want)
