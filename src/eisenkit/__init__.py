@@ -11,7 +11,7 @@ special_functions
     Complex Gamma, zeta, completed zeta, power-divisor sums, K-Bessel.
 eisenstein
     Lattice-sum and Fourier evaluators of E(z, s), coefficient extraction,
-    functional-equation and reflection defect checks.
+    functional-equation defect check.
 euler_products
     Partial L-functions over Satake eigenvalue data and the constant-term
     ratios that, for SL2, give the Eisenstein scattering coefficient.
@@ -32,7 +32,7 @@ _EXPORTS = {
     "eisenstein": (
         "TruncationPolicy", "SeriesValue", "eval_lattice_sum", "eval_fourier",
         "fourier_coefficient", "scattering_ratio", "functional_equation_defect",
-        "extract_coefficient_by_quadrature", "first_coefficient_xi_check",
+        "extract_coefficient_by_quadrature",
     ),
     "euler_products": (
         "PlaceDatum", "LFunctionData", "local_factor", "partial_l",

@@ -25,7 +25,6 @@ from .eisenstein import (
     eval_fourier,
     eval_lattice_sum,
     extract_coefficient_by_quadrature,
-    first_coefficient_xi_check,
     fourier_coefficient,
     functional_equation_defect,
     functional_equation_grid,
@@ -165,11 +164,17 @@ def _grid_points(args) -> list[complex]:
     return list(xi_reflection_sample() if args.check == "xi" else functional_equation_grid())
 
 
-# fe-check's --check names and the defect each computes at (z, s)
+def _reflection_defect(u: complex) -> float:
+    return abs(xi_completed(u) - xi_completed(1.0 - u))
+
+
+# fe-check's --check names and the defect each computes at (z, s);
+# first-coefficient is the xi reflection at the two arguments, 2s - 1 and 2s,
+# that matching the n = 1 modes across E(z, s) = c(s) E(z, 1 - s) leaves
 _FE_CHECKS = {
     "eisenstein": functional_equation_defect,
-    "xi": lambda z, s: abs(xi_completed(s) - xi_completed(1.0 - s)),
-    "first-coefficient": lambda z, s: first_coefficient_xi_check(s),
+    "xi": lambda z, s: _reflection_defect(s),
+    "first-coefficient": lambda z, s: max(_reflection_defect(2.0 * s - 1.0), _reflection_defect(2.0 * s)),
     "scattering": lambda z, s: abs(scattering_ratio(s) * scattering_ratio(1.0 - s) - 1.0),
 }
 

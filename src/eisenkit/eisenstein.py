@@ -11,9 +11,8 @@ Two independent evaluators are provided and cross-checked in the tests:
   analytic continuation of the lattice sum.
 
 The expansion's constant term carries the scattering ratio
-c(s) = xi(2s-1)/xi(2s), which implements E(z, s) = c(s) E(z, 1-s); both that
-identity and its first-Fourier-mode reduction to the xi reflection are
-exposed as numeric defect checks.
+c(s) = xi(2s-1)/xi(2s), which implements E(z, s) = c(s) E(z, 1-s); that
+identity is exposed as a numeric defect check.
 
 Both evaluators use the full SL2(Z) invariance of E: they pull z back into
 the fundamental domain |x| <= 1/2, |z| >= 1 (Cohen, A Course in
@@ -358,23 +357,6 @@ def extract_coefficient_by_quadrature(
     values = _cpow(y, s) * np.asarray(raw)[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))
-
-
-def first_coefficient_xi_check(s) -> float:
-    """Defect of the xi reflection as forced by the first Fourier mode.
-
-    Matching the n = 1 coefficients across E(z, s) = c(s) E(z, 1-s) -- with
-    K_(s-1/2) = K_(1/2-s) and |n|^(s-1/2) sigma_(1-2s) = |n|^(1/2-s)
-    sigma_(2s-1) at n = 1 -- reduces the identity to xi(2s-1) = xi(2-2s);
-    running the same matching at 1-s gives xi(2s) = xi(1-2s).  The returned
-    defect is the max of the two, hence symmetric in s <-> 1-s.  Outside
-    -1/2 <= Re s <= 3/2 it reads 0.0: xi_completed, which reflects left of
-    Re u = -1, takes both sides of each pair from one xi(u).
-    """
-    s = _require_off_poles(s, "first_coefficient_xi_check")
-    d_forward = abs(xi_completed(2.0 * s - 1.0) - xi_completed(2.0 - 2.0 * s))
-    d_reflected = abs(xi_completed(2.0 * s) - xi_completed(1.0 - 2.0 * s))
-    return max(d_forward, d_reflected)
 
 
 def functional_equation_grid() -> tuple[complex, ...]:

@@ -9,16 +9,19 @@ only coordinate i and permutes Phi+ minus {alpha_i} (Humphreys, Introduction
 to Lie Algebras, 10.2), so a reflected root is kept when its i-th coefficient
 stays >= 0.
 
-Removing one simple root selects a maximal parabolic; grading the nilradical
-roots by their coefficient at the removed node yields the levels j = 1..m,
-whose dimensions are the candidate irreducible-constituent dimensions; level
-j takes argument js in the constant-term ratio.  The irreducibility of each
-graded level (true for maximal parabolics of simple groups) is only checked
+Removing one simple root alpha_k selects a maximal parabolic; grading the
+nilradical roots beta by coroots, at level <alpha~, beta^vee> =
+v_k |alpha_k|^2 / |beta|^2 for the coefficient v_k of beta at alpha_k, yields
+the levels j = 1..m of the dual group's nilradical, whose dimensions are the
+candidate irreducible-constituent dimensions; level j takes argument js in
+the constant-term ratio (Shahidi 1981).  The irreducibility of each graded
+level (true for maximal parabolics of simple groups) is only checked
 dimensionally here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidTypeError, integer
@@ -147,21 +150,53 @@ class ParabolicDatum:
             )
 
 
-def nilradical_decomposition(p: ParabolicDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Partition the nilradical's roots by coefficient at the removed node.
+# kept for the last systems: enumerate_table grades every parabolic of one
+# system in turn, and the lengths depend on the system alone
+@functools.lru_cache(maxsize=2)
+def _doubled_lengths(system: RootSystem) -> dict[tuple[int, ...], int]:
+    """2 |beta|^2 of every positive root beta, on one integer scale.
 
-    Level j, the roots with coefficient j, sits at index j - 1 and carries
-    the argument js of the constant-term ratio.  Levels come out
+    The simple roots' squared lengths d_i grow along the diagram's edges by
+    |alpha_j|^2 / |alpha_i|^2 = C[j][i] / C[i][j], from d_0 = r, the
+    long-to-short ratio (1, 2 or 3): a path crosses the one multiple edge at
+    most once, so every d_i is 1, r or r^2.  Then 2 |beta|^2 = v^T G v with
+    G[i][j] = 2 (alpha_i, alpha_j) = C[i][j] d_j.
+    """
+    cartan, n = system.cartan, system.rank
+    ratio = max((-c for row in cartan for c in row if c < 0), default=1)
+    length = {0: ratio}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if cartan[i][j] and j not in length:
+                length[j] = length[i] * cartan[j][i] // cartan[i][j]
+                stack.append(j)
+    # the nonzero entries of each row of G
+    gram = [[(j, cartan[i][j] * length[j]) for j in range(n) if cartan[i][j]] for i in range(n)]
+    return {
+        v: sum(v[i] * sum(g * v[j] for j, g in row) for i, row in enumerate(gram) if v[i])
+        for v in system.positive_roots
+    }
+
+
+def nilradical_decomposition(p: ParabolicDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Partition the nilradical's roots by the coroot grading <alpha~, beta^vee>.
+
+    A root beta with coefficient v_k at the removed node k sits at level
+    v_k |alpha_k|^2 / |beta|^2, the coefficient of alpha_k^vee in beta^vee:
+    the grading of the dual group's nilradical, whose level j carries the
+    argument js of the constant-term ratio.  For the simply-laced types A, D
+    and E it is v_k itself.  Level j sits at index j - 1; levels come out
     consecutive, j = 1..m, and their sizes sum to |Phi+| - |Phi+_Levi|.
-    This grading equals the coroot grading <alpha~, beta^vee> of the
-    constant term only for the simply-laced types A, D and E; for B, C, F
-    and G the two differ.
     """
     k = p.removed_index
+    twice = _doubled_lengths(p.system)
+    alpha_k = tuple(int(i == k) for i in range(p.system.rank))
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for v in p.system.positive_roots:
         if v[k] >= 1:
-            buckets.setdefault(v[k], []).append(v)
+            buckets.setdefault(v[k] * twice[alpha_k] // twice[v], []).append(v)
     m = max(buckets) if buckets else 0
     return tuple(tuple(buckets.get(j, ())) for j in range(1, m + 1))
 

@@ -12,6 +12,7 @@ for the K-Bessel integral.
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -149,6 +150,34 @@ def levi_positive_roots(p) -> tuple[tuple[int, ...], ...]:
     k = p.removed_index
     return tuple(v for v in p.system.positive_roots if v[k] == 0)
 
+def coroot_levels(p) -> dict[tuple[int, ...], Fraction]:
+    """Level <alpha~, beta^vee> of each nilradical root beta of a
+    ParabolicDatum, from the definition: <rho_P, beta^vee> / <rho_P, alpha_k^vee>
+    with rho_P half the sum of the nilradical's roots, which is a multiple of
+    the fundamental weight of the removed node k.
+
+    Pairings come from the integer Gram matrix C[i][j] d_j = 2 (alpha_i, alpha_j),
+    whose symmetrizer d_i in {1, 2, 3} is found by search, and each level is
+    one exact Fraction.
+    """
+    cartan, k, n = p.system.cartan, p.removed_index, p.system.rank
+    d = next(
+        d for d in itertools.product((1, 2, 3), repeat=n)
+        if all(cartan[i][j] * d[j] == cartan[j][i] * d[i] for i in range(n) for j in range(n))
+    )
+    gram = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
+
+    def pair(u, v):  # 2 (u, v)
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) if u[i] for j in range(n) if v[j])
+
+    nilradical = [v for v in p.system.positive_roots if v[k] >= 1]
+    two_rho = [sum(v[i] for v in nilradical) for i in range(n)]
+    alpha_k = [int(i == k) for i in range(n)]
+    # <rho_P, beta^vee> = 2 (rho_P, beta) / (beta, beta) = pair(2 rho_P, beta) / pair(beta, beta)
+    unit = Fraction(pair(two_rho, alpha_k), pair(alpha_k, alpha_k))
+    return {v: Fraction(pair(two_rho, v), pair(v, v)) / unit for v in nilradical}
+
+
 def eisenstein_brute(z: complex, s: complex, radius: int) -> complex:
     """E(z, s) straight from the folded coprime definition: a plain double
     loop independent of the kernel implementations."""
@@ -191,6 +220,55 @@ def extract_mode_brute(n: int, y: float, s: complex, nodes: int, radius: int) ->
     values = eisenstein_lattice_numpy(xs - np.round(xs), y, s, radius)
     weights = np.exp(-2j * np.pi * n * xs)
     return complex(np.mean(values * weights))
+
+
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d / n) for n >= 1, in exact integers: multiplicative
+    in n, with Euler's criterion at odd primes and (d / 2) = 0 for even d,
+    1 for d = +-1 mod 8 and -1 for d = +-3 mod 8."""
+    value, p = 1, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                value *= 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+            else:
+                residue = pow(d, (p - 1) // 2, p)
+                value *= -1 if residue == p - 1 else residue
+        p += 1
+    return value
+
+
+def cm_point(d: int) -> complex:
+    """z_D = (-1 + sqrt D)/2 for D = 1 mod 4, sqrt(D/4) otherwise; y_D = sqrt|D|/2."""
+    y = abs(d) ** 0.5 / 2.0
+    return complex(-0.5 if d % 4 == 1 else 0.0, y)
+
+
+def eisenstein_cm(d: int, s: complex, dps: int = 30) -> complex:
+    """E(z_D, s) at the CM point of a fundamental discriminant D < 0 of class
+    number one, in closed form at ``dps`` digits:
+
+        E(z_D, s) = (w/2) y_D^s zeta(s) L(s, chi_D) / zeta(2s),
+
+    since |m z_D + n|^2 is the principal form of discriminant D, which
+    represents each ideal norm w times, and the Epstein zeta of the one
+    class is w zeta(s) L(s, chi_D) = zeta(2s) times the coprime sum.  w is
+    6, 4 or 2 for D = -3, -4 and the rest, and
+    L(s, chi_D) = |D|^(-s) sum_a chi_D(a) zeta(s, a/|D|) with mpmath's
+    Hurwitz zeta.  Shares no code with the package.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpc(s)
+        q = abs(d)
+        w = {-3: 6, -4: 4}.get(d, 2)
+        l_value = mpmath.fsum(
+            kronecker(d, a) * mpmath.zeta(s, mpmath.mpf(a) / q) for a in range(1, q + 1) if gcd(a, q) == 1
+        ) * mpmath.mpf(q) ** (-s)
+        y = mpmath.sqrt(q) / 2
+        return complex(w / 2 * y**s * mpmath.zeta(s) * l_value / mpmath.zeta(2 * s))
 
 
 def sl2z_pullback(z: complex, dps: int = 20):

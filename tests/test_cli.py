@@ -256,8 +256,8 @@ def test_text_output_lists_rows_after_the_keys(capsys):
     assert out.splitlines() == [
         "command: decompose",
         "columns: ['type', 'rank', 'removed_index', 'levi', 'm', 'dims', 'a']",
-        "  type=G  rank=2  removed_index=0  levi=A1  m=3  dims=[2, 1, 2]  a=[1, 2, 3]",
-        "  type=G  rank=2  removed_index=1  levi=A1  m=2  dims=[4, 1]  a=[1, 2]",
+        "  type=G  rank=2  removed_index=0  levi=A1  m=2  dims=[4, 1]  a=[1, 2]",
+        "  type=G  rank=2  removed_index=1  levi=A1  m=3  dims=[2, 1, 2]  a=[1, 2, 3]",
     ]
 
 
@@ -365,8 +365,8 @@ def test_decompose_table_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["type", "rank", "removed_index", "levi", "m", "dims", "a"]
-    g2_long = [r for r in rows if r[:3] == ["G", "2", "1"]]
-    assert g2_long and g2_long[0][5] == "4 1" and g2_long[0][6] == "1 2"
+    g2_long_levi = [r for r in rows if r[:3] == ["G", "2", "0"]]
+    assert g2_long_levi and g2_long_levi[0][5] == "4 1" and g2_long_levi[0][6] == "1 2"
 
 
 def test_verbose_prints_defaults(capsys):

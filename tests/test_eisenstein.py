@@ -1,9 +1,10 @@
 """Eisenstein evaluators: cross-oracle agreement, functional equation,
-coefficient extraction, and the first-coefficient route to the xi
+coefficient extraction, and fe-check's first-coefficient route to the xi
 reflection."""
 
 import cmath
 import contextlib
+import json
 import math
 import random
 
@@ -11,13 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from eisenkit import _kernels, eisenstein
+from eisenkit import _kernels, cli, eisenstein
 from eisenkit.eisenstein import (
     TruncationPolicy,
     eval_fourier,
     eval_lattice_sum,
     extract_coefficient_by_quadrature,
-    first_coefficient_xi_check,
     fourier_coefficient,
     functional_equation_defect,
     functional_equation_grid,
@@ -416,6 +416,22 @@ def test_fourier_satisfies_the_hecke_relations():
             assert abs(sum(terms)) <= 1e-10 * scale, (z, s, p)
 
 
+def test_fourier_matches_the_cm_closed_form():
+    # at the CM points of class number one E is (w/2) y^s zeta(s) L(s, chi_D)
+    # / zeta(2s), exact and free of the Fourier expansion (worst error 1.0e-13
+    # of max(1, |E|) on this panel)
+    pytest.importorskip("mpmath")
+    rng = random.Random(1980)
+    for d in (-3, -4, -7, -8, -11, -19):
+        for _ in range(4):
+            s = complex(rng.uniform(-1.0, 3.0), rng.uniform(-10.0, 10.0))
+            while min(abs(s - p) for p in eisenstein.POLE_POINTS) < 0.05:
+                s = complex(rng.uniform(-1.0, 3.0), rng.uniform(-10.0, 10.0))
+            want = oracles.eisenstein_cm(d, s)
+            got = eval_fourier(oracles.cm_point(d), s).value
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (d, s)
+
+
 def test_pullback_lands_in_fundamental_domain():
     rng = random.Random(23)
     for _ in range(300):
@@ -711,33 +727,43 @@ def test_extraction_source_validation():
 
 
 # ---------------------------------------------------------------------------
-# first-coefficient route to the xi reflection
+# first-coefficient route to the xi reflection (fe-check --check first-coefficient)
 
 
-def test_first_coefficient_examples():
-    assert first_coefficient_xi_check(complex(0.3, 1.0)) < 1e-10
-    assert first_coefficient_xi_check(0.7) < 1e-10
+def _first_coefficient_rows(points, capsys):
+    argv = ["fe-check", "--check", "first-coefficient", "--format", "json"]
+    if points is not None:
+        argv += ["--points", points]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
 
 
-def test_first_coefficient_grid():
+def test_first_coefficient_examples(capsys):
+    rows = _first_coefficient_rows("0.3+1i,0.7", capsys)
+    assert max(row["defect"] for row in rows) < 1e-10
+
+
+def test_first_coefficient_grid(capsys):
     # outside -1/2 <= Re s <= 3/2 xi_completed reflects both sides of each
     # pair to one xi value and the check reads 0.0, so the grid stays inside
-    grid = functional_equation_grid()
-    assert all(-0.5 <= s.real <= 1.5 for s in grid)
-    worst = max(first_coefficient_xi_check(s) for s in grid)
-    assert worst < 1e-10
+    rows = _first_coefficient_rows(None, capsys)
+    assert [cli.parse_complex(row["s"]) for row in rows] == list(functional_equation_grid())
+    assert all(-0.5 <= cli.parse_complex(row["s"]).real <= 1.5 for row in rows)
+    assert max(row["defect"] for row in rows) < 1e-10
 
 
-def test_first_coefficient_symmetric_in_reflection():
-    # dyadic s makes 1-s, 2s-1, ... exact, so the defect is bit-identical
-    s = complex(0.25, 0.5)
-    assert first_coefficient_xi_check(s) == first_coefficient_xi_check(1.0 - s)
+def test_first_coefficient_symmetric_in_reflection(capsys):
+    # dyadic s makes 1 - s, 2s - 1, ... exact, so the defect is bit-identical
+    here, there = (row["defect"] for row in _first_coefficient_rows("0.25+0.5i,0.75-0.5i", capsys))
+    assert here == there
     # generic s agrees to roundoff
-    s = complex(0.3, 1.7)
-    assert abs(first_coefficient_xi_check(s) - first_coefficient_xi_check(1.0 - s)) < 1e-12
+    here, there = (row["defect"] for row in _first_coefficient_rows("0.3+1.7i,0.7-1.7i", capsys))
+    assert abs(here - there) < 1e-12
 
 
-def test_first_coefficient_pole_exclusion():
-    for s in (0.0, 0.5, 1.0):
-        with pytest.raises(PoleError):
-            first_coefficient_xi_check(s)
+def test_first_coefficient_pole_exclusion(capsys):
+    # xi_completed refuses 2s - 1 or 2s at each pole point; the run goes on
+    rows = _first_coefficient_rows("0,0.5,1,0.3+1i", capsys)
+    for row in rows[:3]:
+        assert "defect" not in row and row["skipped"] == "PoleError: pole exclusion"
+    assert rows[3]["defect"] < 1e-10

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from eisenkit.errors import DomainError, InvalidTypeError
 from eisenkit.root_systems import (
     ParabolicDatum,
@@ -182,12 +183,25 @@ def test_a2_grading_example():
 
 
 def test_g2_long_root_parabolic_grading():
-    # removing the long simple root: level 1 holds {b, a+b, 2a+b, 3a+b},
-    # level 2 holds {3a+2b}; the 4-dimensional level is the symmetric-cube slot
+    # removing the long simple root b: the long roots b, 3a+b sit at level 1,
+    # 3a+2b at level 2, and the short roots a+b, 2a+b at 1 |b|^2 / |a|^2 = 3
     levels = nilradical_decomposition(ParabolicDatum(build_root_system("G", 2), 1))
-    assert tuple(map(len, levels)) == (4, 1)
-    assert set(levels[0]) == {(0, 1), (1, 1), (2, 1), (3, 1)}
+    assert tuple(map(len, levels)) == (2, 1, 2)
+    assert set(levels[0]) == {(0, 1), (3, 1)}
     assert levels[1] == ((3, 2),)
+    assert set(levels[2]) == {(1, 1), (2, 1)}
+    # removing the short root a, whose Levi is the long root b: the
+    # 4-dimensional level is the symmetric-cube slot
+    levels = nilradical_decomposition(ParabolicDatum(build_root_system("G", 2), 0))
+    assert set(levels[0]) == {(1, 0), (1, 1), (3, 1), (3, 2)}
+    assert levels[1] == ((2, 1),)
+
+
+def test_b2_siegel_parabolic_is_one_level():
+    # SO5's Siegel parabolic (removed_index 1): ^L n is Sym^2 of GL2
+    b2 = build_root_system("B", 2)
+    assert tuple(map(len, nilradical_decomposition(ParabolicDatum(b2, 1)))) == (3,)
+    assert tuple(map(len, nilradical_decomposition(ParabolicDatum(b2, 0)))) == (2, 1)
 
 
 def test_rank_one_grading():
@@ -209,14 +223,20 @@ def test_grading_invariants(cartan_type, rank):
         # no level 1..m is empty, so level j's position is the j of its
         # argument js in the constant-term ratio
         assert levels and all(levels)
-        # well-defined: each nilradical root in exactly one level, coefficient >= 1
+        # well-defined: each nilradical root in exactly one level, the level
+        # <rho_P, beta^vee> / <rho_P, alpha_k^vee> of the rho_P-pairing oracle
+        want = oracles.coroot_levels(p)
         seen = set()
         for j, roots in enumerate(levels, start=1):
             for root in roots:
-                assert root[k] == j
+                assert want[root] == j
                 assert root not in seen
                 seen.add(root)
-        assert len(seen) == sum(map(len, levels))
+        assert seen == set(want)
+        # the coefficient at the removed node grades the same way exactly
+        # when the type is simply laced
+        by_coefficient = all(root[k] == j for j, roots in enumerate(levels, start=1) for root in roots)
+        assert by_coefficient == (cartan_type in "ADE")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +255,9 @@ def test_enumerate_table_g2():
     rows = enumerate_table([("G", 2)])
     assert len(rows) == 2
     by_index = {row.removed_index: row for row in rows}
-    assert by_index[1].dims == (4, 1)
-    assert by_index[0].dims == (2, 1, 2)  # short-root parabolic, graded by the same rule
+    assert by_index[0].dims == (4, 1)  # Levi on the long root: Sym^3 + det
+    assert by_index[1].dims == (2, 1, 2)
+    assert by_index[1].a == (1, 2, 3)
 
 
 def test_enumerate_table_empty():
