@@ -29,8 +29,10 @@ a_n = 2 c_n sqrt(y') K_(s-1/2)(2 pi n y') / xi(2s), so an error delta in its
 K moves E by at most 4 |c_n| sqrt(y') delta / |xi(2s)|.  One loop sums the
 30 modes.  Modes 1 to 29 ask bessel_k for the abs_tol that keeps this below
 target / 30, which takes fewer nodes wherever a mode is far below the
-target.  Mode 30, the loop's last, is taken at abs_tol = 0, because it seeds
-the AccuracyError check and the tail bound.
+target; where a bound on a mode's K is below that share, bessel_k answers
+0 from the bound alone and sums no nodes, so a typical call sums only its
+first few modes.  Mode 30, the loop's last, is taken at abs_tol = 0,
+because it seeds the AccuracyError check and the tail bound.
 
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for

@@ -17,10 +17,14 @@ Accuracy targets (validated against independent oracles in the test suite):
   eval_fourier uses and below 5 the long node runs of small y; at
   abs_tol = 1e-14 M to 1e-1 M for y from 1e-3 to 200).  The bound is
   relative to that peak, not to |K|: for large |Im s| the integral cancels
-  and K is far smaller than M.
+  and K is far smaller than M.  Since |K| <= M sqrt(2 pi / y), bessel_k
+  returns exactly 0 where that bound is at most abs_tol (so abs_tol = inf
+  returns 0 wherever the integrand is in double range), without summing
+  the integral.
 
 Poles are never evaluated through: points inside the exclusion disk (radius
-1e-9) of a pole raise PoleError, and results that would leave double range
+1e-9, so 2e-9 around s = 0 for xi_completed, whose Gamma(s/2) has its pole
+there) of a pole raise PoleError, and results that would leave double range
 raise OverflowError.  A non-finite argument raises DomainError.
 """
 
@@ -197,9 +201,11 @@ def xi_completed(s: complex) -> complex:
 
     Left of Re s = -1 it returns xi(1 - s), by xi(s) = xi(1 - s), so neither
     the poles of Gamma(s/2) at -2, -4, ... nor zeta's reflection is met there.
+    Raises PoleError within 2e-9 of s = 0, where Gamma(s/2) is within 1e-9
+    of its pole, and within 1e-9 of s = 1.
     """
     s = finite_complex(s, "xi_completed")
-    if abs(s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
+    if abs(0.5 * s) < POLE_EXCLUSION_RADIUS or abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     if s.real < -1.0:
         s = 1.0 - s
@@ -249,6 +255,8 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     peak (see the module docstring).  The step and the cut both follow the
     accuracy asked (Trefethen & Weideman, SIAM Review 56, 2014), so a looser
     abs_tol takes fewer nodes; abs_tol = 0, the default, asks for 1e-14 M.
+    Where abs_tol is at least the bound M sqrt(2 pi / y) on |K| (DLMF
+    10.32.9), it returns 0j and sums no nodes; so abs_tol = inf returns 0j.
     A NaN or negative abs_tol raises DomainError.
     """
     # for smaller y the nodes would run past the double range of cosh t
@@ -270,6 +278,11 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
         raise OverflowError("bessel_k integrand exceeds double range")
     w = _BESSEL_W
     if abs_tol > 0.0:
+        # |cosh(order t)| <= e^(a t), and y cosh t - a t has second derivative
+        # y cosh t >= y, so |K| <= M sqrt(2 pi / y) (DLMF 10.32.9); where that
+        # is within abs_tol, so is 0
+        if log_peak + 0.5 * math.log(2.0 * math.pi / y) <= math.log(abs_tol):
+            return 0j
         w = max(min(w, log_peak - math.log(abs_tol) + _BESSEL_TOL_W), _BESSEL_W_FLOOR)
     # Step and node count for the trapezoid rule on exp(-y cosh t) cosh(nu t).
     # The transform of the integrand decays on the scale set by the larger of

@@ -222,6 +222,14 @@ def test_xi_poles():
         xi_completed(complex(math.nan, 1.0))
 
 
+def test_xi_refuses_the_gamma_disk_around_zero_itself():
+    # Gamma(s/2) refuses s/2 within 1e-9 of 0, so xi refuses the disk of
+    # radius 2e-9 around s = 0 with its own message
+    with pytest.raises(PoleError, match="completed zeta"):
+        xi_completed(1.5e-9j)
+    assert math.isfinite(abs(xi_completed(2.1e-9)))
+
+
 def test_xi_is_entire_at_the_poles_of_gamma():
     # Gamma(s/2) has poles at s = -2, -4, ..., cancelled by zeros of zeta;
     # mpmath takes the value through xi(1 - w), away from its own gamma pole
@@ -422,13 +430,39 @@ def test_bessel_default_tolerance_keeps_its_bits():
     assert digest.hexdigest() == "3e67570480177fad0f7d1ad06a31ea9ab04b475a92fe5bef502629b7070e7774"
 
 
+def test_bessel_bound_is_a_bound():
+    # |K_order(y)| <= M sqrt(2 pi / y), M the envelope's peak, checked in log
+    # space against mpmath over 0.1 <= |order| <= 100 and y from 1e-3 to 1e3.
+    # bessel_k answers 0 where that bound is within abs_tol; for an abs_tol
+    # drawn around |K| and one drawn around the bound, a 0 must be within
+    # abs_tol of K.  For small orders |K| comes near half the bound, which is
+    # above M below y = pi/2, so a rule without the sqrt(2 pi / y) would
+    # answer 0 for some abs_tol < |K|
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1032)
+    zeros = 0
+    with mp.workdps(20):
+        for _ in range(52):
+            order = cmath.rect(10.0 ** rng.uniform(-1.0, 2.0), rng.uniform(-math.pi, math.pi))
+            y = 10.0 ** rng.uniform(-3.0, 3.0)
+            a = abs(order.real)
+            log_bound = a * math.asinh(a / y) - math.hypot(a, y) + 0.5 * math.log(2.0 * math.pi / y)
+            log_k = float(mp.log(abs(mp.besselk(mp.mpc(order.real, order.imag), y))))
+            assert log_k <= log_bound, (order, y)
+            for log_tol in (log_k + rng.uniform(-1.0, 1.0), log_bound + rng.uniform(-1.0, 1.0)):
+                abs_tol = math.exp(log_tol)
+                if abs_tol > 0.0 and bessel_k(order, y, abs_tol=abs_tol) == 0j:
+                    zeros += 1
+                    assert log_k <= math.log(abs_tol), (order, y, abs_tol)
+    assert zeros >= 15  # 25 on this panel
+
+
 def test_bessel_tolerance_domain():
     for bad in (math.nan, -1.0, -math.inf):
         with pytest.raises(DomainError, match="abs_tol"):
             bessel_k(0.5, 2.0, abs_tol=bad)
-    # an infinite tolerance takes the floor W = 3, which still keeps a few nodes
-    closed = math.sqrt(math.pi / 4.0) * math.exp(-2.0)
-    assert abs(bessel_k(0.5, 2.0, abs_tol=math.inf) - closed) < 1e-2 * closed
+    # an infinite tolerance is above every bound on |K|, so the answer is 0
+    assert bessel_k(0.5, 2.0, abs_tol=math.inf) == 0j
 
 
 def _bisect_cutoff(a, y, target):
@@ -452,9 +486,11 @@ def _bessel_cut_panel(monkeypatch):
     # [lower, upper] the closed-form cut takes its upper end from.  Half the
     # points ask for an abs_tol, r M with r from 1e-14 to 10 or infinite,
     # whose W is ln(10 M / abs_tol) + 6 clamped to [3, ln(1e15) + 6]; the
-    # draws bessel_k refuses (|order| > 100, or beyond double range) are
-    # skipped, as no call takes their grid
+    # draws bessel_k refuses (|order| > 100, or beyond double range) and those
+    # its bound M sqrt(2 pi / y) <= abs_tol answers with 0 are skipped, as no
+    # call takes their grid.  At least 1500 grids remain to be checked
     grids = []
+    checked = 0
 
     def record(a, b, y, h, nsteps):
         grids.append((h, nsteps))
@@ -474,6 +510,8 @@ def _bessel_cut_panel(monkeypatch):
             bessel_k(complex(a, b), y, abs_tol=abs_tol)
         except (DomainError, OverflowError):
             continue
+        if not grids:
+            continue
         w = _BESSEL_W
         if abs_tol > 0.0:
             w = max(min(w, log_peak + math.log(10.0) - math.log(abs_tol) + 6.0), 3.0)
@@ -482,7 +520,9 @@ def _bessel_cut_panel(monkeypatch):
         root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)
         lower = max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5)
         upper = max(t_peak + math.acosh(1.0 + rise / kappa), 0.5)
+        checked += 1
         yield h, nsteps, root, lower, upper
+    assert checked >= 1500
 
 
 def test_bessel_cutoff_is_the_peak_relative_root(monkeypatch):
