@@ -165,7 +165,10 @@ def _grid_points(args) -> list[complex]:
 
 
 def _reflection_defect(u: complex) -> float:
-    return abs(xi_completed(u) - xi_completed(1.0 - u))
+    # |xi(u) - xi(1 - u)| over max(1, |xi(u)|, |xi(1 - u)|): near a pole xi
+    # grows like 1/distance, and the rounding of 1 - u grows with it
+    value, reflected = xi_completed(u), xi_completed(1.0 - u)
+    return abs(value - reflected) / max(1.0, abs(value), abs(reflected))
 
 
 # fe-check's --check names and the defect each computes at (z, s);
@@ -213,7 +216,7 @@ def cmd_xi(args) -> dict:
     report = {"command": "xi", "s": format_complex(s)}
     report.update(_complex_fields("xi", value))
     report.update(_complex_fields("xi_reflected", reflected))
-    report["reflection_defect"] = abs(value - reflected)
+    report["reflection_defect"] = _reflection_defect(s)
     return report
 
 

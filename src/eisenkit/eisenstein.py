@@ -27,12 +27,11 @@ eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
 a_n = 2 c_n sqrt(y') K_(s-1/2)(2 pi n y') / xi(2s), so an error delta in its
 K moves E by at most 4 |c_n| sqrt(y') delta / |xi(2s)|.  One loop sums the
-30 modes.  Modes 1 to 29 ask bessel_k for the abs_tol that keeps this below
-target / 30, which takes fewer nodes wherever a mode is far below the
-target; where a bound on a mode's K is below that share, bessel_k answers
-0 from the bound alone and sums no nodes, so a typical call sums only its
-first few modes.  Mode 30, the loop's last, is taken at abs_tol = 0,
-because it seeds the AccuracyError check and the tail bound.
+30 modes, each asking bessel_k for the abs_tol that keeps this below
+target / 30.  Where a bound on a mode's K is within that share, bessel_k
+answers 0 from the bound alone and sums no nodes, so a typical call sums
+only its first few modes.  Mode 30, the loop's last, seeds the
+AccuracyError check, and its magnitude plus its share seeds the tail bound.
 
 The parts of the expansion that depend on s alone are computed once per s:
 a memo keeps xi at its last four arguments (so xi(2s) and xi(2s - 1) for
@@ -251,12 +250,11 @@ def eval_fourier(z, s) -> SeriesValue:
 
     Pulls z back under SL2(Z) to z' = x' + i y' with |x'| <= 1/2, |z'| >= 1
     (E is invariant, so E(z) = E(z')), then sums a_0 plus the paired modes
-    a_n (e^(2 pi i n x') + e^(-2 pi i n x')), n = 1..30, at z'.  The returned
-    tail bound is the geometric-series bound seeded by mode 30, and it covers
-    truncation only.  Raises AccuracyError if mode 30 is above the fixed
-    accuracy target (1e-14 times max(1, |a_0|)), rather than return a value
-    that missed it.  Modes 1-29 share that target (see the module
-    docstring); mode 30 is taken at abs_tol = 0.
+    a_n (e^(2 pi i n x') + e^(-2 pi i n x')), n = 1..30, at z'.  The modes
+    share the fixed accuracy target 1e-14 max(1, |a_0|) (see the module
+    docstring); AccuracyError if mode 30 is above it.  The tail bound,
+    seeded by mode 30 and its share, bounds the modes past 30; it does not
+    cover rounding or the K errors of modes 1-30.
 
     xi(2s), c(s) and the divisor factors come from the memos (see the module
     docstring), so calls at the s of the call before pay only for their
@@ -269,13 +267,12 @@ def eval_fourier(z, s) -> SeriesValue:
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
     nu, factors = s - 0.5, _divisor_factors(s)
     # mode n adds scale c_n K cos(2 pi n x'), so its share of the target
-    # allows K an error of budget / |c_n|; the last mode takes none
+    # allows K an error of budget / |c_n|
     scale = 4.0 * math.sqrt(y) * (1.0 / xi_2s)
     budget = target / (_MODES * abs(scale))
     for n in range(1, _MODES + 1):
         c_n = factors[n]
-        abs_tol = budget / abs(c_n) if n < _MODES else 0.0
-        term = scale * c_n * bessel_k(nu, _TWO_PI * n * y, abs_tol=abs_tol)
+        term = scale * c_n * bessel_k(nu, _TWO_PI * n * y, abs_tol=budget / abs(c_n))
         total += term * math.cos(_TWO_PI * n * x)
     last_mag = abs(term)
     if not last_mag <= target:  # NaN included
@@ -283,8 +280,9 @@ def eval_fourier(z, s) -> SeriesValue:
             f"eval_fourier: mode {_MODES} at z' = {x}+{y}i, s = {s} is {last_mag:.3g}, "
             f"above the target {target:.3g}"
         )
+    # mode 30 plus its share, then a fall of at least e^(-2 pi y') per mode
     decay = math.exp(-_TWO_PI * y)
-    return SeriesValue(total, last_mag * decay / (1.0 - decay))
+    return SeriesValue(total, (last_mag + target / _MODES) * decay / (1.0 - decay))
 
 
 def functional_equation_defect(z, s) -> float:

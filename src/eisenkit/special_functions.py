@@ -6,9 +6,9 @@ numbers and the Lanczos coefficients, both immutable after import.
 
 Accuracy targets (validated against independent oracles in the test suite):
 
-* ``gamma``:   relative error <= 1e-12 for |s| <= 50,
-* ``zeta``:    absolute error <= 1e-12 for |Im s| <= 50 (scaled by |zeta| when
-  the value is large),
+* ``gamma``:   relative error <= 1e-12 for |s| <= 100,
+* ``zeta``:    absolute error <= 1e-12 (scaled by |zeta| when the value is
+  large) for |Im s| <= 50, and on -1 <= Re s <= 6 for |Im s| <= 200,
 * ``bessel_k``: absolute error <= max(1e-14 M, abs_tol), where
   M = exp(a t_p - hypot(a, y)), t_p = asinh(a/y), a = |Re s|, is the peak of
   the integrand's envelope exp(-y cosh t + a t), and abs_tol = 0 unless the
@@ -18,9 +18,9 @@ Accuracy targets (validated against independent oracles in the test suite):
   abs_tol = 1e-14 M to 1e-1 M for y from 1e-3 to 200).  The bound is
   relative to that peak, not to |K|: for large |Im s| the integral cancels
   and K is far smaller than M.  Since |K| <= M sqrt(2 pi / y), bessel_k
-  returns exactly 0 where that bound is at most abs_tol (so abs_tol = inf
-  returns 0 wherever the integrand is in double range), without summing
-  the integral.
+  returns exactly 0, without summing, where that bound is at most abs_tol
+  (so abs_tol = inf returns 0 wherever the integrand is in double range),
+  and the abs_tol = 0 value everywhere else.
 
 Poles are never evaluated through: points inside the exclusion disk (radius
 1e-9, so 2e-9 around s = 0 for xi_completed, whose Gamma(s/2) has its pole
@@ -82,15 +82,11 @@ _EM_MAX_CORRECTIONS = len(_B_EVEN) - 2
 
 
 #: Absolute error target, scaled by max(1, |value|), of zeta's adaptive
-#: Euler-Maclaurin and of the last of eisenstein's 30 Fourier modes.
+#: Euler-Maclaurin and of eisenstein's 30-mode Fourier sum.
 TARGET_ABS_ERROR = 1e-14
 # bessel_k's trapezoid stops where the integrand's envelope is e^(-W)/2 of its
-# peak M, and W also sets the step: W = ln(10 M / tol) + 6 for an absolute
-# tolerance tol, so the default tol = 1e-14 M gives W = ln(1e15) + 6 and a
-# looser tol a smaller W, down to a floor that keeps a few nodes
+# peak M, and W also sets the step; W = ln(10 M / tol) + 6 at tol = 1e-14 M
 _BESSEL_W = math.log(1e15) + 6.0
-_BESSEL_W_FLOOR = 3.0
-_BESSEL_TOL_W = math.log(10.0) + 6.0  # W = log M - ln(tol) + _BESSEL_TOL_W
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -252,12 +248,12 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     (K_s = K_{-s} holds to the last bit).
 
     The absolute error is at most max(1e-14 M, abs_tol), M the envelope's
-    peak (see the module docstring).  The step and the cut both follow the
-    accuracy asked (Trefethen & Weideman, SIAM Review 56, 2014), so a looser
-    abs_tol takes fewer nodes; abs_tol = 0, the default, asks for 1e-14 M.
-    Where abs_tol is at least the bound M sqrt(2 pi / y) on |K| (DLMF
-    10.32.9), it returns 0j and sums no nodes; so abs_tol = inf returns 0j.
-    A NaN or negative abs_tol raises DomainError.
+    peak (see the module docstring).  The step and the cut depend on
+    (order, y) alone (Trefethen & Weideman, SIAM Review 56, 2014).  Where
+    abs_tol is at least the bound M sqrt(2 pi / y) on |K| (DLMF 10.32.9),
+    it returns 0j and sums no nodes, so abs_tol = inf returns 0j; elsewhere
+    it returns the abs_tol = 0 value bit for bit.  A NaN or negative abs_tol
+    raises DomainError.
     """
     # for smaller y the nodes would run past the double range of cosh t
     if not 1e-300 <= y < math.inf:
@@ -276,19 +272,16 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     log_peak = a * t_peak - kappa
     if log_peak > _LOG_DBL_MAX - 5.0:
         raise OverflowError("bessel_k integrand exceeds double range")
-    w = _BESSEL_W
-    if abs_tol > 0.0:
-        # |cosh(order t)| <= e^(a t), and y cosh t - a t has second derivative
-        # y cosh t >= y, so |K| <= M sqrt(2 pi / y) (DLMF 10.32.9); where that
-        # is within abs_tol, so is 0
-        if log_peak + 0.5 * math.log(2.0 * math.pi / y) <= math.log(abs_tol):
-            return 0j
-        w = max(min(w, log_peak - math.log(abs_tol) + _BESSEL_TOL_W), _BESSEL_W_FLOOR)
+    # |cosh(order t)| <= e^(a t), and y cosh t - a t has second derivative
+    # y cosh t >= y, so |K| <= M sqrt(2 pi / y) (DLMF 10.32.9); where that is
+    # within abs_tol, so is 0
+    if abs_tol > 0.0 and log_peak + 0.5 * math.log(2.0 * math.pi / y) <= math.log(abs_tol):
+        return 0j
     # Step and node count for the trapezoid rule on exp(-y cosh t) cosh(nu t).
     # The transform of the integrand decays on the scale set by the larger of
     # the analyticity-strip rate 2W/pi and the saddle bandwidth sqrt(2 W kappa);
     # the oscillation b shifts both.
-    omega = max(2.0 * w / math.pi, math.sqrt(2.0 * w * kappa)) + b + 2.0
+    omega = max(2.0 * _BESSEL_W / math.pi, math.sqrt(2.0 * _BESSEL_W * kappa)) + b + 2.0
     h = 2.0 * math.pi / omega
     # Nodes run to t_max >= 0.5, right of where the envelope exp(-g(t)),
     # g(t) = y cosh t - a t, has fallen to e^(-W)/2 of its peak at
@@ -298,7 +291,7 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     # 0 <= sinh u - u <= cosh u - 1 puts the root of F(u) = R, R = W + ln 2,
     # in [acosh(1 + R/(kappa + a)), acosh(1 + R/kappa)].  The upper end is
     # never left of the root and overshoots it by at most the bracket width.
-    nsteps = math.ceil(max(t_peak + math.acosh(1.0 + (w + math.log(2.0)) / kappa), 0.5) / h)
+    nsteps = math.ceil(max(t_peak + math.acosh(1.0 + (_BESSEL_W + math.log(2.0)) / kappa), 0.5) / h)
     value = _kernels.bessel_k_trapezoid(a, b, y, h, nsteps)
     # the kernel computed K for |Re|, |Im|; K is even in the order and
     # K_conj(order) = conj K_order, so conjugate where Re and Im have

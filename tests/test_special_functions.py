@@ -484,11 +484,12 @@ def _bessel_cut_panel(monkeypatch):
     # seed-53 panel: the step and node count bessel_k hands its kernel, the
     # bisection root of the rise (or the 0.5 floor), and the bracket
     # [lower, upper] the closed-form cut takes its upper end from.  Half the
-    # points ask for an abs_tol, r M with r from 1e-14 to 10 or infinite,
-    # whose W is ln(10 M / abs_tol) + 6 clamped to [3, ln(1e15) + 6]; the
-    # draws bessel_k refuses (|order| > 100, or beyond double range) and those
-    # its bound M sqrt(2 pi / y) <= abs_tol answers with 0 are skipped, as no
-    # call takes their grid.  At least 1500 grids remain to be checked
+    # points ask for an abs_tol, r M with r from 1e-14 to 10 or infinite;
+    # the grid is the one abs_tol = 0 takes, as W depends on (order, y)
+    # alone.  The draws bessel_k refuses (|order| > 100, or beyond double
+    # range) and those its bound M sqrt(2 pi / y) <= abs_tol answers with 0
+    # are skipped, as no call takes their grid.  At least 1500 grids remain
+    # to be checked
     grids = []
     checked = 0
 
@@ -512,11 +513,11 @@ def _bessel_cut_panel(monkeypatch):
             continue
         if not grids:
             continue
-        w = _BESSEL_W
-        if abs_tol > 0.0:
-            w = max(min(w, log_peak + math.log(10.0) - math.log(abs_tol) + 6.0), 3.0)
-        rise = w + math.log(2.0)
         h, nsteps = grids.pop()
+        if abs_tol > 0.0:
+            bessel_k(complex(a, b), y)
+            assert grids.pop() == (h, nsteps), (a, b, y, abs_tol)
+        rise = _BESSEL_W + math.log(2.0)
         root = max(_bisect_cutoff(a, y, rise + kappa - a * t_peak), 0.5)
         lower = max(t_peak + math.acosh(1.0 + rise / (kappa + a)), 0.5)
         upper = max(t_peak + math.acosh(1.0 + rise / kappa), 0.5)
