@@ -5,6 +5,8 @@ Two independent evaluators are provided and cross-checked in the tests:
 * ``eval_lattice_sum``: the defining sum over coprime integer pairs, folded
   along (m, n) -> (-m, -n) so that the constant term is y^s + c(s) y^(1-s)
   (the literal unfolded sum double-counts every pair and would carry 2 y^s),
+  plus an estimate of the pairs past the radius from their density 6/pi^2,
+  which gains about three digits at no extra pair,
 * ``eval_fourier``: the Fourier-mode expansion a_0 + sum a_n e^(2 pi i n x)
   whose coefficients mix power-divisor sums, the K-Bessel function, and the
   completed zeta; it converges for every s in the strip and provides the
@@ -21,7 +23,9 @@ y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and
 30 modes meet the accuracy target for any z, however close to the real
 axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
-blows up as y -> 0.
+blows up as y -> 0.  The lattice sum's tail is estimated by an integral over
+the plane (_tail_correction) and added; the tail bound adds the estimate's
+size to the bound on the tail itself.
 
 eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
@@ -158,20 +162,97 @@ def _lattice_tail_bound(y: float, sigma: float, radius: int) -> float:
     return 8.0 * (4.0 * y) ** sigma * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built once:
+    Newton steps on the Legendre recurrence from the estimates
+    cos(pi (k - 1/4) / 16.5) of the roots, which converge to rounding in
+    four, and w = 2 / ((1 - x^2) P_16'(x)^2).  numpy.polynomial's leggauss
+    would cost an import of 3 ms and 1 MB."""
+    import numpy as np
+
+    x = np.cos(np.pi * (np.arange(16) + 0.75) / 16.5)
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, 17):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = 16 * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _tail_correction(xs, y: float, s: complex, radius: int):
+    """Coprime-density estimate C of the tail of S (the kernels' half-lattice
+    sum) past max-norm radius R, at z = x + i y for each x in xs.
+
+    Coprime pairs have density 6/pi^2 (Hardy & Wright, An Introduction to the
+    Theory of Numbers, Thm 330), and the shells up to R fill the box
+    max(|m|, |n|) <= rho = R + 1/2.  So the tail, half the coprime sum past
+    the box, is about 3/pi^2 times the integral of |m z + n|^(-2s) outside
+    it.  (m, n) -> w = m z + n has Jacobian y and maps the box to rho P, P
+    the parallelogram with corners +-z +-1; the radial integral in polar
+    coordinates is closed, so
+
+        C = 3/pi^2 rho^(2-2s) / (y (2s - 2)) * int_0^(2 pi) r(theta)^(2-2s) dtheta,
+
+    with r(theta) the distance from 0 to P's boundary.  P is symmetric about
+    0: its edges from 1 - z to 1 + z (n = 1) and from 1 + z to z - 1 (m = 1)
+    are taken twice.  On an edge whose line lies at distance d from 0, put
+    u = d sinh v along it from the foot of the perpendicular: then r = d cosh v
+    and dtheta = dv / cosh v, so the edge gives d^(2-2s) int cosh(v)^(1-2s) dv.
+    In v the integrand is analytic in |Im v| < pi/2 however small d / |P| is
+    (in theta it steepens at the ends of the edge as y falls, in u it peaks),
+    and its exponent moves at a rate of at most |2s - 1|.  So composite
+    16-point Gauss-Legendre on panels at most min(1, 8 / |2s - 1|) wide
+    reaches rounding level for any y and |Im s|; the panel count, the same
+    for every x, grows with |Im s|, and the panels are summed in blocks of at
+    most 2^16 nodes, so memory stays bounded as it grows.
+    """
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=np.float64)
+    abs_z2 = xs * xs + y * y
+    # v at the ends of the n = 1 edge (d = y / |z|) and the m = 1 edge (d = y)
+    ends = np.arcsinh(np.array([xs - abs_z2, -1.0 - xs, xs + abs_z2, 1.0 - xs]) / y)
+    lo, width = ends[:2], ends[2:] - ends[:2]
+    panels = math.ceil(float(width.max()) * max(1.0, abs(2.0 * s - 1.0) / 8.0))
+    nodes, weights = _gauss_legendre()
+    step = max(1, 2048 // xs.size)  # panels per block of at most 2^16 nodes
+    edges = 0.0
+    for first in range(0, panels, step):
+        frac = (np.arange(first, min(first + step, panels))[:, None] + 0.5 * (nodes + 1.0)) / panels
+        v = lo[..., None, None] + width[..., None, None] * frac
+        integrand = np.exp((1.0 - 2.0 * s) * np.log(np.cosh(v)))
+        # numpy's own sum, not BLAS, so the result does not follow the thread count
+        edges = edges + (integrand * weights).sum(axis=(-2, -1))
+    edges = edges * width / (2 * panels)
+    edge_sum = np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1]
+    return 6.0 / math.pi**2 * _cpow((radius + 0.5) * y, 2.0 - 2.0 * s) / (y * (2.0 * s - 2.0)) * edge_sum
+
+
 def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesValue:
-    """Partial coprime lattice sum over max(|m|, |n|) <= lattice_radius.
+    """Coprime lattice sum over max(|m|, |n|) <= lattice_radius, plus the
+    coprime-density estimate of the rest.
 
     Pulls z back under SL2(Z) first, as eval_fourier does, and sums at the
     image.  Only converges for Re(s) > 1 (DivergenceError otherwise).  The
-    returned tail bound is O(radius^(2 - 2 Re s)), by comparison with the
-    integral of r^(1 - 2 Re s).
+    tail past the radius is estimated by the integral of |m z + n|^(-2s)
+    over the plane outside the box, weighted by the coprime density 6/pi^2
+    (_tail_correction), and added to the sum.  The returned tail bound is
+    B + |y^s C|: B = O(radius^(2 - 2 Re s)) bounds the true tail by
+    comparison with the integral of r^(1 - 2 Re s), so B plus the added
+    estimate's size bounds what the estimate leaves.
     """
     x, y = _pullback(*_point(z))
     s = finite_complex(s, "spectral parameter")
     if s.real <= 1.0:
         raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {s}")
-    raw = _kernels.lattice_sum(x, y, s.real, s.imag, policy.lattice_radius)
-    return SeriesValue(_cpow(y, s) * raw, _lattice_tail_bound(y, s.real, policy.lattice_radius))
+    radius = policy.lattice_radius
+    raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
+    correction = complex(_tail_correction((x,), y, s, radius)[0])
+    y_s = _cpow(y, s)
+    bound = _lattice_tail_bound(y, s.real, radius) + abs(y_s * correction)
+    return SeriesValue(y_s * (raw + correction), bound)
 
 
 @functools.lru_cache(maxsize=4)
@@ -208,7 +289,12 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     if n == 0:
         return _constant_term(y, s, _xi_and_ratio(s)[1])
     n = abs(n)
-    factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
+    if s.real < 0.5:
+        # the same factor as n^(1/2-s) sigma_(2s-1)(n), whose divisor powers
+        # have Re <= 0: sigma_(1-2s)(n) alone leaves double range far left
+        factor = _cpow(float(n), 0.5 - s) * sigma_power(n, 2.0 * s - 1.0)
+    else:
+        factor = _cpow(float(n), s - 0.5) * sigma_power(n, 1.0 - 2.0 * s)
     return 2.0 * factor * math.sqrt(y) * bessel_k(s - 0.5, _TWO_PI * n * y) * (1.0 / _xi(2.0 * s))
 
 
@@ -331,7 +417,9 @@ def extract_coefficient_by_quadrature(
     """Trapezoid quadrature int_0^1 E(x + i y, s) e^(-2 pi i n x) dx.
 
     E is sampled by the lattice sum, so this is an extraction of a_n
-    independent of the closed-form coefficient formula.  Its error is the
+    independent of the closed-form coefficient formula.  Each node's sum gets
+    the coprime-density tail estimate that eval_lattice_sum adds, computed
+    for all nodes at once.  The error is what that estimate leaves of the
     lattice tail at the nodes plus the aliased modes, which the node count
     (_quadrature_nodes) keeps below 1e-14; AccuracyError past 4096 nodes
     (y below about 2e-3).  Needs Re(s) > 1 (DivergenceError otherwise);
@@ -353,8 +441,10 @@ def extract_coefficient_by_quadrature(
     # nodes 0 <= k <= N/2, all in |x| <= 1/2, are summed.  They keep the row's
     # y: SL2(Z) images would give each node its own truncation error, which
     # measured about half a digit worse on n != 0 at y < 1
-    raw = _kernels.lattice_sum_batch(xs[: nodes // 2 + 1], y, s.real, s.imag, policy.lattice_radius)
-    values = _cpow(y, s) * np.asarray(raw)[np.minimum(k, nodes - k)]
+    half = xs[: nodes // 2 + 1]
+    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
+    raw += _tail_correction(half, y, s, policy.lattice_radius)
+    values = _cpow(y, s) * raw[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))
 

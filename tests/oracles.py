@@ -214,6 +214,43 @@ def eisenstein_lattice_numpy(xs, y: float, s: complex, radius: int):
     return (out + 1.0) * complex(y) ** s
 
 
+def lattice_tail_correction(z: complex, s: complex, radius: int, dps: int = 30) -> complex:
+    """y^s C, the coprime-density estimate of the lattice sum's tail past
+    max-norm ``radius``, at ``dps`` digits (Re s > 1):
+
+        C = 3/pi^2 (R + 1/2)^(2-2s) / (y (2s - 2)) * sum over the four edges AB
+            of int_0^1 |A + t (B - A)|^(-2s) |A x B| dt,
+
+    AB running over the parallelogram with corners z + 1, z - 1, -z - 1,
+    -z + 1.  Each edge integral is closed: with u the coordinate along the
+    edge from the foot of the perpendicular and d the line's distance from
+    0, |w|^2 = u^2 + d^2 and int_0^u (t^2 + d^2)^(-s) dt =
+    u d^(-2s) 2F1(1/2, s; 3/2; -u^2 / d^2) (DLMF 15.6.1), with mpmath's
+    hyp2f1.  Walks all four edges in the edge parameter, where the package
+    doubles two edges and integrates numerically in another variable.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z, s = mpmath.mpc(z), mpmath.mpc(s)
+        corners = [z + 1, z - 1, -z - 1, -z + 1]
+        total = mpmath.mpf(0)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            length = abs(b - a)
+            cross = abs(mpmath.im(mpmath.conj(a) * b))
+            d = cross / length
+            u_a = mpmath.re(mpmath.conj(b - a) * a) / length  # coordinate of A along AB
+
+            def primitive(u):
+                return u * d ** (-2 * s) * mpmath.hyp2f1(0.5, s, 1.5, -((u / d) ** 2))
+
+            total += cross / length * (primitive(u_a + length) - primitive(u_a))
+        rho = mpmath.mpf(radius) + 0.5
+        y = mpmath.im(z)
+        tail = 3 / mpmath.pi**2 * rho ** (2 - 2 * s) / (y * (2 * s - 2)) * total
+        return complex(y**s * tail)
+
+
 def extract_mode_brute(n: int, y: float, s: complex, nodes: int, radius: int) -> complex:
     """Trapezoid extraction of a_n from the independent lattice panel."""
     xs = np.arange(nodes) / nodes
@@ -286,6 +323,35 @@ def sl2z_pullback(z: complex, dps: int = 20):
             w = -1 / w
 
 
+def _xi_mpmath(u):
+    """xi(u) = pi^(-u/2) Gamma(u/2) zeta(u) at mpmath's working precision,
+    through xi(1 - u) left of 0, where gamma(u / 2) has its poles."""
+    import mpmath
+
+    if u.real < 0:
+        u = 1 - u
+    return mpmath.pi ** (-u / 2) * mpmath.gamma(u / 2) * mpmath.zeta(u)
+
+
+def _mode_mpmath(n: int, y, s):
+    """xi(2s) a_n(y, s) = 2 n^(s-1/2) sigma_(1-2s)(n) sqrt(y) K_(s-1/2)(2 pi n y)
+    at mpmath's working precision, sigma by enumerating the divisors."""
+    import mpmath
+
+    sigma = mpmath.fsum(mpmath.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+    return 2 * mpmath.mpf(n) ** (s - 0.5) * sigma * mpmath.sqrt(y) * mpmath.besselk(s - 0.5, 2 * mpmath.pi * n * y)
+
+
+def fourier_coefficient_mpmath(n: int, y: float, s: complex, dps: int = 30) -> complex:
+    """a_n(y, s), n >= 1, from the closed form in mpmath at ``dps`` digits.
+    Shares no code with the package."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpc(s)
+        return complex(_mode_mpmath(n, mpmath.mpf(y), s) / _xi_mpmath(2 * s))
+
+
 def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
     """E(z, s) from its Fourier expansion in mpmath at ``dps`` digits.
 
@@ -301,20 +367,12 @@ def eisenstein_mpmath(z: complex, s: complex, dps: int = 20) -> complex:
         x, y = w.real, w.imag
         s = mpmath.mpc(s)
 
-        def xi(u):
-            # through xi(1 - u) left of 0, where gamma(u / 2) has its poles
-            if u.real < 0:
-                u = 1 - u
-            return mpmath.pi ** (-u / 2) * mpmath.gamma(u / 2) * mpmath.zeta(u)
-
-        xi_2s = xi(2 * s)
-        total = y**s + xi(2 * s - 1) / xi_2s * y ** (1 - s)
+        xi_2s = _xi_mpmath(2 * s)
+        total = y**s + _xi_mpmath(2 * s - 1) / xi_2s * y ** (1 - s)
         n = 0
         while True:
             n += 1
-            sigma = mpmath.fsum(mpmath.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
-            a_n = 2 * mpmath.mpf(n) ** (s - 0.5) * sigma * mpmath.sqrt(y)
-            a_n *= mpmath.besselk(s - 0.5, 2 * mpmath.pi * n * y) / xi_2s
+            a_n = _mode_mpmath(n, y, s) / xi_2s
             total += 2 * a_n * mpmath.cos(2 * mpmath.pi * n * x)
             if abs(a_n) < mpmath.mpf(10) ** -dps * abs(total):
                 return complex(total)

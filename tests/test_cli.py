@@ -113,6 +113,18 @@ def test_eval_fourier_far_left_exits_0(capsys):
     assert abs(value - want) < 1e-12 * abs(want)
 
 
+def test_fourier_far_left_exits_0(capsys):
+    # a_36 at s = -99 is 4.7e-41, though sigma_(1-2s)(36) leaves double range
+    argv = ["fourier", "--n", "36", "--y", "1", "--s=-99", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    value = complex(report["a_n_re"], report["a_n_im"])
+    pytest.importorskip("mpmath")
+    want = oracles.fourier_coefficient_mpmath(36, 1.0, -99.0)
+    assert abs(value - want) <= 1e-12 * abs(want)
+
+
 def test_xi_pole_exits_4(capsys):
     code, _, err = run_cli(["xi", "--s", "1"], capsys)
     assert code == 4
@@ -430,6 +442,10 @@ def _assert_matches(got, want, path="", key=""):
 
 GOLDEN_ARGS = {
     "eval": ["eval", "--z", "0+1i", "--s", "2.5", "--method", "fourier", "--format", "json"],
+    # the lattice value with its tail correction, and its tail bound
+    "eval-both": [
+        "eval", "--z", "0.3+1.2i", "--s", "2.2+1i", "--method", "both", "--radius", "300", "--format", "json",
+    ],
     "fourier": ["fourier", "--n", "1", "--y", "1.0", "--s", "2.5", "--format", "json"],
     "fe-check": ["fe-check", "--check", "scattering", "--points", "0.3+2i,0.7-2i", "--format", "json"],
     "xi": ["xi", "--s", "0.3+2i", "--format", "json"],

@@ -87,11 +87,13 @@ def test_lattice_sum_real_on_imaginary_axis_real_s():
 
 
 def test_lattice_sum_matches_brute_loop():
-    # the brute loop sums at the oracle's own SL2(Z) image of z
+    # the brute loop sums at the oracle's own SL2(Z) image of z, and the
+    # oracle's coprime-density tail is added as the package adds its own
     pytest.importorskip("mpmath")
     policy = TruncationPolicy(lattice_radius=60)
     for z, s in ((1j, 2.5), (0.3 + 1.2j, complex(3, 1)), (-0.4 + 0.8j, 2.2), (2.3 + 0.1j, 2.5)):
-        want = oracles.eisenstein_brute(complex(oracles.sl2z_pullback(z)), s, 60)
+        image = complex(oracles.sl2z_pullback(z))
+        want = oracles.eisenstein_brute(image, s, 60) + oracles.lattice_tail_correction(image, s, 60)
         got = eval_lattice_sum(z, s, policy).value
         assert abs(got - want) < 1e-12 * abs(want)
 
@@ -119,6 +121,55 @@ def test_lattice_tail_bound_is_honest():
             assert err < rel * abs(want) and err <= got.tail_bound, (z, s)
 
 
+def test_tail_correction_matches_the_closed_form():
+    # the package's composite Gauss-Legendre in v, two edges doubled, against
+    # the oracle's hypergeometric closed form on all four edges (worst
+    # 8.3e-14); y reaches the extraction's unpulled rows, where the edges'
+    # ends steepen in the polar angle, and |Im s| the phase's fastest swing
+    pytest.importorskip("mpmath")
+    rng = random.Random(330)
+    for _ in range(40):
+        x = rng.uniform(-0.5, 1.0)
+        y = math.exp(rng.uniform(math.log(2e-3), math.log(3.0)))
+        s = complex(rng.uniform(1.0, 4.0), rng.choice((0.0, rng.uniform(-100.0, 100.0))))
+        radius = rng.choice((10, 200, 2000))
+        want = oracles.lattice_tail_correction(complex(x, y), s, radius)
+        got = eisenstein._cpow(y, s) * complex(eisenstein._tail_correction((x,), y, s, radius)[0])
+        assert abs(got - want) <= 1e-12 * abs(want), (x, y, s, radius)
+    # as the extraction calls it: many x at once, whose panels take blocks
+    xs = np.linspace(0.0, 0.5, 300)
+    y, s = 0.01, complex(1.5, 60.0)
+    got = eisenstein._cpow(y, s) * eisenstein._tail_correction(xs, y, s, 300)
+    for k in (0, 77, 299):
+        want = oracles.lattice_tail_correction(complex(xs[k], y), s, 300)
+        assert abs(got[k] - want) <= 1e-12 * abs(want), xs[k]
+
+
+def test_lattice_sum_on_the_cm_panel():
+    # at the CM points of class number one E is exact (oracles.eisenstein_cm).
+    # The tail bound holds at every point (median bound / error 3.0e5, least
+    # 5.6e4: B, the bound on the plain tail, dominates it), and the
+    # coprime-density correction takes the median error down by 30x or more
+    # (595x on this panel, 2.2e-7 to 3.8e-10 of |E|)
+    pytest.importorskip("mpmath")
+    rng = random.Random(1981)
+    plain_errors, errors = [], []
+    for d in (-3, -4, -7, -8, -11, -19):
+        z = oracles.cm_point(d)
+        for _ in range(4):
+            s = complex(rng.uniform(1.1, 3.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+            want = oracles.eisenstein_cm(d, s)
+            for radius in (50, 200, 1000):
+                got = eval_lattice_sum(z, s, TruncationPolicy(lattice_radius=radius))
+                error = abs(got.value - want)
+                assert got.tail_bound >= error, (d, s, radius)
+                # z_D lies in the fundamental domain, where eval_lattice_sum sums
+                plain = eisenstein._cpow(z.imag, s) * _kernels.lattice_sum(z.real, z.imag, s.real, s.imag, radius)
+                plain_errors.append(abs(plain - want) / abs(want))
+                errors.append(error / abs(want))
+    assert np.median(plain_errors) >= 30.0 * np.median(errors)
+
+
 # ---------------------------------------------------------------------------
 # Fourier coefficients and evaluator
 
@@ -137,6 +188,21 @@ def test_coefficient_depends_only_on_mode_magnitude():
         if abs(s - 0.5) < 0.05 or abs(s - 1.0) < 0.05 or abs(s) < 0.05:
             continue
         assert fourier_coefficient(n, y, s) == fourier_coefficient(-n, y, s)
+
+
+def test_coefficient_far_left_matches_mpmath():
+    # left of Re s = 1/2 the divisor factor is n^(1/2-s) sigma_(2s-1)(n):
+    # sigma_(1-2s)(36) alone overflows at s = -99, where a_36 is 4.7e-41
+    pytest.importorskip("mpmath")
+    rng = random.Random(99)
+    cases = [(36, 1.0, -99.0), (35, 1.0, -99.0)]
+    for _ in range(30):
+        n = rng.randint(1, 60)
+        y = math.exp(rng.uniform(math.log(0.3), math.log(1.5)))
+        cases.append((n, y, complex(rng.uniform(-99.0, -1.0), rng.uniform(-10.0, 10.0))))
+    for n, y, s in cases:
+        want = oracles.fourier_coefficient_mpmath(n, y, s)
+        assert abs(fourier_coefficient(n, y, s) - want) <= 1e-12 * abs(want), (n, y, s)
 
 
 def _panel_parameters(rng, count):
@@ -667,14 +733,19 @@ def test_extraction_matches_second_coefficient():
 
 def test_extraction_agrees_with_independent_oracle():
     # same trapezoid extraction built on the independent numpy lattice panel,
-    # which sums every node; odd counts have no node at x = 1/2
+    # which sums every node, plus the oracle's coprime-density tail at each
+    # node; odd counts have no node at x = 1/2
+    pytest.importorskip("mpmath")
     policy = TruncationPolicy(lattice_radius=200)
     counts = set()
     for n, y, s in ((1, 1.0, 2.5), (2, 1.0, 2.5), (1, 0.5, 2.5 + 2j)):
         nodes = eisenstein._quadrature_nodes(n, y, complex(s))
         counts.add(nodes % 2)
         got = extract_coefficient_by_quadrature(n, y, s, policy, source="lattice")
+        xs = [k / nodes for k in range(nodes)]
+        tails = [oracles.lattice_tail_correction(complex(x - round(x), y), s, 200) for x in xs]
         want = oracles.extract_mode_brute(n, y, s, nodes=nodes, radius=200)
+        want += sum(t * cmath.exp(-2j * math.pi * n * x) for t, x in zip(tails, xs)) / nodes
         assert abs(got - want) < 1e-12
     assert counts == {0, 1}
 
