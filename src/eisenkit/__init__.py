@@ -10,8 +10,8 @@ Submodules
 special_functions
     Complex Gamma, zeta, completed zeta, power-divisor sums, K-Bessel.
 eisenstein
-    Lattice-sum and Fourier evaluators of E(z, s), coefficient extraction,
-    functional-equation defect check.
+    Lattice-sum and Fourier evaluators of E(z, s), the scattering ratio c(s),
+    coefficient extraction.
 euler_products
     Partial L-functions over Satake eigenvalue data and the constant-term
     ratios that, for SL2, give the Eisenstein scattering coefficient.
@@ -31,8 +31,7 @@ _EXPORTS = {
     "special_functions": ("gamma", "zeta", "xi_completed", "sigma_power", "bessel_k"),
     "eisenstein": (
         "TruncationPolicy", "SeriesValue", "eval_lattice_sum", "eval_fourier",
-        "fourier_coefficient", "scattering_ratio", "functional_equation_defect",
-        "extract_coefficient_by_quadrature",
+        "fourier_coefficient", "scattering_ratio", "extract_coefficient_by_quadrature",
     ),
     "euler_products": (
         "PlaceDatum", "LFunctionData", "local_factor", "partial_l",

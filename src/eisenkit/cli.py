@@ -15,19 +15,17 @@ import argparse
 import cmath
 import csv
 import json
+import random
 import sys
 import warnings
 
 from . import __version__, _kernels
 from .eisenstein import (
-    DEFAULT_TRUNCATION,
     TruncationPolicy,
     eval_fourier,
     eval_lattice_sum,
     extract_coefficient_by_quadrature,
     fourier_coefficient,
-    functional_equation_defect,
-    functional_equation_grid,
     scattering_ratio,
 )
 from .errors import (
@@ -38,12 +36,16 @@ from .errors import (
     PlaceDataError,
     PoleError,
 )
-from .special_functions import xi_completed, xi_reflection_sample
+from .special_functions import xi_completed
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# eval --method both refuses where the lattice and Fourier values differ by
+# more than their two tail bounds plus this rounding allowance times max(1, |E|)
+_EVAL_ROUNDING = 1e-13
 
 
 def parse_complex(token: str) -> complex:
@@ -136,7 +138,14 @@ def cmd_eval(args) -> dict:
         report["lattice_tail_bound"] = lat.tail_bound
         report.update(_complex_fields("fourier_value", fou.value))
         report["fourier_tail_bound"] = fou.tail_bound
-        report["discrepancy"] = abs(lat.value - fou.value)
+        discrepancy = abs(lat.value - fou.value)
+        allowed = lat.tail_bound + fou.tail_bound + _EVAL_ROUNDING * max(1.0, abs(fou.value))
+        if not discrepancy <= allowed:
+            raise AccuracyError(
+                f"lattice and Fourier values of E(z, s) differ by {discrepancy:.3g}, "
+                f"beyond their tail bounds and rounding ({allowed:.3g})"
+            )
+        report["discrepancy"] = discrepancy
     return report
 
 
@@ -158,26 +167,52 @@ def cmd_fourier(args) -> dict:
     return report
 
 
+def functional_equation_grid() -> tuple[complex, ...]:
+    """Canonical 20-point verification grid: sigma in [0.1, 0.9] clear of the
+    line sigma = 1/2 by at least 0.1, |t| <= 5."""
+    sigmas = (0.1, 0.3, 0.6, 0.75, 0.9)
+    ts = (-5.0, -1.5, 2.5, 5.0)
+    return tuple(complex(sig, t) for sig in sigmas for t in ts)
+
+
+def xi_reflection_sample() -> tuple[complex, ...]:
+    """Deterministic pseudo-random panel for reflection sweeps: 100 points
+    with -1 <= Re s <= 2 and |Im s| <= 10, at distance >= 0.1 from the poles
+    {0, 1}.  Outside that band xi_completed takes one side of the reflection
+    from the other, so a point there would compare xi with itself."""
+    rng = random.Random(712)
+    out: list[complex] = []
+    while len(out) < 100:
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-10.0, 10.0))
+        if abs(s) >= 0.1 and abs(s - 1.0) >= 0.1:
+            out.append(s)
+    return tuple(out)
+
+
 def _grid_points(args) -> list[complex]:
     if args.points:
         return [parse_complex(tok) for tok in args.points.split(",")]
     return list(xi_reflection_sample() if args.check == "xi" else functional_equation_grid())
 
 
-def _reflection_defect(u: complex) -> float:
+def _reflection_defect(value: complex, reflected: complex) -> float:
     # |xi(u) - xi(1 - u)| over max(1, |xi(u)|, |xi(1 - u)|): near a pole xi
     # grows like 1/distance, and the rounding of 1 - u grows with it
-    value, reflected = xi_completed(u), xi_completed(1.0 - u)
     return abs(value - reflected) / max(1.0, abs(value), abs(reflected))
 
 
+def _xi_reflection_defect(u: complex) -> float:
+    return _reflection_defect(xi_completed(u), xi_completed(1.0 - u))
+
+
 # fe-check's --check names and the defect each computes at (z, s);
+# eisenstein takes c(s) from the xi values eval_fourier(z, s) leaves in the memo;
 # first-coefficient is the xi reflection at the two arguments, 2s - 1 and 2s,
 # that matching the n = 1 modes across E(z, s) = c(s) E(z, 1 - s) leaves
 _FE_CHECKS = {
-    "eisenstein": functional_equation_defect,
-    "xi": lambda z, s: _reflection_defect(s),
-    "first-coefficient": lambda z, s: max(_reflection_defect(2.0 * s - 1.0), _reflection_defect(2.0 * s)),
+    "eisenstein": lambda z, s: abs(eval_fourier(z, s).value - scattering_ratio(s) * eval_fourier(z, 1.0 - s).value),
+    "xi": lambda z, s: _xi_reflection_defect(s),
+    "first-coefficient": lambda z, s: max(_xi_reflection_defect(2.0 * s - 1.0), _xi_reflection_defect(2.0 * s)),
     "scattering": lambda z, s: abs(scattering_ratio(s) * scattering_ratio(1.0 - s) - 1.0),
 }
 
@@ -216,7 +251,7 @@ def cmd_xi(args) -> dict:
     report = {"command": "xi", "s": format_complex(s)}
     report.update(_complex_fields("xi", value))
     report.update(_complex_fields("xi_reflected", reflected))
-    report["reflection_defect"] = _reflection_defect(s)
+    report["reflection_defect"] = _reflection_defect(value, reflected)
     return report
 
 
@@ -283,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     lattice.add_argument(
         "--radius",
         type=int,
-        default=DEFAULT_TRUNCATION.lattice_radius,
+        default=TruncationPolicy.lattice_radius,
         help=f"lattice radius, 10 to {_kernels.MAX_RADIUS}",
     )
 

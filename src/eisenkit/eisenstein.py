@@ -13,8 +13,8 @@ Two independent evaluators are provided and cross-checked in the tests:
   analytic continuation of the lattice sum.
 
 The expansion's constant term carries the scattering ratio
-c(s) = xi(2s-1)/xi(2s), which implements E(z, s) = c(s) E(z, 1-s); that
-identity is exposed as a numeric defect check.
+c(s) = xi(2s-1)/xi(2s), which implements E(z, s) = c(s) E(z, 1-s); the
+CLI's ``fe-check --check eisenstein`` row checks that identity.
 
 Both evaluators use the full SL2(Z) invariance of E: they pull z back into
 the fundamental domain |x| <= 1/2, |z| >= 1 (Cohen, A Course in
@@ -93,9 +93,6 @@ class TruncationPolicy:
         radius = integer(self.lattice_radius, "lattice_radius")
         if not 10 <= radius <= _kernels.MAX_RADIUS:
             raise DomainError(f"lattice_radius must be in 10..{_kernels.MAX_RADIUS}, got {radius}")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
 
 
 class SeriesValue(NamedTuple):
@@ -230,7 +227,7 @@ def _tail_correction(xs, y: float, s: complex, radius: int):
     return 6.0 / math.pi**2 * _cpow((radius + 0.5) * y, 2.0 - 2.0 * s) / (y * (2.0 * s - 2.0)) * edge_sum
 
 
-def eval_lattice_sum(z, s, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> SeriesValue:
+def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> SeriesValue:
     """Coprime lattice sum over max(|m|, |n|) <= lattice_radius, plus the
     coprime-density estimate of the rest.
 
@@ -371,19 +368,6 @@ def eval_fourier(z, s) -> SeriesValue:
     return SeriesValue(total, (last_mag + target / _MODES) * decay / (1.0 - decay))
 
 
-def functional_equation_defect(z, s) -> float:
-    """|E(z, s) - c(s) E(z, 1-s)| with both sides from the Fourier evaluator.
-
-    Zero in exact arithmetic; numerically bounded by the evaluators'
-    truncation and the accuracy of xi.  c(s) comes from the xi values that
-    eval_fourier(z, s) leaves in the memo, so xi is evaluated at 2s, 2s - 1,
-    2 - 2s and 1 - 2s once each.
-    """
-    lhs = eval_fourier(z, s).value
-    rhs = scattering_ratio(s) * eval_fourier(z, 1.0 - s).value
-    return abs(lhs - rhs)
-
-
 def _quadrature_nodes(n: int, y: float, s: complex) -> int:
     """Node count N = |n| + k of the trapezoid extraction of a_n at height y.
 
@@ -411,7 +395,7 @@ def extract_coefficient_by_quadrature(
     n: int,
     y: float,
     s,
-    policy: TruncationPolicy = DEFAULT_TRUNCATION,
+    policy: TruncationPolicy = TruncationPolicy(),
     source: str = "lattice",
 ) -> complex:
     """Trapezoid quadrature int_0^1 E(x + i y, s) e^(-2 pi i n x) dx.
@@ -448,10 +432,3 @@ def extract_coefficient_by_quadrature(
     weights = np.exp(-2j * math.pi * n * xs)
     return complex(np.mean(values * weights))
 
-
-def functional_equation_grid() -> tuple[complex, ...]:
-    """Canonical 20-point verification grid: sigma in [0.1, 0.9] clear of the
-    line sigma = 1/2 by at least 0.1, |t| <= 5."""
-    sigmas = (0.1, 0.3, 0.6, 0.75, 0.9)
-    ts = (-5.0, -1.5, 2.5, 5.0)
-    return tuple(complex(sig, t) for sig in sigmas for t in ts)

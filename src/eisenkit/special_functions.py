@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 
 from . import _kernels
 from ._arith import factorize
@@ -302,16 +301,3 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
         raise OverflowError("bessel_k overflowed double precision")
     return value
 
-
-def xi_reflection_sample() -> tuple[complex, ...]:
-    """Deterministic pseudo-random panel for reflection sweeps: 100 points
-    with -1 <= Re s <= 2 and |Im s| <= 10, at distance >= 0.1 from the poles
-    {0, 1}.  Outside that band xi_completed takes one side of the reflection
-    from the other, so a point there would compare xi with itself."""
-    rng = random.Random(712)
-    out: list[complex] = []
-    while len(out) < 100:
-        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-10.0, 10.0))
-        if abs(s) >= 0.1 and abs(s - 1.0) >= 0.1:
-            out.append(s)
-    return tuple(out)

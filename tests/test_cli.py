@@ -4,6 +4,7 @@ import cmath
 import csv
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import oracles
 from eisenkit import cli
 from eisenkit.eisenstein import fourier_coefficient
+from eisenkit.special_functions import xi_completed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "docs" / "golden"
@@ -68,6 +70,28 @@ def test_eval_both_reports_small_discrepancy(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["discrepancy"] < 1e-6
+
+
+def test_eval_both_disagreement_exits_4(capsys):
+    # at |Im s| = 30 the Fourier value is off by 11 while both tail bounds
+    # are below 1e-10, so the two values cannot both be right
+    argv = ["eval", "--z", "0.1+1.1i", "--s", "3+30i", "--method", "both", "--radius", "2000", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "AccuracyError"
+
+
+def test_eval_both_seeded_panel_exits_0(capsys):
+    # the ranges of the benchmark's eval ops: Re s in [1.2, 4], |Im s| <= 10,
+    # radius 100..300, y in [0.5, 3], x in [-3, 3]
+    rng = random.Random(2718)
+    for _ in range(20):
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0))
+        s = complex(rng.uniform(1.2, 4.0), rng.uniform(-10.0, 10.0))
+        argv = ["eval", f"--z={cli.format_complex(z)}", f"--s={cli.format_complex(s)}", "--method", "both"]
+        code, _, err = run_cli(argv + ["--radius", str(rng.randint(100, 300)), "--format", "json"], capsys)
+        assert code == 0, (z, s, err)
 
 
 def test_eval_lattice_below_abscissa_exits_2(capsys):
@@ -129,6 +153,20 @@ def test_xi_pole_exits_4(capsys):
     code, _, err = run_cli(["xi", "--s", "1"], capsys)
     assert code == 4
     assert "PoleError" in err
+
+
+def test_xi_evaluates_xi_twice(capsys, monkeypatch):
+    # xi(s) and xi(1 - s) feed both the printed values and reflection_defect
+    calls = []
+
+    def spy(u):
+        calls.append(u)
+        return xi_completed(u)
+
+    monkeypatch.setattr(cli, "xi_completed", spy)
+    code, _, _ = run_cli(["xi", "--s", "0.3+2i", "--format", "json"], capsys)
+    assert code == 0
+    assert calls == [0.3 + 2j, 1.0 - (0.3 + 2j)]
 
 
 def test_fourier_extract_matches_closed_form(capsys):
@@ -448,6 +486,7 @@ GOLDEN_ARGS = {
     ],
     "fourier": ["fourier", "--n", "1", "--y", "1.0", "--s", "2.5", "--format", "json"],
     "fe-check": ["fe-check", "--check", "scattering", "--points", "0.3+2i,0.7-2i", "--format", "json"],
+    "fe-check-eisenstein": ["fe-check", "--check", "eisenstein", "--points", "0.3+2i,0.7-2i", "--format", "json"],
     "xi": ["xi", "--s", "0.3+2i", "--format", "json"],
     "euler": [
         "euler", "--input", str(REPO_ROOT / "docs" / "golden" / "places_sample.txt"),

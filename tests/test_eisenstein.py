@@ -19,8 +19,6 @@ from eisenkit.eisenstein import (
     eval_lattice_sum,
     extract_coefficient_by_quadrature,
     fourier_coefficient,
-    functional_equation_defect,
-    functional_equation_grid,
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
@@ -341,7 +339,7 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     calls.clear()
     s = complex(0.3, 2.5)
     r = 1.0 - s
-    functional_equation_defect(0.1 + 1.1j, s)
+    cli._FE_CHECKS["eisenstein"](0.1 + 1.1j, s)
     assert calls == [2.0 * s, 2.0 * s - 1.0, 2.0 * r, 2.0 * r - 1.0]
     # one-shot calls pay only for what they return: c(s) and a_0 build no
     # divisor table, and a_n for n != 0 needs xi(2s) alone
@@ -681,12 +679,14 @@ def test_scattering_unitary_on_critical_line():
 
 
 def test_functional_equation_defect_examples():
-    assert functional_equation_defect(0.3 + 1.4j, complex(0.6, 2.0)) < 1e-8
-    assert functional_equation_defect(1j, 0.25) < 1e-8
+    defect = cli._FE_CHECKS["eisenstein"]
+    assert defect(0.3 + 1.4j, complex(0.6, 2.0)) < 1e-8
+    assert defect(1j, 0.25) < 1e-8
 
 
 def test_functional_equation_defect_grid():
-    worst = max(functional_equation_defect(0.3 + 1.4j, s) for s in functional_equation_grid())
+    defect = cli._FE_CHECKS["eisenstein"]
+    worst = max(defect(0.3 + 1.4j, s) for s in cli.functional_equation_grid())
     assert worst < 1e-8
 
 
@@ -848,7 +848,7 @@ def test_first_coefficient_grid(capsys):
     # outside -1/2 <= Re s <= 3/2 xi_completed reflects both sides of each
     # pair to one xi value and the check reads 0.0, so the grid stays inside
     rows = _first_coefficient_rows(None, capsys)
-    assert [cli.parse_complex(row["s"]) for row in rows] == list(functional_equation_grid())
+    assert [cli.parse_complex(row["s"]) for row in rows] == list(cli.functional_equation_grid())
     assert all(-0.5 <= cli.parse_complex(row["s"]).real <= 1.5 for row in rows)
     assert max(row["defect"] for row in rows) < 1e-10
 

@@ -17,6 +17,7 @@ import pytest
 
 import oracles
 from eisenkit import _kernels, special_functions
+from eisenkit.cli import xi_reflection_sample
 from eisenkit.errors import AccuracyError, DomainError, PoleError
 from eisenkit.special_functions import (
     _B_EVEN,
@@ -25,7 +26,6 @@ from eisenkit.special_functions import (
     gamma,
     sigma_power,
     xi_completed,
-    xi_reflection_sample,
     zeta,
 )
 
