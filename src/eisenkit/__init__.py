@@ -38,7 +38,7 @@ _EXPORTS = {
         "constant_term_ratio", "read_place_data", "trivial_zeta_data",
     ),
     "root_systems": (
-        "RootSystem", "ParabolicDatum", "build_root_system",
+        "ParabolicDatum", "build_root_system",
         "levi_type", "nilradical_decomposition", "enumerate_table",
     ),
     "errors": (

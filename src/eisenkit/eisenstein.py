@@ -74,6 +74,9 @@ _MODES = 30
 _NODE_BOUND = 4096  # most x-nodes extract_coefficient_by_quadrature samples
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
+# largest |Im s| the lattice routines accept: _tail_correction's panel count
+# grows linearly with |Im s| (1.3 s a sum at 1e6), and C is tested up to here
+_LATTICE_MAX_IM = 100.0
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,20 @@ def _require_off_poles(s, what: str) -> complex:
     if min(abs(s - p) for p in POLE_POINTS) <= _POLE_RADIUS:
         raise PoleError(
             f"{what}: s = {s} is within {_POLE_RADIUS} of a pole (pole points {POLE_POINTS})"
+        )
+    return s
+
+
+def _lattice_parameter(s, what: str) -> complex:
+    """s for the lattice routines: finite, Re s > 1 (DivergenceError
+    otherwise) and |Im s| <= _LATTICE_MAX_IM (DomainError otherwise)."""
+    s = finite_complex(s, "spectral parameter")
+    if s.real <= 1.0:
+        raise DivergenceError(f"{what}: the lattice sum diverges for Re(s) <= 1, got {s}")
+    if abs(s.imag) > _LATTICE_MAX_IM:
+        raise DomainError(
+            f"{what} needs |Im s| <= {_LATTICE_MAX_IM:g}, got {s} "
+            f"(see the {what} row of the README's accuracy contracts)"
         )
     return s
 
@@ -232,18 +249,18 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> Ser
     coprime-density estimate of the rest.
 
     Pulls z back under SL2(Z) first, as eval_fourier does, and sums at the
-    image.  Only converges for Re(s) > 1 (DivergenceError otherwise).  The
-    tail past the radius is estimated by the integral of |m z + n|^(-2s)
-    over the plane outside the box, weighted by the coprime density 6/pi^2
-    (_tail_correction), and added to the sum.  The returned tail bound is
-    B + |y^s C|: B = O(radius^(2 - 2 Re s)) bounds the true tail by
-    comparison with the integral of r^(1 - 2 Re s), so B plus the added
-    estimate's size bounds what the estimate leaves.
+    image.  Only converges for Re(s) > 1 (DivergenceError otherwise), and
+    refuses |Im s| > 100 (DomainError), past which the tail estimate's cost
+    keeps growing and its accuracy is untested.  The tail past the radius is
+    estimated by the integral of |m z + n|^(-2s) over the plane outside the
+    box, weighted by the coprime density 6/pi^2 (_tail_correction), and added
+    to the sum.  The returned tail bound is B + |y^s C|:
+    B = O(radius^(2 - 2 Re s)) bounds the true tail by comparison with the
+    integral of r^(1 - 2 Re s), so B plus the added estimate's size bounds
+    what the estimate leaves.
     """
     x, y = _pullback(*_point(z))
-    s = finite_complex(s, "spectral parameter")
-    if s.real <= 1.0:
-        raise DivergenceError(f"lattice sum diverges for Re(s) <= 1, got {s}")
+    s = _lattice_parameter(s, "eval_lattice_sum")
     radius = policy.lattice_radius
     raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
     correction = complex(_tail_correction((x,), y, s, radius)[0])
@@ -406,7 +423,8 @@ def extract_coefficient_by_quadrature(
     for all nodes at once.  The error is what that estimate leaves of the
     lattice tail at the nodes plus the aliased modes, which the node count
     (_quadrature_nodes) keeps below 1e-14; AccuracyError past 4096 nodes
-    (y below about 2e-3).  Needs Re(s) > 1 (DivergenceError otherwise);
+    (y below about 2e-3).  Needs Re(s) > 1 (DivergenceError otherwise) and
+    |Im s| <= 100 (DomainError otherwise), as eval_lattice_sum does;
     ``source`` accepts only "lattice".
     """
     import numpy as np
@@ -415,9 +433,7 @@ def extract_coefficient_by_quadrature(
     _point(complex(0.0, y))
     if source != "lattice":
         raise DomainError(f"unknown source {source!r}; the only source is 'lattice'")
-    s = finite_complex(s, "spectral parameter")
-    if s.real <= 1.0:
-        raise DivergenceError("lattice-sourced extraction needs Re(s) > 1")
+    s = _lattice_parameter(s, "extract_coefficient_by_quadrature")
     nodes = _quadrature_nodes(n, y, s)
     k = np.arange(nodes)
     xs = k / nodes

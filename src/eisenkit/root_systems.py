@@ -7,21 +7,20 @@ v to v - (sum_j v_j C[j][i]) e_i).  Positive roots are the closure of the
 simple roots under the simple reflections taken inside Phi+ alone: s_i moves
 only coordinate i and permutes Phi+ minus {alpha_i} (Humphreys, Introduction
 to Lie Algebras, 10.2), so a reflected root is kept when its i-th coefficient
-stays >= 0.
+stays >= 0; the same s_i maps its coroot through the transposed matrix.
 
 Removing one simple root alpha_k selects a maximal parabolic; grading the
-nilradical roots beta by coroots, at level <alpha~, beta^vee> =
-v_k |alpha_k|^2 / |beta|^2 for the coefficient v_k of beta at alpha_k, yields
-the levels j = 1..m of the dual group's nilradical, whose dimensions are the
-candidate irreducible-constituent dimensions; level j takes argument js in
-the constant-term ratio (Shahidi 1981).  The irreducibility of each graded
-level (true for maximal parabolics of simple groups) is only checked
-dimensionally here.
+nilradical roots beta by the coefficient <alpha~, beta^vee> of alpha_k^vee in
+beta^vee, which is v_k |alpha_k|^2 / |beta|^2 for the coefficient v_k of beta
+at alpha_k, yields the levels j = 1..m of the dual group's nilradical; level
+j takes argument js in the constant-term ratio (Langlands, Euler Products,
+1971; Shahidi 1981).  The tests check that each level is an irreducible
+representation of the dual Levi: one highest weight, whose Weyl dimension is
+the level's size.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidTypeError, integer
@@ -93,12 +92,14 @@ def _cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class RootSystem:
     """Simple root system with integer-coefficient positive roots; the simple
-    roots are the unit vectors."""
+    roots are the unit vectors, and coroots[i], over the simple coroots, is
+    the coroot of positive_roots[i]."""
 
     cartan_type: str
     rank: int
     positive_roots: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
+    coroots: tuple[tuple[int, ...], ...]
 
     @property
     def name(self) -> str:
@@ -111,29 +112,34 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     Starting from the simple roots, each s_i is applied and the image kept
     when its i-th coefficient is >= 0 (only -alpha_i fails); every positive
     root is reached, since a non-simple one is s_i of a lower positive root.
-    Roots are ordered by height then coefficients (graded lexicographic).
+    Its coroot is s_i of its source's, from alpha_i^vee = e_i.  Roots are
+    ordered by height then coefficients (graded lexicographic).
     """
     letter, n = _validate_type(cartan_type, rank)
     c = _cartan(letter, n)
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    # column i of C restricted to its nonzero entries: i and its neighbours
+    # column i of C restricted to its nonzero entries: i and its neighbours;
+    # row i pairs alpha_i with a coroot as column i pairs a root with alpha_i^vee
     columns = [[(j, c[j][i]) for j in range(n) if c[j][i]] for i in range(n)]
+    rows = [[(j, c[i][j]) for j in range(n) if c[i][j]] for i in range(n)]
 
-    seen = set(simple)
+    coroot_of = dict(zip(simple, simple))
     frontier = list(simple)
     while frontier:
         fresh = []
         for v in frontier:
+            u = coroot_of[v]
             for i, column in enumerate(columns):
                 coef = v[i] - sum(v[j] * cji for j, cji in column)
                 if coef >= 0:
                     w = v[:i] + (coef,) + v[i + 1 :]
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in coroot_of:
+                        co = u[i] - sum(cij * u[j] for j, cij in rows[i])
+                        coroot_of[w] = u[:i] + (co,) + u[i + 1 :]
                         fresh.append(w)
         frontier = fresh
-    positives = sorted(seen, key=lambda v: (sum(v), v))
-    return RootSystem(letter, n, tuple(positives), c)
+    positives = sorted(coroot_of, key=lambda v: (sum(v), v))
+    return RootSystem(letter, n, tuple(positives), c, tuple(coroot_of[v] for v in positives))
 
 
 @dataclass(frozen=True)
@@ -150,53 +156,22 @@ class ParabolicDatum:
             )
 
 
-# kept for the last systems: enumerate_table grades every parabolic of one
-# system in turn, and the lengths depend on the system alone
-@functools.lru_cache(maxsize=2)
-def _doubled_lengths(system: RootSystem) -> dict[tuple[int, ...], int]:
-    """2 |beta|^2 of every positive root beta, on one integer scale.
-
-    The simple roots' squared lengths d_i grow along the diagram's edges by
-    |alpha_j|^2 / |alpha_i|^2 = C[j][i] / C[i][j], from d_0 = r, the
-    long-to-short ratio (1, 2 or 3): a path crosses the one multiple edge at
-    most once, so every d_i is 1, r or r^2.  Then 2 |beta|^2 = v^T G v with
-    G[i][j] = 2 (alpha_i, alpha_j) = C[i][j] d_j.
-    """
-    cartan, n = system.cartan, system.rank
-    ratio = max((-c for row in cartan for c in row if c < 0), default=1)
-    length = {0: ratio}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if cartan[i][j] and j not in length:
-                length[j] = length[i] * cartan[j][i] // cartan[i][j]
-                stack.append(j)
-    # the nonzero entries of each row of G
-    gram = [[(j, cartan[i][j] * length[j]) for j in range(n) if cartan[i][j]] for i in range(n)]
-    return {
-        v: sum(v[i] * sum(g * v[j] for j, g in row) for i, row in enumerate(gram) if v[i])
-        for v in system.positive_roots
-    }
-
-
 def nilradical_decomposition(p: ParabolicDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition the nilradical's roots by the coroot grading <alpha~, beta^vee>.
 
-    A root beta with coefficient v_k at the removed node k sits at level
-    v_k |alpha_k|^2 / |beta|^2, the coefficient of alpha_k^vee in beta^vee:
-    the grading of the dual group's nilradical, whose level j carries the
-    argument js of the constant-term ratio.  For the simply-laced types A, D
-    and E it is v_k itself.  Level j sits at index j - 1; levels come out
-    consecutive, j = 1..m, and their sizes sum to |Phi+| - |Phi+_Levi|.
+    A root beta sits at level j, the coefficient of alpha_k^vee in its
+    coroot beta^vee (k the removed node), which is v_k |alpha_k|^2 / |beta|^2
+    for the coefficient v_k of beta at alpha_k: the grading of the dual
+    group's nilradical, whose level j carries the argument js of the
+    constant-term ratio.  For the simply-laced types A, D and E it is v_k
+    itself.  Level j sits at index j - 1; levels come out consecutive,
+    j = 1..m, and their sizes sum to |Phi+| - |Phi+_Levi|.
     """
     k = p.removed_index
-    twice = _doubled_lengths(p.system)
-    alpha_k = tuple(int(i == k) for i in range(p.system.rank))
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for v in p.system.positive_roots:
-        if v[k] >= 1:
-            buckets.setdefault(v[k] * twice[alpha_k] // twice[v], []).append(v)
+    for v, coroot in zip(p.system.positive_roots, p.system.coroots):
+        if coroot[k] >= 1:
+            buckets.setdefault(coroot[k], []).append(v)
     m = max(buckets) if buckets else 0
     return tuple(tuple(buckets.get(j, ())) for j in range(1, m + 1))
 

@@ -19,7 +19,8 @@ Accuracy targets (validated against independent oracles in the test suite):
   relative to that peak, not to |K|: for large |Im s| the integral cancels
   and K is far smaller than M.  Since |K| <= M sqrt(2 pi / y), bessel_k
   returns exactly 0, without summing, where that bound is at most abs_tol
-  (so abs_tol = inf returns 0 wherever the integrand is in double range),
+  (so abs_tol = inf returns 0 wherever the integrand is in double range) or
+  below 2^-1075, where K rounds to 0 (so the work stays bounded as y grows),
   and the abs_tol = 0 value everywhere else.
 
 Poles are never evaluated through: points inside the exclusion disk (radius
@@ -61,6 +62,8 @@ _LANCZOS_C = (
 )
 
 _LOG_DBL_MAX = 709.0
+# log of 2^-1075, half the smallest subnormal double: anything below rounds to 0
+_LOG_HALF_SUBNORMAL = -1075.0 * math.log(2.0)
 
 
 # B_0, B_2, ..., B_64, the exact Bernoulli numbers rounded to double
@@ -250,9 +253,10 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     peak (see the module docstring).  The step and the cut depend on
     (order, y) alone (Trefethen & Weideman, SIAM Review 56, 2014).  Where
     abs_tol is at least the bound M sqrt(2 pi / y) on |K| (DLMF 10.32.9),
-    it returns 0j and sums no nodes, so abs_tol = inf returns 0j; elsewhere
-    it returns the abs_tol = 0 value bit for bit.  A NaN or negative abs_tol
-    raises DomainError.
+    it returns 0j and sums no nodes, so abs_tol = inf returns 0j; so it does,
+    whatever abs_tol is, where that bound is below 2^-1075 and K rounds to
+    0 in double precision.  Elsewhere it returns the abs_tol = 0 value bit
+    for bit.  A NaN or negative abs_tol raises DomainError.
     """
     # for smaller y the nodes would run past the double range of cosh t
     if not 1e-300 <= y < math.inf:
@@ -274,7 +278,8 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     # |cosh(order t)| <= e^(a t), and y cosh t - a t has second derivative
     # y cosh t >= y, so |K| <= M sqrt(2 pi / y) (DLMF 10.32.9); where that is
     # within abs_tol, so is 0
-    if abs_tol > 0.0 and log_peak + 0.5 * math.log(2.0 * math.pi / y) <= math.log(abs_tol):
+    log_bound = log_peak + 0.5 * math.log(2.0 * math.pi / y)
+    if abs_tol > 0.0 and log_bound <= math.log(abs_tol):
         return 0j
     # Step and node count for the trapezoid rule on exp(-y cosh t) cosh(nu t).
     # The transform of the integrand decays on the scale set by the larger of
@@ -291,7 +296,9 @@ def bessel_k(order: complex, y: float, *, abs_tol: float = 0.0) -> complex:
     # in [acosh(1 + R/(kappa + a)), acosh(1 + R/kappa)].  The upper end is
     # never left of the root and overshoots it by at most the bracket width.
     nsteps = math.ceil(max(t_peak + math.acosh(1.0 + (_BESSEL_W + math.log(2.0)) / kappa), 0.5) / h)
-    value = _kernels.bessel_k_trapezoid(a, b, y, h, nsteps)
+    # where the bound is below 2^-1075, K rounds to 0: skip the nodes, however
+    # many (0.72 sqrt(y) at large y), and give that 0 a summed 0's signs
+    value = _kernels.bessel_k_trapezoid(a, b, y, h, nsteps) if log_bound > _LOG_HALF_SUBNORMAL else 0j
     # the kernel computed K for |Re|, |Im|; K is even in the order and
     # K_conj(order) = conj K_order, so conjugate where Re and Im have
     # opposite signs

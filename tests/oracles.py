@@ -150,32 +150,97 @@ def levi_positive_roots(p) -> tuple[tuple[int, ...], ...]:
     k = p.removed_index
     return tuple(v for v in p.system.positive_roots if v[k] == 0)
 
-def coroot_levels(p) -> dict[tuple[int, ...], Fraction]:
-    """Level <alpha~, beta^vee> of each nilradical root beta of a
-    ParabolicDatum, from the definition: <rho_P, beta^vee> / <rho_P, alpha_k^vee>
-    with rho_P half the sum of the nilradical's roots, which is a multiple of
-    the fundamental weight of the removed node k.
 
-    Pairings come from the integer Gram matrix C[i][j] d_j = 2 (alpha_i, alpha_j),
-    whose symmetrizer d_i in {1, 2, 3} is found by search, and each level is
-    one exact Fraction.
-    """
-    cartan, k, n = p.system.cartan, p.removed_index, p.system.rank
+def _pairing(cartan):
+    """pair(u, v) = 2 (u, v) for coefficient vectors over the simple roots,
+    from the integer Gram matrix C[i][j] d_j = 2 (alpha_i, alpha_j), whose
+    symmetrizer d_i in {1, 2, 3} is found by search."""
+    n = len(cartan)
     d = next(
         d for d in itertools.product((1, 2, 3), repeat=n)
         if all(cartan[i][j] * d[j] == cartan[j][i] * d[i] for i in range(n) for j in range(n))
     )
     gram = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
 
-    def pair(u, v):  # 2 (u, v)
+    def pair(u, v):
         return sum(u[i] * gram[i][j] * v[j] for i in range(n) if u[i] for j in range(n) if v[j])
 
+    return pair
+
+
+def coroot_levels(p) -> dict[tuple[int, ...], Fraction]:
+    """Level <alpha~, beta^vee> of each nilradical root beta of a
+    ParabolicDatum, from the definition: <rho_P, beta^vee> / <rho_P, alpha_k^vee>
+    with rho_P half the sum of the nilradical's roots, which is a multiple of
+    the fundamental weight of the removed node k.  Each level is one exact
+    Fraction.
+    """
+    k, n = p.removed_index, p.system.rank
+    pair = _pairing(p.system.cartan)
     nilradical = [v for v in p.system.positive_roots if v[k] >= 1]
     two_rho = [sum(v[i] for v in nilradical) for i in range(n)]
     alpha_k = [int(i == k) for i in range(n)]
     # <rho_P, beta^vee> = 2 (rho_P, beta) / (beta, beta) = pair(2 rho_P, beta) / pair(beta, beta)
     unit = Fraction(pair(two_rho, alpha_k), pair(alpha_k, alpha_k))
     return {v: Fraction(pair(two_rho, v), pair(v, v)) / unit for v in nilradical}
+
+
+def coroots_from_lengths(system) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coroot 2 beta / (beta, beta) of each positive root beta over the simple
+    coroots alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i): coefficient i is
+    v_i (alpha_i, alpha_i) / (beta, beta), exact in integers, from the Gram
+    matrix rather than from reflections."""
+    n = system.rank
+    pair = _pairing(system.cartan)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    simple_norms = [pair(e, e) for e in units]
+    coroots = {}
+    for v in system.positive_roots:
+        norm = pair(v, v)
+        assert all(v[i] * simple_norms[i] % norm == 0 for i in range(n)), v
+        coroots[v] = tuple(v[i] * simple_norms[i] // norm for i in range(n))
+    return coroots
+
+
+def level_highest_weights_and_dimensions(p, levels):
+    """For each level, given as roots, of a ParabolicDatum: the Levi-highest
+    coroots u (no u + alpha_i^vee, i != k, in the level) and, for each, the
+    dimension Weyl's formula gives the irreducible representation of the dual
+    Levi ^L M with highest weight u,
+
+        prod_beta <2u + 2 rho, beta> / prod_beta <2 rho, beta>,
+
+    over M's positive roots beta, 2 rho the sum of their coroots and
+    <x, beta> = sum_{i,j} x_j beta_i C[i][j] for a coroot-coefficient x.
+    """
+    cartan, k, n = p.system.cartan, p.removed_index, p.system.rank
+    coroot = coroots_from_lengths(p.system)
+    levi = [v for v in p.system.positive_roots if v[k] == 0]
+    two_rho = [sum(coroot[v][i] for v in levi) for i in range(n)]
+
+    def pairing(x, beta):
+        return sum(x[j] * beta[i] * cartan[i][j] for i in range(n) if beta[i] for j in range(n) if x[j])
+
+    denominator = 1
+    for beta in levi:
+        denominator *= pairing(two_rho, beta)
+    result = []
+    for roots in levels:
+        level = {coroot[v] for v in roots}
+        highest = [
+            u for u in level
+            if not any(u[:i] + (u[i] + 1,) + u[i + 1 :] in level for i in range(n) if i != k)
+        ]
+        dims = []
+        for u in highest:
+            shifted = [2 * u[i] + two_rho[i] for i in range(n)]
+            numerator = 1
+            for beta in levi:
+                numerator *= pairing(shifted, beta)
+            assert numerator % denominator == 0, (u, numerator, denominator)
+            dims.append(numerator // denominator)
+        result.append((highest, dims))
+    return result
 
 
 def eisenstein_brute(z: complex, s: complex, radius: int) -> complex:

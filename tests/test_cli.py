@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from eisenkit import cli
+from eisenkit import _kernels, cli
 from eisenkit.eisenstein import fourier_coefficient
 from eisenkit.special_functions import xi_completed
 
@@ -80,6 +80,35 @@ def test_eval_both_disagreement_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert json.loads(err)["error"] == "AccuracyError"
+
+
+def test_fourier_at_huge_y_answers_0_without_summing(capsys, monkeypatch):
+    # a_n underflows long before y = 1e300, where bessel_k's 0.72 sqrt(y)
+    # nodes would run for hours: its bound answers 0 and no node is summed
+    def refuse(*args):
+        raise AssertionError("the trapezoid kernel was called")
+
+    monkeypatch.setattr(_kernels, "bessel_k_trapezoid", refuse)
+    for n in ("1", "-7"):
+        argv = ["fourier", "--n", n, "--y", "1e300", "--s", "2.5", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["a_n_re"], report["a_n_im"]) == (0.0, 0.0)
+
+
+def test_eval_lattice_past_the_im_s_limit_exits_2(capsys, monkeypatch):
+    # the lattice path refuses |Im s| > 100, naming its README row, before
+    # any kernel runs
+    def refuse(*args):
+        raise AssertionError("a lattice kernel ran")
+
+    monkeypatch.setattr(_kernels, "lattice_sum", refuse)
+    monkeypatch.setattr(_kernels, "lattice_sum_batch", refuse)
+    argv = ["eval", "--z", "0.3+1.2i", "--s", "2+1e5i", "--method", "lattice", "--radius", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "DomainError" in err and "eval_lattice_sum row of the README" in err
 
 
 def test_eval_both_seeded_panel_exits_0(capsys):

@@ -103,6 +103,30 @@ def test_lattice_sum_diverges_below_abscissa():
         eval_lattice_sum(1j, complex(0.8, 3.0))
 
 
+def test_lattice_routines_refuse_im_s_past_100(monkeypatch):
+    # the tail estimate's panel count grows with |Im s|, so both lattice
+    # routines answer up to |Im s| = 100, where C is tested, and refuse past
+    # it before any kernel runs
+    policy = TruncationPolicy(lattice_radius=10)
+    for s in (2.0 + 100.0j, 2.5 - 100.0j):
+        assert cmath.isfinite(eval_lattice_sum(0.3 + 1.2j, s, policy).value)
+        assert cmath.isfinite(extract_coefficient_by_quadrature(1, 1.0, s, policy))
+
+    def refuse(*args):
+        raise AssertionError("a lattice kernel ran")
+
+    monkeypatch.setattr(_kernels, "lattice_sum", refuse)
+    monkeypatch.setattr(_kernels, "lattice_sum_batch", refuse)
+    for s in (complex(2.0, math.nextafter(100.0, math.inf)), 2.5 - 101.0j, 2.0 + 1e5j, 2.0 - 1e9j):
+        with pytest.raises(DomainError, match="eval_lattice_sum row"):
+            eval_lattice_sum(0.3 + 1.2j, s, policy)
+        with pytest.raises(DomainError, match="extract_coefficient_by_quadrature row"):
+            extract_coefficient_by_quadrature(1, 1.0, s, policy)
+    # Re s <= 1 still diverges first, whatever Im s is
+    with pytest.raises(DivergenceError):
+        eval_lattice_sum(0.3 + 1.2j, 0.5 + 1e5j, policy)
+
+
 def test_lattice_tail_bound_is_honest():
     coarse = eval_lattice_sum(1j, 2.5, TruncationPolicy(lattice_radius=100))
     fine = eval_lattice_sum(1j, 2.5, TruncationPolicy(lattice_radius=2000))
@@ -460,9 +484,13 @@ def test_fourier_is_sl2z_invariant():
 def test_fourier_satisfies_the_hecke_relations():
     # E(., s) is a Hecke eigenform (Bump, Automorphic Forms and
     # Representations, 1.4): E(pz) + sum_(b<p) E((z + b)/p) =
-    # (p^s + p^(1-s)) E(z).  The p + 2 points pull back to different
-    # heights, so a mis-scaled mode or a missing one of modes 1-5 breaks the
-    # relation (the worst defect is 2e-13 of the scale).  No mpmath: the
+    # (p^s + p^(1-s)) E(z).  For |x| <= 1/2 the p + 2 points pull back to
+    # different heights only when y < p: from y = p on none is inverted, and
+    # the relation holds mode by mode with one K_nu(2 pi n y) in all its
+    # terms, so it cannot see an error in K.  Where they do, a mis-scaled
+    # mode or a missing one of modes 1-5 breaks the relation (the worst
+    # defect is 2e-13 of the scale); y in [1e-3, 3] lies below p = 3
+    # throughout and below p = 2 on two thirds of the draws.  No mpmath: the
     # evaluator checks itself on the README's band
     rng = random.Random(2029)
     for _ in range(250):

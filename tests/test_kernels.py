@@ -270,7 +270,7 @@ def test_numpy_is_imported_only_by_the_lattice_path():
 
 
 def test_every_export_is_its_defining_modules_object():
-    assert len(eisenkit.__all__) == len(set(eisenkit.__all__)) == 35
+    assert len(eisenkit.__all__) == len(set(eisenkit.__all__)) == 34
     for name in eisenkit.__all__:
         value = getattr(eisenkit, name)
         if name != "__version__":

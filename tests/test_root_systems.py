@@ -239,6 +239,34 @@ def test_grading_invariants(cartan_type, rank):
         assert by_coefficient == (cartan_type in "ADE")
 
 
+def test_coroots_are_two_beta_over_beta_beta():
+    # the closure's coroots against 2 beta / (beta, beta) from the Gram
+    # matrix, root by root, on all 31 types through rank 8
+    for cartan_type, rank in ALL_TYPES:
+        rs = build_root_system(cartan_type, rank)
+        want = oracles.coroots_from_lengths(rs)
+        assert rs.coroots == tuple(want[v] for v in rs.positive_roots), (cartan_type, rank)
+
+
+def test_each_level_is_irreducible():
+    # level j of the dual nilradical is an irreducible representation of the
+    # dual Levi (Langlands, Euler Products; Shahidi 1981): on each of the 161
+    # maximal parabolics through rank 8 it has one Levi-highest weight, and
+    # Weyl's dimension formula there gives its size
+    levels_checked = 0
+    for cartan_type, rank in ALL_TYPES:
+        rs = build_root_system(cartan_type, rank)
+        for k in range(rank):
+            p = ParabolicDatum(rs, k)
+            levels = nilradical_decomposition(p)
+            found = oracles.level_highest_weights_and_dimensions(p, levels)
+            for roots, (highest, dims) in zip(levels, found):
+                assert len(highest) == 1, (cartan_type, rank, k, highest)
+                assert dims == [len(roots)], (cartan_type, rank, k, highest, dims)
+                levels_checked += 1
+    assert levels_checked == 277
+
+
 # ---------------------------------------------------------------------------
 # tables
 

@@ -465,6 +465,29 @@ def test_bessel_tolerance_domain():
     assert bessel_k(0.5, 2.0, abs_tol=math.inf) == 0j
 
 
+def test_bessel_answers_0_where_k_underflows(monkeypatch):
+    # where the bound M sqrt(2 pi / y) on |K| is below 2^-1075, half the
+    # smallest subnormal, K rounds to 0 whatever abs_tol is, and no node is
+    # summed: at y = 1e300 the 0.72 sqrt(y) nodes would never finish
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = _kernels.bessel_k_trapezoid
+    monkeypatch.setattr(_kernels, "bessel_k_trapezoid", count)
+    for order in (0.0, 2.0, 2.5 - 3.0j, -40.0 + 60.0j):
+        for y in (800.0, 1e8, 1e300):
+            for abs_tol in (0.0, 1e-300, math.inf):
+                assert bessel_k(order, y, abs_tol=abs_tol) == 0j
+    assert calls == []
+    # K_0(745) ~ e^-748 is below it, K_0(740) ~ e^-743 a nonzero subnormal:
+    # the bound, e^-747.4 and e^-742.4, puts the first on the no-sum side
+    assert bessel_k(0.0, 745.0) == 0j and calls == []
+    assert bessel_k(0.0, 740.0) != 0j and len(calls) == 1
+
+
 def _bisect_cutoff(a, y, target):
     # root of y cosh t - a t = target right of the peak, by bisection alone
     lo = math.asinh(a / y)
@@ -487,9 +510,9 @@ def _bessel_cut_panel(monkeypatch):
     # points ask for an abs_tol, r M with r from 1e-14 to 10 or infinite;
     # the grid is the one abs_tol = 0 takes, as W depends on (order, y)
     # alone.  The draws bessel_k refuses (|order| > 100, or beyond double
-    # range) and those its bound M sqrt(2 pi / y) <= abs_tol answers with 0
-    # are skipped, as no call takes their grid.  At least 1500 grids remain
-    # to be checked
+    # range) and those it answers with 0 from its bound M sqrt(2 pi / y),
+    # where that is within abs_tol or below 2^-1075, are skipped, as no call
+    # takes their grid.  At least 1500 grids remain to be checked
     grids = []
     checked = 0
 
@@ -499,7 +522,7 @@ def _bessel_cut_panel(monkeypatch):
 
     monkeypatch.setattr(_kernels, "bessel_k_trapezoid", record)
     rng = random.Random(53)
-    for _ in range(2400):
+    for _ in range(2800):
         y = 10.0 ** rng.uniform(-3.0, 4.0)
         a = rng.choice((0.0, rng.randrange(200) / 2.0, rng.uniform(0.0, 100.0)))
         b = rng.choice((0.0, rng.uniform(0.0, 100.0)))
