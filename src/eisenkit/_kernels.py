@@ -7,26 +7,43 @@ The lattice kernels return the half-lattice sum
 which is the full coprime box sum folded along (m,n) -> (-m,-n); the leading
 1 is the folded (0,+-1) contribution.  Callers multiply by y^s.
 
-The coprime pairs are enumerated once per process, not once per call, shell
-by shell in the max-norm r = max(m, |n|).  Shell r >= 2 holds the four
-pairs (r, -k), (r, k), (k, -r), (k, r) for each 1 <= k < r coprime to r, so
-the table keeps one entry (r, k) per four pairs, in two int16 arrays r and
-k, shell by shell, k ascending: sum phi(r) ~ 3 R^2 / pi^2 entries, 4 bytes
-each.  Shell 1, (1, -1), (1, 0), (1, 1), fits no such pattern and is summed
-apart in scalar code with the leading 1.  So the entries of radius R are the
-table's prefix up to the end of shell R, whatever radii came before.  Each
-array is allocated once for every shell up to MAX_RADIUS, the only radius
-bound, 2.4 MB, under numpy's 4 MiB hugepage threshold, and filled in place
-by _shells blocks, so growth copies no table and only the filled prefix
-becomes resident.
+The pairs are taken shell by shell in the max-norm r = max(m, |n|).  Shell
+r >= 2 holds the four pairs (r, -k), (r, k), (k, -r), (k, r) for each
+1 <= k < r coprime to r; shell 1, (1, -1), (1, 0), (1, 1), fits no such
+pattern and is summed apart in scalar code with the leading 1.  With
+u = k / r the four pairs' terms are r^(-2s) F(u), one function F of u for
+every shell, so S has two paths:
+
+* the moment path (_moment_sums), O(R) per sum: F is fitted by Chebyshev
+  polynomials on fixed panels of u (Trefethen, Approximation Theory and
+  Approximation Practice, 2013), and a table of the sums of those
+  polynomials over each shell's k (_moment_table), which depends on
+  neither z nor s, sums every shell at once.  Its error is estimated from
+  the fit's trailing coefficients, and a sum takes this path only where
+  that estimate is below _MOMENT_TOL max(1, |S|), so not where F varies
+  too fast for the fit: at large |Im s|, at y well above 2 or close to 0;
+* the direct kernel (_accumulate), O(R^2) per sum, at every other x: it
+  evaluates each term from a table of the pairs.
+
+Both tables are built once per process, shell by shell from the _shells
+sieve blocks, and grow with the radius; a table's column or prefix for
+radius R depends on the shells up to R alone, so no sum depends on the radii
+asked for before it, and a process whose sums all take the moment path never
+builds the pair table.  The pair table keeps one entry (r, k) per four pairs,
+in two int16 arrays r and k, shell by shell, k ascending: sum phi(r) ~
+3 R^2 / pi^2 entries, 4 bytes each.  So the entries of radius R are the
+table's prefix up to the end of shell R.  Each array is allocated once for
+every shell up to MAX_RADIUS, the only radius bound, 2.4 MB, under numpy's
+4 MiB hugepage threshold, and filled in place by _shells blocks, so growth
+copies no table and only the filled prefix becomes resident.
 A prefix is summed in blocks of _CHUNK / 4 entries, at most _CHUNK = 2^14
 pairs: each block first writes its four sides into full-length m and n
 rows.  Every array pass writes into seven float64 buffers of one block each
 (0.9 MB, inside a 2 MB L2 cache), allocated once per call, so the transient
 memory of a sum is bounded whatever the radius and no pass makes a
-temporary.  Blocks reduce by numpy's pairwise ``.sum()``, never by BLAS,
-whose split of the work can follow the thread count; so a sum does not
-depend on the thread count.
+temporary.  Both paths reduce by numpy's pairwise ``.sum()`` along
+contiguous rows, never by BLAS, whose split of the work can follow the
+thread count; so a sum does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
 everything that never sums the lattice run without it.
@@ -40,6 +57,7 @@ costs one cosh and one exp, and sums into one complex accumulator.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -49,7 +67,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 1 << 14  # pairs per summation block
-MAX_RADIUS = 2000  # a sum costs R^2; its tail shrinks only as R^(2 - 2 Re s)
+MAX_RADIUS = 2000  # a direct sum costs R^2; its tail shrinks only as R^(2 - 2 Re s)
 
 # (r, k, ends): r and k are int16 arrays with one slot per entry of shells
 # 2..MAX_RADIUS, sum phi(r) slots.  Their first ends[-1] slots are the
@@ -57,6 +75,14 @@ MAX_RADIUS = 2000  # a sum costs R^2; its tail shrinks only as R^(2 - 2 Re s)
 # (shell 1 has no entry: ends[1] = 0); a block is written before its shells
 # join ends.  None until the first sum.
 _table = None
+
+_PANELS = 4  # panels of [0, 1] that the shell function F is fitted on
+_TERMS = 24  # Chebyshev terms per panel
+_MOMENT_TOL = 1e-15  # the moment path's error estimate must be below this times max(1, |S|)
+
+# (M, [top]): the moment table, one float64 column per shell up to
+# MAX_RADIUS (0.77 MB), filled for the shells 2..top; None until the first sum
+_moments = None
 
 
 def _shells(lo: int, hi: int):
@@ -82,17 +108,25 @@ def _shells(lo: int, hi: int):
         yield np.repeat(edges, phi), np.broadcast_to(ks, mask.shape)[mask], phi
 
 
+@functools.cache
+def _totients() -> np.ndarray:
+    """phi(r) for r = 0..MAX_RADIUS by the totient sieve, read-only."""
+    import numpy as np
+
+    phi = np.arange(MAX_RADIUS + 1)
+    for p in primes_up_to(MAX_RADIUS):
+        phi[p::p] -= phi[p::p] // p
+    phi.setflags(write=False)
+    return phi
+
+
 def _cached_entries(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries (r, k) of shells 2..radius <= MAX_RADIUS, from the table."""
     global _table
     import numpy as np
 
     if _table is None:
-        # sum of phi(r), r = 2..MAX_RADIUS, by the totient sieve
-        totient = np.arange(MAX_RADIUS + 1)
-        for p in primes_up_to(MAX_RADIUS):
-            totient[p::p] -= totient[p::p] // p
-        size = int(totient[2:].sum())
+        size = int(_totients()[2:].sum())
         _table = (np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int16), [0, 0])
     rs, ks, ends = _table
     if radius >= len(ends):
@@ -164,19 +198,187 @@ def _first_terms(x: float, y: float, s_re: float, s_im: float) -> complex:
     return total
 
 
+def _moment_table(radius: int) -> np.ndarray:
+    """Columns r = 2..radius <= MAX_RADIUS of the moment table M.
+
+    Row p * _TERMS + i of column r is the sum of T_i(xi_p(k / r)) over the
+    k coprime to r with k / r in panel p < P / 2, the panels being
+    [p / P, (p + 1) / P) for the P = _PANELS panels of [0, 1] and xi_p taking
+    panel p to [-1, 1].  The k coprime to r are symmetric under k -> r - k,
+    which takes panel p to panel P - 1 - p and xi to -xi, so the other half
+    of the panels need no rows: their sums are (-1)^i times these.  Shell
+    2's one entry, k / r = 1/2, is its own mirror image, so it counts half.
+    Each _shells block lists its entries shell by shell, k ascending, so
+    each (shell, panel) group is a run that np.add.reduceat sums on its own:
+    a column depends on its shell alone, whatever radii came before.
+    """
+    global _moments
+    import numpy as np
+
+    half = _PANELS // 2
+    if _moments is None:
+        _moments = (np.empty((half * _TERMS, MAX_RADIUS + 1)), [1])
+    table, top = _moments
+    if radius > top[0]:
+        for r, k, phi in _shells(top[0] + 1, radius):
+            r0 = int(r[0])
+            lower = 2 * k <= r
+            r, k = r[lower].astype(np.int64), k[lower].astype(np.int64)
+            panel = np.minimum(_PANELS * k // r, half - 1)
+            xi = (2 * _PANELS * k - (2 * panel + 1) * r) / r
+            group = (r - r0) * half + panel
+            starts = np.flatnonzero(np.diff(group, prepend=-1))
+            rows = group[starts]
+            block = np.zeros((phi.size * half, _TERMS))
+            block[rows, 0] = np.diff(starts, append=xi.size)
+            t_prev, t, twice, product = np.ones_like(xi), xi, 2.0 * xi, np.empty_like(xi)
+            block[rows, 1] = np.add.reduceat(t, starts)
+            for i in range(2, _TERMS):
+                # T_(i) = 2 xi T_(i-1) - T_(i-2), into the buffer of T_(i-2)
+                np.multiply(twice, t, out=product)
+                np.subtract(product, t_prev, out=t_prev)
+                t_prev, t = t, t_prev
+                block[rows, i] = np.add.reduceat(t, starts)
+            if r0 == 2:
+                block[:half] *= 0.5
+            table[:, r0 : r0 + phi.size] = block.reshape(phi.size, -1).T
+        top[0] = radius
+    return table[:, 2 : radius + 1]
+
+
+@functools.cache
+def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, transform) for the table's half, P / 2 = _PANELS // 2 panels
+    of [0, 1/2] with the _TERMS Chebyshev points u of each.
+
+    transform takes a panel's values at its points to its Chebyshev
+    coefficients (exact for degree < _TERMS).  With v = u, then v = 1 - u,
+    on one axis of P _TERMS points, a and b, shape (4, 1, P _TERMS), give
+    the four |.|^2 of F(v) as (a x + b)^2 + (a y)^2: (a, b) = (1, +-v) for
+    |z +- v|^2 and (v, +-1) for |v z +- 1|^2.
+    """
+    import numpy as np
+
+    theta = np.pi * (np.arange(_TERMS) + 0.5) / _TERMS
+    u = ((np.arange(_PANELS // 2)[:, None] + 0.5 * (np.cos(theta) + 1.0)) / _PANELS).ravel()
+    v = np.concatenate((u, 1.0 - u))
+    one = np.ones_like(v)
+    a = np.stack((one, one, v, v))[:, None, :]
+    b = np.stack((v, -v, one, -one))[:, None, :]
+    transform = 2.0 / _TERMS * np.cos(np.arange(_TERMS)[:, None] * theta)
+    transform[0] *= 0.5
+    for array in (a, b, transform):
+        array.setflags(write=False)
+    return a, b, transform
+
+
+@functools.lru_cache(maxsize=1)
+def _shell_weights(s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """w_r = r^(-2s) for r = 2..radius, read-only; kept for the last call,
+    so the tail's totient_sum reuses the kernel's."""
+    import numpy as np
+
+    log_r = np.log(np.arange(2, radius + 1, dtype=np.float64))
+    w = np.exp(-2.0 * s_re * log_r) if s_im == 0.0 else np.exp(complex(-2.0 * s_re, -2.0 * s_im) * log_r)
+    w.setflags(write=False)
+    return w
+
+
+def totient_sum(s_re: float, s_im: float, radius: int) -> complex:
+    """sum_{r=1..radius} phi(r) r^(-2s): each shell's entry count phi(r),
+    weighted as the kernels weight the shell."""
+    w = _shell_weights(s_re, s_im, radius)
+    return 1.0 + complex((_totients()[2 : radius + 1] * w).sum())
+
+
+def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float) -> np.ndarray:
+    """G(u) = F(u) + F(1 - u) at each x and each Chebyshev point u of the
+    table's half, shape (xs.size, _PANELS // 2, _TERMS), with
+    F(u) = sum over +- of (|z +- u|^2)^(-s) + (|u z +- 1|^2)^(-s).
+    The four sides and the two halves are summed in one order, whatever the
+    x, so a sum does not depend on the other x of its batch."""
+    import numpy as np
+
+    a, b, _ = _chebyshev()
+    logw = a * xs[:, None]
+    logw += b
+    logw *= logw
+    logw += (a * y) ** 2
+    np.log(logw, out=logw)
+    mag = np.exp(-s_re * logw)
+    if s_im == 0.0:
+        total = mag[0] + mag[1] + mag[2] + mag[3]
+    else:
+        # w^(-s) through tau = tan(t log w / 2), as in _accumulate
+        logw *= 0.5 * s_im
+        tau = np.tan(logw, out=logw)
+        tau2 = tau * tau
+        mag /= 1.0 + tau2
+        np.subtract(1.0, tau2, out=tau2)
+        tau2 *= mag
+        tau *= mag
+        total = tau2[0] + tau2[1] + tau2[2] + tau2[3]
+        total = total - 2j * (tau[0] + tau[1] + tau[2] + tau[3])
+    half = total.shape[-1] // 2
+    return (total[:, :half] + total[:, half:]).reshape(xs.size, _PANELS // 2, _TERMS)
+
+
+def _moment_sums(xs: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
+    """(sums, errors): shells 2..radius of S at each x from the moment
+    table, and an estimate of each sum's error.
+
+    Shell r's terms are r^(-2s) F(k / r), k coprime to r, one function F
+    for every shell (_shell_function).  The k are symmetric under
+    k -> r - k, so shell r is r^(-2s) times the sum of G(u) = F(u) + F(1 - u)
+    over the table's half.  With g the Chebyshev coefficients of G on its
+    panels and V = sum_r w_r M[r], the shells sum to sum g V, which is
+    sum G W over G's values at the Chebyshev points, W the transform of V:
+    W is shared by every x, so an x costs its samples of G alone.  A panel's
+    two trailing coefficients estimate G's error on it, so the largest of
+    them times sum_r |w_r| phi(r) estimates the error of the sums.
+    """
+    import numpy as np
+
+    transform = _chebyshev()[2]
+    w = _shell_weights(s_re, s_im, radius)
+    table = _moment_table(radius)
+    # V by numpy's pairwise .sum along each contiguous row of the table, not
+    # by BLAS, so no result follows the thread count
+    if s_im == 0.0:
+        v = (table * w).sum(axis=1)
+    else:
+        v = (table * w.real.copy()).sum(axis=1) + 1j * (table * w.imag.copy()).sum(axis=1)
+    weights = (transform.T * v.reshape(-1, 1, _TERMS)).sum(axis=-1)
+    values = _shell_function(xs, y, s_re, s_im)
+    sums = (values * weights).reshape(xs.size, -1).sum(axis=-1)
+    trailing = np.abs((values[:, :, None, :] * transform[-2:]).sum(axis=-1)).sum(axis=-1).max(axis=-1)
+    return sums, trailing * (np.abs(w) * _totients()[2 : radius + 1]).sum()
+
+
 def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
     """S at one x."""
     return complex(lattice_sum_batch((x,), y, s_re, s_im, radius)[0])
 
 
 def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
-    """S at many x values sharing one coprime enumeration, radius >= 1."""
+    """S at many x values sharing one coprime enumeration, radius >= 1:
+    from the moment table where its error estimate is below _MOMENT_TOL
+    max(1, |S|), by the direct kernel at the other x."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.zeros(xs.shape[0], dtype=np.complex128)
-    _accumulate(out, xs, y, s_re, s_im, *_cached_entries(radius))
-    out += [_first_terms(x, y, s_re, s_im) for x in xs.tolist()]
+    first = np.array([_first_terms(x, y, s_re, s_im) for x in xs.tolist()], dtype=np.complex128)
+    # F can overflow where the terms do not (F(x) ~ y^(-2s), a term at most
+    # (2y)^(-2s)); a sum or estimate that is not finite fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, errors = _moment_sums(xs, y, s_re, s_im, radius)
+        out = sums + first
+        direct = ~(errors < _MOMENT_TOL * np.maximum(1.0, np.abs(out)))
+    if direct.any():
+        rest = np.zeros(np.count_nonzero(direct), dtype=np.complex128)
+        _accumulate(rest, xs[direct], y, s_re, s_im, *_cached_entries(radius))
+        rest += first[direct]
+        out[direct] = rest
     return out
 
 

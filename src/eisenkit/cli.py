@@ -22,9 +22,9 @@ import warnings
 from . import __version__, _kernels
 from .eisenstein import (
     TruncationPolicy,
+    _extraction,
     eval_fourier,
     eval_lattice_sum,
-    extract_coefficient_by_quadrature,
     fourier_coefficient,
     scattering_ratio,
 )
@@ -43,8 +43,9 @@ EXIT_PRECONDITION = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# eval --method both refuses where the lattice and Fourier values differ by
-# more than their two tail bounds plus this rounding allowance times max(1, |E|)
+# eval --method both and fourier --extract refuse where their two values
+# differ by more than their tail bounds plus this rounding allowance times
+# max(1, |value|), the value being E or the closed-form a_n
 _EVAL_ROUNDING = 1e-13
 
 
@@ -161,9 +162,16 @@ def cmd_fourier(args) -> dict:
     }
     report.update(_complex_fields("a_n", a_n))
     if args.extract:
-        extracted = extract_coefficient_by_quadrature(args.n, args.y, s, policy)
-        report.update(_complex_fields("extracted", extracted))
-        report["extraction_difference"] = abs(extracted - a_n)
+        extracted = _extraction(args.n, args.y, s, policy)
+        difference = abs(extracted.value - a_n)
+        allowed = extracted.tail_bound + _EVAL_ROUNDING * max(1.0, abs(a_n))
+        if not difference <= allowed:
+            raise AccuracyError(
+                f"closed-form and extracted a_{args.n} differ by {difference:.3g}, "
+                f"beyond the extraction's tail bound and rounding ({allowed:.3g})"
+            )
+        report.update(_complex_fields("extracted", extracted.value))
+        report["extraction_difference"] = difference
     return report
 
 

@@ -5,8 +5,8 @@ Two independent evaluators are provided and cross-checked in the tests:
 * ``eval_lattice_sum``: the defining sum over coprime integer pairs, folded
   along (m, n) -> (-m, -n) so that the constant term is y^s + c(s) y^(1-s)
   (the literal unfolded sum double-counts every pair and would carry 2 y^s),
-  plus an estimate of the pairs past the radius from their density 6/pi^2,
-  which gains about three digits at no extra pair,
+  plus an estimate of the pairs past the radius from their exact count,
+  which gains three to four digits at no extra pair,
 * ``eval_fourier``: the Fourier-mode expansion a_0 + sum a_n e^(2 pi i n x)
   whose coefficients mix power-divisor sums, the K-Bessel function, and the
   completed zeta; it converges for every s in the strip and provides the
@@ -23,9 +23,12 @@ y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and
 30 modes meet the accuracy target for any z, however close to the real
 axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
-blows up as y -> 0.  The lattice sum's tail is estimated by an integral over
-the plane (_tail_correction) and added; the tail bound adds the estimate's
-size to the bound on the tail itself.
+blows up as y -> 0.  The lattice sum's tail is estimated and added
+(_tail_correction): the shells past the radius hold a known number of
+coprime pairs, sum phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) less the
+shells summed (Hardy & Wright, Thm 288), and a shell's terms average to an
+integral over the image of the box's boundary.  The tail bound adds the
+estimate's size to the bound on the tail itself.
 
 eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
@@ -60,7 +63,7 @@ from typing import NamedTuple
 from . import _kernels
 from ._arith import primes_up_to
 from .errors import AccuracyError, DivergenceError, DomainError, PoleError, finite_complex, integer
-from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
+from .special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed, zeta
 
 #: Parameter values where the expansion's xi factors hit poles.
 POLE_POINTS = (0.0, 0.5, 1.0)
@@ -84,10 +87,10 @@ class TruncationPolicy:
     """Truncation radius of the lattice sum, the one setting of the evaluators.
 
     The radius is an integer in 10.._kernels.MAX_RADIUS (2000), the reach of
-    the kernels' table of coprime pairs, which keeps one int16 entry (r, k)
-    per four pairs (about 4.9 MB when full): a sum's cost grows as radius^2
-    while its tail shrinks only as radius^(2 - 2 Re s).  The Fourier mode
-    count and the extraction's node count follow from bounds on a_n instead.
+    the kernels' tables: a sum's tail shrinks only as radius^(2 - 2 Re s),
+    while its cost grows as radius on the moment path and as radius^2 on
+    the direct kernel (see _kernels).  The Fourier mode count and the
+    extraction's node count follow from bounds on a_n instead.
     """
 
     lattice_radius: int = 1000
@@ -171,9 +174,10 @@ def _cpow(base: float, expo: complex) -> complex:
 
 def _lattice_tail_bound(y: float, sigma: float, radius: int) -> float:
     # compare with the integral of r^(1-2 sigma): terms at max-norm radius r
-    # number ~ 8r and, for a pulled-back z (|x| <= 1/2, y >= sqrt(3)/2), are
-    # bounded by y^sigma (r^2 / 4)^(-sigma)
-    return 8.0 * (4.0 * y) ** sigma * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
+    # number ~ 8r and, for |x| <= 1/2, are bounded by
+    # y^sigma (r^2 min(1/4, y^2))^(-sigma), as |m z + n| >= r y where |m| = r
+    # and >= r / 2 where |n| = r > |m|
+    return 8.0 * (y / min(0.25, y * y)) ** sigma * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -196,18 +200,24 @@ def _gauss_legendre():
 
 
 def _tail_correction(xs, y: float, s: complex, radius: int):
-    """Coprime-density estimate C of the tail of S (the kernels' half-lattice
-    sum) past max-norm radius R, at z = x + i y for each x in xs.
+    """Estimate C of the tail of S (the kernels' half-lattice sum) past
+    max-norm radius R, at z = x + i y for each x in xs.
 
-    Coprime pairs have density 6/pi^2 (Hardy & Wright, An Introduction to the
-    Theory of Numbers, Thm 330), and the shells up to R fill the box
-    max(|m|, |n|) <= rho = R + 1/2.  So the tail, half the coprime sum past
-    the box, is about 3/pi^2 times the integral of |m z + n|^(-2s) outside
-    it.  (m, n) -> w = m z + n has Jacobian y and maps the box to rho P, P
-    the parallelogram with corners +-z +-1; the radial integral in polar
-    coordinates is closed, so
+    Shell r sums to r^(-2s) times F(k / r) summed over the phi(r) k coprime
+    to r, with F(u) = sum over +- of |z +- u|^(-2s) + |u z +- 1|^(-2s)
+    (_kernels._moment_sums).  The k / r are equidistributed in [0, 1], so
+    the tail is about I = int_0^1 F(u) du times the exact weighted count of
+    the coprime pairs past R,
 
-        C = 3/pi^2 rho^(2-2s) / (y (2s - 2)) * int_0^(2 pi) r(theta)^(2-2s) dtheta,
+        T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - sum_(r <= R) phi(r) r^(-2s)
+
+    (Hardy & Wright, An Introduction to the Theory of Numbers, Thm 288; the
+    sum to R is _kernels.totient_sum).  (m, n) -> w = m z + n has Jacobian y
+    and maps the box max(|m|, |n|) <= 1 to P, the parallelogram with
+    corners +-z +-1; in polar coordinates about 0, I = 1/(2y) times the
+    integral of r(theta)^(2-2s) over the angle, so
+
+        C = T / (2y) * int_0^(2 pi) r(theta)^(2-2s) dtheta,
 
     with r(theta) the distance from 0 to P's boundary.  P is symmetric about
     0: its edges from 1 - z to 1 + z (n = 1) and from 1 + z to z - 1 (m = 1)
@@ -241,20 +251,23 @@ def _tail_correction(xs, y: float, s: complex, radius: int):
         edges = edges + (integrand * weights).sum(axis=(-2, -1))
     edges = edges * width / (2 * panels)
     edge_sum = np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1]
-    return 6.0 / math.pi**2 * _cpow((radius + 0.5) * y, 2.0 - 2.0 * s) / (y * (2.0 * s - 2.0)) * edge_sum
+    count_past = zeta(2.0 * s - 1.0) / zeta(2.0 * s) - _kernels.totient_sum(s.real, s.imag, radius)
+    return count_past * _cpow(y, 1.0 - 2.0 * s) * edge_sum
 
 
 def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> SeriesValue:
     """Coprime lattice sum over max(|m|, |n|) <= lattice_radius, plus the
-    coprime-density estimate of the rest.
+    estimate of the rest.
 
     Pulls z back under SL2(Z) first, as eval_fourier does, and sums at the
     image.  Only converges for Re(s) > 1 (DivergenceError otherwise), and
     refuses |Im s| > 100 (DomainError), past which the tail estimate's cost
-    keeps growing and its accuracy is untested.  The tail past the radius is
-    estimated by the integral of |m z + n|^(-2s) over the plane outside the
-    box, weighted by the coprime density 6/pi^2 (_tail_correction), and added
-    to the sum.  The returned tail bound is B + |y^s C|:
+    keeps growing and its accuracy is untested, and raises PoleError within
+    5e-10 of s = 1, where the estimate's zeta(2s - 1) is within zeta's pole
+    exclusion of its pole.  The tail past the radius is estimated from the
+    exact count of the coprime pairs past it, phi(r) on shell r, and the
+    mean of |m z + n|^(-2s) over a shell (_tail_correction), and added to
+    the sum.  The returned tail bound is B + |y^s C|:
     B = O(radius^(2 - 2 Re s)) bounds the true tail by comparison with the
     integral of r^(1 - 2 Re s), so B plus the added estimate's size bounds
     what the estimate leaves.
@@ -262,8 +275,8 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> Ser
     x, y = _pullback(*_point(z))
     s = _lattice_parameter(s, "eval_lattice_sum")
     radius = policy.lattice_radius
-    raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
     correction = complex(_tail_correction((x,), y, s, radius)[0])
+    raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
     y_s = _cpow(y, s)
     bound = _lattice_tail_bound(y, s.real, radius) + abs(y_s * correction)
     return SeriesValue(y_s * (raw + correction), bound)
@@ -419,7 +432,7 @@ def extract_coefficient_by_quadrature(
 
     E is sampled by the lattice sum, so this is an extraction of a_n
     independent of the closed-form coefficient formula.  Each node's sum gets
-    the coprime-density tail estimate that eval_lattice_sum adds, computed
+    the tail estimate that eval_lattice_sum adds, computed
     for all nodes at once.  The error is what that estimate leaves of the
     lattice tail at the nodes plus the aliased modes, which the node count
     (_quadrature_nodes) keeps below 1e-14; AccuracyError past 4096 nodes
@@ -427,6 +440,13 @@ def extract_coefficient_by_quadrature(
     |Im s| <= 100 (DomainError otherwise), as eval_lattice_sum does;
     ``source`` accepts only "lattice".
     """
+    return _extraction(n, y, s, policy, source).value
+
+
+def _extraction(n: int, y: float, s, policy: TruncationPolicy, source: str = "lattice") -> SeriesValue:
+    """extract_coefficient_by_quadrature's a_n with the bound B + max |y^s C|
+    on what the nodes' tail estimates leave: the nodes lie in |x| <= 1/2,
+    where B bounds each node's tail, and the weights have modulus 1."""
     import numpy as np
 
     n = integer(n, "mode number n")
@@ -442,9 +462,10 @@ def extract_coefficient_by_quadrature(
     # y: SL2(Z) images would give each node its own truncation error, which
     # measured about half a digit worse on n != 0 at y < 1
     half = xs[: nodes // 2 + 1]
-    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
-    raw += _tail_correction(half, y, s, policy.lattice_radius)
-    values = _cpow(y, s) * raw[np.minimum(k, nodes - k)]
+    correction = _tail_correction(half, y, s, policy.lattice_radius)
+    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius) + correction
+    y_s = _cpow(y, s)
+    values = y_s * raw[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)
-    return complex(np.mean(values * weights))
-
+    bound = _lattice_tail_bound(y, s.real, policy.lattice_radius) + abs(y_s) * float(np.abs(correction).max())
+    return SeriesValue(complex(np.mean(values * weights)), bound)

@@ -224,6 +224,29 @@ def test_fourier_extract_has_no_aliased_modes(n, y, radius, capsys):
     assert json.loads(out)["extraction_difference"] < 1e-6 * max(1.0, abs(a_0))
 
 
+def test_fourier_extract_disagreement_exits_4(capsys):
+    # at |Im s| = 30 the closed-form a_1 is off by 8.6, far past the
+    # extraction's tail bound, so the two cannot both be right; at s = 2.5
+    # they agree to rounding
+    argv = ["fourier", "--n", "1", "--y", "1", "--s", "2.5+30i", "--extract", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "AccuracyError"
+    code, out, _ = run_cli(["fourier", "--n", "1", "--y", "1", "--s", "2.5", "--extract", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["extraction_difference"] < 1e-14
+
+
+def test_lattice_next_to_s_1_exits_4(capsys):
+    # the tail estimate's zeta(2s - 1) is within zeta's pole exclusion there
+    argv = ["eval", "--z", "0.3+1.2i", "--s", "1.0000000001", "--method", "lattice", "--radius", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert "PoleError" in err
+
+
 def test_fourier_extract_past_node_bound_exits_4(capsys):
     code, _, err = run_cli(["fourier", "--n", "1", "--y", "1e-6", "--s", "2.5", "--extract"], capsys)
     assert code == 4

@@ -1,8 +1,10 @@
-"""The kernels: one coprime enumeration behind both lattice entry points, and
-numpy loaded only by the lattice path."""
+"""The kernels: one coprime enumeration behind both lattice entry points,
+the moment path and its fallback to the direct kernel, and numpy loaded only
+by the lattice path."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,11 @@ def test_batch_consistent_with_single_point():
         assert single.imag == value.imag
 
 
+def _direct(monkeypatch):
+    # no moment sum passes a zero tolerance, so every x takes the direct kernel
+    monkeypatch.setattr(_kernels, "_MOMENT_TOL", 0.0)
+
+
 # ---------------------------------------------------------------------------
 # summation blocks and their buffers
 
@@ -35,6 +42,7 @@ def test_batch_consistent_with_single_point():
 def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
     # 627 entries (2,508 pairs, and shell 1's three summed apart) in blocks of
     # 250 entries, 1,000 pairs: two full blocks and a short last one
+    _direct(monkeypatch)
     monkeypatch.setattr(_kernels, "_CHUNK", 1000)
     radius, y = 45, 1.2
     assert _kernels._cached_entries(radius)[0].size % 250 == 127
@@ -48,8 +56,9 @@ def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
             assert abs(single - want) < 1e-12 * abs(want)
 
 
-def test_buffers_carry_nothing_between_calls():
+def test_buffers_carry_nothing_between_calls(monkeypatch):
     # a large sum fills every buffer; the small sum after it must not see that
+    _direct(monkeypatch)
     xs = np.array([-0.25, 0.1, 0.45])
     fresh = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40).tolist()
     _kernels.lattice_sum_batch(xs, 1.7, 3.1, -2.0, 300)
@@ -58,12 +67,16 @@ def test_buffers_carry_nothing_between_calls():
 
 
 def test_results_do_not_depend_on_the_thread_count():
-    # a radius-300 sum spans several blocks; the Fourier path is scalar
+    # a radius-300 sum from the moment table, and one at |Im s| = 40, past
+    # the fit's reach, by the direct kernel over several blocks; the Fourier
+    # path is scalar
     code = (
         "import numpy as np\n"
         "import eisenkit\n"
         "from eisenkit import _kernels\n"
-        "values = list(_kernels.lattice_sum_batch(np.array([-0.3, 0.0, 0.2]), 1.1, 2.6, 3.0, 300))\n"
+        "xs = np.array([-0.3, 0.0, 0.2])\n"
+        "values = list(_kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, 300))\n"
+        "values += list(_kernels.lattice_sum_batch(xs, 1.1, 2.6, 40.0, 300))\n"
         "values.append(eisenkit.eval_fourier(0.3 + 1.2j, 2.5 + 3j).value)\n"
         "print(' '.join(f'{v.real.hex()} {v.imag.hex()}' for v in map(complex, values)))\n"
     )
@@ -75,8 +88,121 @@ def test_results_do_not_depend_on_the_thread_count():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         outputs.append(out.stdout)
-    assert len(outputs[0].split()) == 8
+    assert len(outputs[0].split()) == 14
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the moment path and its fallback
+
+
+def _paths(monkeypatch, xs, y, s, radius):
+    # (kernel, moment, direct, estimate) at each x: the kernel's answer, the
+    # moment path's and the direct kernel's, and the moment path's estimate
+    # of its error
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_MOMENT_TOL", math.inf)
+        moment = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
+        _direct(patch)
+        direct = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
+    kernel = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = _kernels._moment_sums(xs, y, s.real, s.imag, radius)[1].tolist()
+    return kernel, moment, direct, estimate
+
+
+def _bits(values):
+    return [(v.real, v.imag) for v in values]
+
+
+def test_moment_path_agrees_with_the_direct_kernel(monkeypatch):
+    # where the gate lets the moment path run it agrees with the direct
+    # kernel to rounding, and wherever the two differ by more than rounding
+    # the gate's estimate is at least the difference.  y' reaches 3 and
+    # |Im s| 10, where the fit's trailing coefficients grow, so some x fall
+    # back, and to the direct kernel's own bits
+    rng = random.Random(43)
+    taken = fell_back = 0
+    for _ in range(40):
+        s = complex(rng.uniform(1.0, 4.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+        y = rng.uniform(math.sqrt(3.0) / 2.0, 3.0)
+        radius = rng.choice((10, 57, 300, 1000))
+        xs = np.array([rng.uniform(-0.5, 0.5) for _ in range(3)])
+        kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, radius)
+        for got, m, d, e in zip(kernel, moment, direct, estimate):
+            scale = max(1.0, abs(m))
+            assert abs(m - d) <= max(e, 4e-15 * scale), (s, y, radius)
+            if e < 1e-15 * scale:
+                taken += 1
+                assert abs(m - d) <= 4e-15 * scale, (s, y, radius)
+                assert _bits([got]) == _bits([m])
+            else:
+                fell_back += 1
+                assert _bits([got]) == _bits([d])
+    assert taken >= 90 and fell_back >= 3, (taken, fell_back)
+
+
+def test_fallback_is_the_direct_kernel(monkeypatch):
+    # past the fit's reach, at |Im s| = 40 or y = 10, the gate's estimate is
+    # above its tolerance and the sum is the direct kernel's, bit for bit;
+    # only then is the coprime table filled.  At y = 0.01, s = 80, F overflows
+    # (F(x) ~ y^(-2s)) where no term does, and the sum falls back without a
+    # warning
+    monkeypatch.setattr(_kernels, "_table", None)
+    xs = np.array([-0.3, 0.2, 0.4])
+    _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, 300)
+    assert _kernels._table is None
+    for y, s in ((1.1, complex(2.6, 40.0)), (10.0, complex(2.6, 3.0)), (10.0, complex(3.0)), (0.01, complex(80.0))):
+        kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, 300)
+        assert not any(e < 1e-15 * max(1.0, abs(m)) for m, e in zip(moment, estimate)), (y, s)
+        assert _bits(kernel) == _bits(direct)
+    assert _kernels._table is not None
+
+
+def test_moment_sums_do_not_depend_on_growth_history(monkeypatch):
+    # the same moment table, and the same sums, from a fresh table, one grown
+    # straight to the top, and one grown in many small steps of one-shell
+    # sieve blocks
+    radii = (10, 45, 300, 1000, _kernels.MAX_RADIUS)
+    xs = np.array([-0.4, 0.0, 0.3])
+    monkeypatch.setattr(_kernels, "_MOMENT_TOL", math.inf)
+
+    def state(radius):
+        sums = _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius).tolist()
+        return _bits(sums), _kernels._moment_table(radius).tobytes()
+
+    fresh = {}
+    for radius in radii:
+        monkeypatch.setattr(_kernels, "_moments", None)
+        fresh[radius] = state(radius)
+    monkeypatch.setattr(_kernels, "_moments", None)
+    _kernels._moment_table(_kernels.MAX_RADIUS)
+    assert {radius: state(radius) for radius in radii} == fresh
+    monkeypatch.setattr(_kernels, "_moments", None)
+    chunk = _kernels._CHUNK
+    monkeypatch.setattr(_kernels, "_CHUNK", 16)
+    for radius in range(2, _kernels.MAX_RADIUS + 1, 37):
+        _kernels._moment_table(radius)
+    _kernels._moment_table(_kernels.MAX_RADIUS)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    assert {radius: state(radius) for radius in radii} == fresh
+
+
+def test_moment_table_sums_chebyshev_polynomials_over_each_shell():
+    # column r against its definition, summed by hand: T_i at the folded
+    # coordinate of each k < r/2 coprime to r, and shell 2's k = 1 at half
+    # weight
+    half, terms = _kernels._PANELS // 2, _kernels._TERMS
+    table = _kernels._moment_table(60)
+    for r in (2, 3, 12, 59, 60):
+        want = np.zeros((half, terms))
+        for k in range(1, r // 2 + 1):
+            if math.gcd(k, r) != 1:
+                continue
+            panel = min(_kernels._PANELS * k // r, half - 1)
+            xi = 2 * _kernels._PANELS * k / r - (2 * panel + 1)
+            want[panel] += np.cos(np.arange(terms) * math.acos(xi)) * (0.5 if 2 * k == r else 1.0)
+        assert np.allclose(table[:, r - 2], want.ravel(), rtol=0.0, atol=1e-12), r
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +336,7 @@ def test_table_footprint():
 def test_sums_do_not_depend_on_growth_history(monkeypatch):
     # the same bits from a fresh table, one grown straight to the top, and
     # one grown in many small steps of one-shell sieve blocks
+    _direct(monkeypatch)
     radii = (10, 45, 300, 1000, _kernels.MAX_RADIUS)
     xs = np.array([-0.4, 0.0, 0.3])
 
