@@ -28,10 +28,11 @@ every shell, so S has two paths:
 Both tables are built once per process, shell by shell from the _shells
 sieve blocks, and grow with the radius; a table's column or prefix for
 radius R depends on the shells up to R alone, so no sum depends on the radii
-asked for before it, and a process whose sums all take the moment path never
-builds the pair table.  The pair table keeps one entry (r, k) per four pairs,
-in two int16 arrays r and k, shell by shell, k ascending: sum phi(r) ~
-3 R^2 / pi^2 entries, 4 bytes each.  So the entries of radius R are the
+asked for before it.  A process whose sums all take the moment path never
+builds the pair table, and a call where no x can pass the moment path's
+test builds no moment table (_moment_sums).  The pair table keeps one
+entry (r, k) per four pairs, in two int16 arrays r and k, shell by shell,
+k ascending: sum phi(r) ~ 3 R^2 / pi^2 entries, 4 bytes each.  So the entries of radius R are the
 table's prefix up to the end of shell R.  Each array is allocated once for
 every shell up to MAX_RADIUS, the only radius bound, 2.4 MB, under numpy's
 4 MiB hugepage threshold, and filled in place by _shells blocks, so growth
@@ -85,9 +86,10 @@ _MOMENT_TOL = 1e-15  # the moment path's error estimate must be below this times
 _moments = None
 
 
-def _shells(lo: int, hi: int):
+def _shells(lo: int, hi: int, cells: int):
     """Entries (r, k) of shells lo..hi (2 <= lo) in table order, as blocks of
-    max(1, 4 _CHUNK // hi) whole shells: (r, k, phi(r) of each shell).
+    max(1, cells // hi) whole shells, about cells grid cells each:
+    (r, k, phi(r) of each shell).
 
     A block's mask has row r and column k - 1, true where k < r is coprime to
     r, so masking the grid of k lists its entries shell by shell, k
@@ -95,7 +97,7 @@ def _shells(lo: int, hi: int):
     """
     import numpy as np
 
-    step = max(1, 4 * _CHUNK // hi)
+    step = max(1, cells // hi)
     for r0 in range(lo, hi + 1, step):
         r1 = min(r0 + step, hi + 1)
         edges = np.arange(r0, r1, dtype=np.int16)
@@ -130,7 +132,7 @@ def _cached_entries(radius: int) -> tuple[np.ndarray, np.ndarray]:
         _table = (np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int16), [0, 0])
     rs, ks, ends = _table
     if radius >= len(ends):
-        for r, k, phi in _shells(len(ends), radius):
+        for r, k, phi in _shells(len(ends), radius, 4 * _CHUNK):
             rs[ends[-1] : ends[-1] + r.size] = r
             ks[ends[-1] : ends[-1] + k.size] = k
             ends += (ends[-1] + np.cumsum(phi)).tolist()
@@ -210,7 +212,9 @@ def _moment_table(radius: int) -> np.ndarray:
     2's one entry, k / r = 1/2, is its own mirror image, so it counts half.
     Each _shells block lists its entries shell by shell, k ascending, so
     each (shell, panel) group is a run that np.add.reduceat sums on its own:
-    a column depends on its shell alone, whatever radii came before.
+    a column depends on its shell alone, whatever radii came before.  The
+    blocks take 2 _CHUNK grid cells, half the pair table's, so a block's
+    arrays take about 0.75 MB, less than the direct kernel's buffers.
     """
     global _moments
     import numpy as np
@@ -220,25 +224,28 @@ def _moment_table(radius: int) -> np.ndarray:
         _moments = (np.empty((half * _TERMS, MAX_RADIUS + 1)), [1])
     table, top = _moments
     if radius > top[0]:
-        for r, k, phi in _shells(top[0] + 1, radius):
+        for r, k, phi in _shells(top[0] + 1, radius, 2 * _CHUNK):
             r0 = int(r[0])
             lower = 2 * k <= r
-            r, k = r[lower].astype(np.int64), k[lower].astype(np.int64)
+            # int16 throughout: no integer below passes 4 MAX_RADIUS
+            r, k = r[lower], k[lower]
             panel = np.minimum(_PANELS * k // r, half - 1)
             xi = (2 * _PANELS * k - (2 * panel + 1) * r) / r
             group = (r - r0) * half + panel
             starts = np.flatnonzero(np.diff(group, prepend=-1))
-            rows = group[starts]
-            block = np.zeros((phi.size * half, _TERMS))
-            block[rows, 0] = np.diff(starts, append=xi.size)
+            # row i: T_i summed over each (shell, panel) run
+            sums = np.empty((_TERMS, starts.size))
+            sums[0] = np.diff(starts, append=xi.size)
             t_prev, t, twice, product = np.ones_like(xi), xi, 2.0 * xi, np.empty_like(xi)
-            block[rows, 1] = np.add.reduceat(t, starts)
+            np.add.reduceat(t, starts, out=sums[1])
             for i in range(2, _TERMS):
                 # T_(i) = 2 xi T_(i-1) - T_(i-2), into the buffer of T_(i-2)
                 np.multiply(twice, t, out=product)
                 np.subtract(product, t_prev, out=t_prev)
                 t_prev, t = t, t_prev
-                block[rows, i] = np.add.reduceat(t, starts)
+                np.add.reduceat(t, starts, out=sums[i])
+            block = np.zeros((phi.size * half, _TERMS))
+            block[group[starts]] = sums.T
             if r0 == 2:
                 block[:half] *= 0.5
             table[:, r0 : r0 + phi.size] = block.reshape(phi.size, -1).T
@@ -272,23 +279,28 @@ def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, transform
 
 
-@functools.lru_cache(maxsize=1)
-def _shell_weights(s_re: float, s_im: float, radius: int) -> np.ndarray:
-    """w_r = r^(-2s) for r = 2..radius, read-only; kept for the last call,
-    so the tail's totient_sum reuses the kernel's."""
+def _shell_weights(s_re: float, s_im: float, radius: int):
+    """(|w|, Re w, Im w) for w_r = r^(-2s), r = 2..radius, as real arrays
+    (Im w None for real s), the phase through tau = tan(-t log r) as in
+    _accumulate: about half the time of numpy's complex exp."""
     import numpy as np
 
     log_r = np.log(np.arange(2, radius + 1, dtype=np.float64))
-    w = np.exp(-2.0 * s_re * log_r) if s_im == 0.0 else np.exp(complex(-2.0 * s_re, -2.0 * s_im) * log_r)
-    w.setflags(write=False)
-    return w
+    mag = np.exp(-2.0 * s_re * log_r)
+    if s_im == 0.0:
+        return mag, mag, None
+    tau = np.tan(-s_im * log_r)
+    tau2 = tau * tau
+    scale = mag / (1.0 + tau2)
+    return mag, scale * (1.0 - tau2), 2.0 * scale * tau
 
 
 def totient_sum(s_re: float, s_im: float, radius: int) -> complex:
     """sum_{r=1..radius} phi(r) r^(-2s): each shell's entry count phi(r),
     weighted as the kernels weight the shell."""
-    w = _shell_weights(s_re, s_im, radius)
-    return 1.0 + complex((_totients()[2 : radius + 1] * w).sum())
+    _, re, im = _shell_weights(s_re, s_im, radius)
+    phi = _totients()[2 : radius + 1]
+    return 1.0 + complex((phi * re).sum(), 0.0 if im is None else (phi * im).sum())
 
 
 def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float) -> np.ndarray:
@@ -323,9 +335,10 @@ def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float) -> np.nd
     return (total[:, :half] + total[:, half:]).reshape(xs.size, _PANELS // 2, _TERMS)
 
 
-def _moment_sums(xs: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
-    """(sums, errors): shells 2..radius of S at each x from the moment
-    table, and an estimate of each sum's error.
+def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
+    """(sums, errors): S at each x from the moment table, first being each
+    x's terms outside the table (_first_terms), and an estimate of each
+    sum's error.
 
     Shell r's terms are r^(-2s) F(k / r), k coprime to r, one function F
     for every shell (_shell_function).  The k are symmetric under
@@ -336,23 +349,39 @@ def _moment_sums(xs: np.ndarray, y: float, s_re: float, s_im: float, radius: int
     W is shared by every x, so an x costs its samples of G alone.  A panel's
     two trailing coefficients estimate G's error on it, so the largest of
     them times sum_r |w_r| phi(r) estimates the error of the sums.
+
+    The shells sum to at most sum_r |w_r| phi(r) max |G| / 2, as the half
+    holds phi(r) / 2 of shell r's k.  Where that, doubled for the samples'
+    max and taken at the largest |G| and |first| of the call, in place of
+    |S| leaves every x's estimate at or above _MOMENT_TOL max(1, |S|), no x
+    can take the moment path: the sums are returned as first, and the table
+    is neither built nor read.
     """
     import numpy as np
 
     transform = _chebyshev()[2]
-    w = _shell_weights(s_re, s_im, radius)
+    mag, re, im = _shell_weights(s_re, s_im, radius)
+    weight = (mag * _totients()[2 : radius + 1]).sum()
+    values = _shell_function(xs, y, s_re, s_im)
+    trailing = np.abs((values[:, :, None, :] * transform[-2:]).sum(axis=-1)).sum(axis=-1).max(axis=-1)
+    errors = trailing * weight
+    largest = float(np.abs(first).max(initial=0.0)) + weight * float(np.abs(values).max(initial=0.0))
+    if not (errors < _MOMENT_TOL * max(1.0, largest)).any():
+        return first, errors
     table = _moment_table(radius)
     # V by numpy's pairwise .sum along each contiguous row of the table, not
-    # by BLAS, so no result follows the thread count
-    if s_im == 0.0:
-        v = (table * w).sum(axis=1)
-    else:
-        v = (table * w.real.copy()).sum(axis=1) + 1j * (table * w.imag.copy()).sum(axis=1)
+    # by BLAS, so no result follows the thread count; the rows are taken a
+    # few at a time, at most _CHUNK products (128 kB) at once
+    v = np.empty(table.shape[0], dtype=np.float64 if im is None else np.complex128)
+    step = max(1, _CHUNK // radius)
+    for a in range(0, v.size, step):
+        rows = table[a : a + step]
+        v.real[a : a + step] = (rows * re).sum(axis=1)
+        if im is not None:
+            v.imag[a : a + step] = (rows * im).sum(axis=1)
     weights = (transform.T * v.reshape(-1, 1, _TERMS)).sum(axis=-1)
-    values = _shell_function(xs, y, s_re, s_im)
     sums = (values * weights).reshape(xs.size, -1).sum(axis=-1)
-    trailing = np.abs((values[:, :, None, :] * transform[-2:]).sum(axis=-1)).sum(axis=-1).max(axis=-1)
-    return sums, trailing * (np.abs(w) * _totients()[2 : radius + 1]).sum()
+    return sums + first, errors
 
 
 def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
@@ -371,8 +400,7 @@ def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np
     # F can overflow where the terms do not (F(x) ~ y^(-2s), a term at most
     # (2y)^(-2s)); a sum or estimate that is not finite fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, errors = _moment_sums(xs, y, s_re, s_im, radius)
-        out = sums + first
+        out, errors = _moment_sums(xs, first, y, s_re, s_im, radius)
         direct = ~(errors < _MOMENT_TOL * np.maximum(1.0, np.abs(out)))
     if direct.any():
         rest = np.zeros(np.count_nonzero(direct), dtype=np.complex128)

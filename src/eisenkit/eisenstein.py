@@ -211,8 +211,8 @@ def _tail_correction(xs, y: float, s: complex, radius: int):
 
         T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - sum_(r <= R) phi(r) r^(-2s)
 
-    (Hardy & Wright, An Introduction to the Theory of Numbers, Thm 288; the
-    sum to R is _kernels.totient_sum).  (m, n) -> w = m z + n has Jacobian y
+    (Hardy & Wright, An Introduction to the Theory of Numbers, Thm 288;
+    _coprime_tail).  (m, n) -> w = m z + n has Jacobian y
     and maps the box max(|m|, |n|) <= 1 to P, the parallelogram with
     corners +-z +-1; in polar coordinates about 0, I = 1/(2y) times the
     integral of r(theta)^(2-2s) over the angle, so
@@ -251,8 +251,14 @@ def _tail_correction(xs, y: float, s: complex, radius: int):
         edges = edges + (integrand * weights).sum(axis=(-2, -1))
     edges = edges * width / (2 * panels)
     edge_sum = np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1]
-    count_past = zeta(2.0 * s - 1.0) / zeta(2.0 * s) - _kernels.totient_sum(s.real, s.imag, radius)
-    return count_past * _cpow(y, 1.0 - 2.0 * s) * edge_sum
+    return _coprime_tail(s, radius) * _cpow(y, 1.0 - 2.0 * s) * edge_sum
+
+
+def _coprime_tail(s: complex, radius: int) -> complex:
+    """T = sum_(r > R) phi(r) r^(-2s), the coprime pairs past the radius
+    weighted as the kernels weight their shells: zeta(2s - 1) / zeta(2s)
+    less the shells summed."""
+    return zeta(2.0 * s - 1.0) / zeta(2.0 * s) - _kernels.totient_sum(s.real, s.imag, radius)
 
 
 def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> SeriesValue:
@@ -275,8 +281,8 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> Ser
     x, y = _pullback(*_point(z))
     s = _lattice_parameter(s, "eval_lattice_sum")
     radius = policy.lattice_radius
-    correction = complex(_tail_correction((x,), y, s, radius)[0])
     raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
+    correction = complex(_tail_correction((x,), y, s, radius)[0])
     y_s = _cpow(y, s)
     bound = _lattice_tail_bound(y, s.real, radius) + abs(y_s * correction)
     return SeriesValue(y_s * (raw + correction), bound)
@@ -462,8 +468,9 @@ def _extraction(n: int, y: float, s, policy: TruncationPolicy, source: str = "la
     # y: SL2(Z) images would give each node its own truncation error, which
     # measured about half a digit worse on n != 0 at y < 1
     half = xs[: nodes // 2 + 1]
+    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
     correction = _tail_correction(half, y, s, policy.lattice_radius)
-    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius) + correction
+    raw += correction
     y_s = _cpow(y, s)
     values = y_s * raw[np.minimum(k, nodes - k)]
     weights = np.exp(-2j * math.pi * n * xs)

@@ -143,19 +143,24 @@ def test_lattice_tail_bound_is_honest():
             assert err < rel * abs(want) and err <= got.tail_bound, (z, s)
 
 
-def test_tail_correction_matches_the_closed_form():
-    # the package's composite Gauss-Legendre in v, two edges doubled, against
-    # the oracle's hypergeometric closed form on all four edges (worst
-    # 8.3e-14); y reaches the extraction's unpulled rows, where the edges'
-    # ends steepen in the polar angle, and |Im s| the phase's fastest swing.
-    # The shell count T = zeta(2s - 1) / zeta(2s) - sum_(r <= R) phi(r) r^(-2s)
-    # cancels as R^(2 - 2 Re s) falls, so past the 1e-12 of C the allowance
-    # takes T's own error, zeta's 1e-14 of the ratio (worst seen 1.6e-15)
+def test_tail_correction_matches_the_closed_form(monkeypatch):
+    # C = T y^(1 - 2s) (edge integral), checked in its two factors.  The
+    # edge integral, T divided out on both sides: the package's composite
+    # Gauss-Legendre in v, two edges doubled, against the oracle's
+    # hypergeometric closed form on all four edges (worst 8.3e-14); y reaches
+    # the extraction's unpulled rows, where the edges' ends steepen in the
+    # polar angle, and |Im s| the phase's fastest swing.  T = zeta(2s - 1) /
+    # zeta(2s) - sum_(r <= R) phi(r) r^(-2s) cancels as R^(2 - 2 Re s) falls,
+    # so it is held to zeta's 1e-14 of the ratio (worst seen 1.6e-15) apart
     pytest.importorskip("mpmath")
+    package_tail = eisenstein._coprime_tail
+    monkeypatch.setattr(eisenstein, "_coprime_tail", lambda s, radius: 1.0)
 
-    def allowance(want, s, radius):
+    def check(got, z, s, radius):
         tail, ratio = oracles.coprime_tail(s, radius)
-        return 1e-12 * abs(want) + 1e-14 * abs(complex(ratio)) * abs(want / complex(tail))
+        want = oracles.lattice_tail_correction(z, s, radius) / complex(tail)
+        assert abs(got - want) <= 1e-12 * abs(want), (z, s, radius)
+        assert abs(package_tail(s, radius) - complex(tail)) <= 1e-14 * abs(complex(ratio)), (s, radius)
 
     rng = random.Random(330)
     for _ in range(40):
@@ -163,16 +168,14 @@ def test_tail_correction_matches_the_closed_form():
         y = math.exp(rng.uniform(math.log(2e-3), math.log(3.0)))
         s = complex(rng.uniform(1.0, 4.0), rng.choice((0.0, rng.uniform(-100.0, 100.0))))
         radius = rng.choice((10, 200, 2000))
-        want = oracles.lattice_tail_correction(complex(x, y), s, radius)
         got = eisenstein._cpow(y, s) * complex(eisenstein._tail_correction((x,), y, s, radius)[0])
-        assert abs(got - want) <= allowance(want, s, radius), (x, y, s, radius)
+        check(got, complex(x, y), s, radius)
     # as the extraction calls it: many x at once, whose panels take blocks
     xs = np.linspace(0.0, 0.5, 300)
     y, s = 0.01, complex(1.5, 60.0)
     got = eisenstein._cpow(y, s) * eisenstein._tail_correction(xs, y, s, 300)
     for k in (0, 77, 299):
-        want = oracles.lattice_tail_correction(complex(xs[k], y), s, 300)
-        assert abs(got[k] - want) <= allowance(want, s, 300), xs[k]
+        check(got[k], complex(xs[k], y), s, 300)
 
 
 def test_lattice_sum_on_the_cm_panel():

@@ -107,7 +107,8 @@ def _paths(monkeypatch, xs, y, s, radius):
         direct = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
     kernel = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        estimate = _kernels._moment_sums(xs, y, s.real, s.imag, radius)[1].tolist()
+        # the estimate does not read the terms outside the table
+        estimate = _kernels._moment_sums(xs, np.zeros(xs.size, complex), y, s.real, s.imag, radius)[1].tolist()
     return kernel, moment, direct, estimate
 
 
@@ -145,13 +146,18 @@ def test_moment_path_agrees_with_the_direct_kernel(monkeypatch):
 def test_fallback_is_the_direct_kernel(monkeypatch):
     # past the fit's reach, at |Im s| = 40 or y = 10, the gate's estimate is
     # above its tolerance and the sum is the direct kernel's, bit for bit;
-    # only then is the coprime table filled.  At y = 0.01, s = 80, F overflows
+    # only then is the coprime table filled, and a call that no moment sum
+    # can pass builds no moment table.  At y = 0.01, s = 80, F overflows
     # (F(x) ~ y^(-2s)) where no term does, and the sum falls back without a
     # warning
     monkeypatch.setattr(_kernels, "_table", None)
+    monkeypatch.setattr(_kernels, "_moments", None)
     xs = np.array([-0.3, 0.2, 0.4])
+    _kernels.lattice_sum_batch(xs, 1.1, 2.6, 40.0, 300)
+    assert _kernels._moments is None and _kernels._table is not None
+    monkeypatch.setattr(_kernels, "_table", None)
     _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, 300)
-    assert _kernels._table is None
+    assert _kernels._moments is not None and _kernels._table is None
     for y, s in ((1.1, complex(2.6, 40.0)), (10.0, complex(2.6, 3.0)), (10.0, complex(3.0)), (0.01, complex(80.0))):
         kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, 300)
         assert not any(e < 1e-15 * max(1.0, abs(m)) for m, e in zip(moment, estimate)), (y, s)
@@ -311,7 +317,7 @@ def test_prefix_length_is_mobius_count():
 def test_far_shells_are_int16_blocks():
     # the table's last shell: int16, k < r coprime to r, phi(r) entries
     r = _kernels.MAX_RADIUS  # phi(2000) = 800
-    blocks = list(_kernels._shells(r, r))
+    blocks = list(_kernels._shells(r, r, 4 * _kernels._CHUNK))
     for rs, ks, phi in blocks:
         assert rs.dtype == ks.dtype == np.int16
         assert rs.size == ks.size == phi.sum()
