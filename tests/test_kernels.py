@@ -143,6 +143,25 @@ def test_moment_path_agrees_with_the_direct_kernel(monkeypatch):
     assert taken >= 90 and fell_back >= 3, (taken, fell_back)
 
 
+def test_trailing_coefficients_at_their_rounding_floor_pass(monkeypatch):
+    # at Re s near 1.2 the fit has converged, but its two trailing
+    # coefficients sit at the samples' rounding, and sum_r |r^(-2s)| phi(r)
+    # is near 1: the estimate takes that rounding off, so these sums stay on
+    # the moment path and agree with the direct kernel to rounding
+    xs = np.array([-0.45, 0.1, 0.3])
+    for y, s, radius in ((1.0, complex(1.2, 3.0), 1000), (0.9, complex(1.225, -1.6), 200), (1.3, complex(1.3, 8.0), 300)):
+        kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, radius)
+        for got, m, d, e in zip(kernel, moment, direct, estimate):
+            assert e < 1e-15 * max(1.0, abs(m)), (y, s)
+            assert abs(m - d) <= 4e-15 * max(1.0, abs(m)), (y, s)
+            assert _bits([got]) == _bits([m])
+        # without that, the rounding alone sends some of them to the direct kernel
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_ROUNDING", 0.0)
+            _, moment, _, estimate = _paths(patch, xs, y, s, radius)
+        assert any(e >= 1e-15 * max(1.0, abs(m)) for m, e in zip(moment, estimate)), (y, s)
+
+
 def test_fallback_is_the_direct_kernel(monkeypatch):
     # past the fit's reach, at |Im s| = 40 or y = 10, the gate's estimate is
     # above its tolerance and the sum is the direct kernel's, bit for bit;
