@@ -25,6 +25,10 @@ every shell, so S has two paths:
 * the direct kernel (_accumulate), O(R^2) per sum, at every other x: it
   evaluates each term from a table of the pairs.
 
+With S they return the tail estimate's inputs they already hold: the
+weighted count P = 1 + sum_(r=2..R) phi(r) r^(-2s) on both paths, and
+I = int_0^1 F where the moment path ran (NaN elsewhere).
+
 Both tables are built once per process, shell by shell from the _shells
 sieve blocks, and grow with the radius; a table's column or prefix for
 radius R depends on the shells up to R alone, so no sum depends on the radii
@@ -42,9 +46,10 @@ pairs: each block first writes its four sides into full-length m and n
 rows.  Every array pass writes into seven float64 buffers of one block each
 (0.9 MB, inside a 2 MB L2 cache), allocated once per call, so the transient
 memory of a sum is bounded whatever the radius and no pass makes a
-temporary.  Both paths reduce by numpy's pairwise ``.sum()`` along
-contiguous rows, never by BLAS, whose split of the work can follow the
-thread count; so a sum does not depend on the thread count.
+temporary.  The direct kernel reduces by numpy's pairwise ``.sum()``, the
+moment path by ``np.einsum``, which makes no temporary; neither calls BLAS
+(no ``@``, ``np.dot`` or ``matmul``), whose split of the work can follow
+the thread count, so a sum does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
 everything that never sums the lattice run without it.
@@ -113,10 +118,11 @@ def _shells(lo: int, hi: int, cells: int):
 
 @functools.cache
 def _totients() -> np.ndarray:
-    """phi(r) for r = 0..MAX_RADIUS by the totient sieve, read-only."""
+    """phi(r) for r = 0..MAX_RADIUS by the totient sieve, read-only, as
+    exact float64 to weigh the shells."""
     import numpy as np
 
-    phi = np.arange(MAX_RADIUS + 1)
+    phi = np.arange(MAX_RADIUS + 1, dtype=np.float64)
     for p in primes_up_to(MAX_RADIUS):
         phi[p::p] -= phi[p::p] // p
     phi.setflags(write=False)
@@ -214,8 +220,8 @@ def _moment_table(radius: int) -> np.ndarray:
     Each _shells block lists its entries shell by shell, k ascending, so
     each (shell, panel) group is a run that np.add.reduceat sums on its own:
     a column depends on its shell alone, whatever radii came before.  The
-    blocks take 2 _CHUNK grid cells, half the pair table's, so a block's
-    arrays take about 0.75 MB, less than the direct kernel's buffers.
+    blocks take _CHUNK grid cells, so a block's arrays peak at 0.37 MB,
+    below the direct kernel's 0.9 MB of buffers.
     """
     global _moments
     import numpy as np
@@ -225,7 +231,7 @@ def _moment_table(radius: int) -> np.ndarray:
         _moments = (np.empty((half * _TERMS, MAX_RADIUS + 1)), [1])
     table, top = _moments
     if radius > top[0]:
-        for r, k, phi in _shells(top[0] + 1, radius, 2 * _CHUNK):
+        for r, k, phi in _shells(top[0] + 1, radius, _CHUNK):
             r0 = int(r[0])
             lower = 2 * k <= r
             # int16 throughout: no integer below passes 4 MAX_RADIUS
@@ -255,15 +261,17 @@ def _moment_table(radius: int) -> np.ndarray:
 
 
 @functools.cache
-def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, transform) for the table's half, P / 2 = _PANELS // 2 panels
-    of [0, 1/2] with the _TERMS Chebyshev points u of each.
+def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, transform, fejer) for the table's half, P / 2 = _PANELS // 2
+    panels of [0, 1/2] with the _TERMS Chebyshev points u of each.
 
     transform takes a panel's values at its points to its Chebyshev
-    coefficients (exact for degree < _TERMS).  With v = u, then v = 1 - u,
-    on one axis of P _TERMS points, a and b, shape (4, 1, P _TERMS), give
-    the four |.|^2 of F(v) as (a x + b)^2 + (a y)^2: (a, b) = (1, +-v) for
-    |z +- v|^2 and (v, +-1) for |v z +- 1|^2.
+    coefficients (exact for degree < _TERMS), and fejer them to their
+    integral over the panel, Fejer's first rule (Trefethen, SIAM Review 50,
+    2008), from int_-1^1 T_i = 2 / (1 - i^2), i even.  With
+    v = u, then v = 1 - u, on one axis of P _TERMS points, a and b, shape
+    (4, 1, P _TERMS), give the four |.|^2 of F(v) as (a x + b)^2 + (a y)^2:
+    (a, b) = (1, +-v) for |z +- v|^2 and (v, +-1) for |v z +- 1|^2.
     """
     import numpy as np
 
@@ -275,33 +283,27 @@ def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = np.stack((v, -v, one, -one))[:, None, :]
     transform = 2.0 / _TERMS * np.cos(np.arange(_TERMS)[:, None] * theta)
     transform[0] *= 0.5
-    for array in (a, b, transform):
+    i = np.arange(0, _TERMS, 2)
+    fejer = (transform[::2] * (2.0 / (1.0 - i * i))[:, None]).sum(axis=0) / (2 * _PANELS)
+    for array in (a, b, transform, fejer):
         array.setflags(write=False)
-    return a, b, transform
+    return a, b, transform, fejer
 
 
-def _shell_weights(s_re: float, s_im: float, radius: int):
-    """(|w|, Re w, Im w) for w_r = r^(-2s), r = 2..radius, as real arrays
-    (Im w None for real s), the phase through tau = tan(-t log r) as in
-    _accumulate: about half the time of numpy's complex exp."""
+def _shell_weights(s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """w_r = r^(-2s), r = 2..radius, as the rows |w|, Re w, Im w (|w| alone
+    for real s), the phase through tau = tan(-t log r) as in _accumulate:
+    about half the time of numpy's complex exp."""
     import numpy as np
 
     log_r = np.log(np.arange(2, radius + 1, dtype=np.float64))
     mag = np.exp(-2.0 * s_re * log_r)
     if s_im == 0.0:
-        return mag, mag, None
+        return mag[None]
     tau = np.tan(-s_im * log_r)
     tau2 = tau * tau
     scale = mag / (1.0 + tau2)
-    return mag, scale * (1.0 - tau2), 2.0 * scale * tau
-
-
-def totient_sum(s_re: float, s_im: float, radius: int) -> complex:
-    """sum_{r=1..radius} phi(r) r^(-2s): each shell's entry count phi(r),
-    weighted as the kernels weight the shell."""
-    _, re, im = _shell_weights(s_re, s_im, radius)
-    phi = _totients()[2 : radius + 1]
-    return 1.0 + complex((phi * re).sum(), 0.0 if im is None else (phi * im).sum())
+    return np.stack((mag, scale * (1.0 - tau2), 2.0 * scale * tau))
 
 
 def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float):
@@ -314,7 +316,7 @@ def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float):
     batch."""
     import numpy as np
 
-    a, b, _ = _chebyshev()
+    a, b, _, _ = _chebyshev()
     logw = a * xs[:, None]
     logw += b
     logw *= logw
@@ -341,9 +343,9 @@ def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float):
 
 
 def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
-    """(sums, errors): S at each x from the moment table, first being each
-    x's terms outside the table (_first_terms), and an estimate of each
-    sum's error.
+    """(S, P, I, errors): S at each x from the moment table, first being
+    each x's terms outside the table (_first_terms); P and I as
+    lattice_sum_batch returns them; and an estimate of each sum's error.
 
     Shell r's terms are r^(-2s) F(k / r), k coprime to r, one function F
     for every shell (_shell_function).  The k are symmetric under
@@ -351,10 +353,12 @@ def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im:
     over the table's half.  With g the Chebyshev coefficients of G on its
     panels and V = sum_r w_r M[r], the shells sum to sum g V, which is
     sum G W over G's values at the Chebyshev points, W the transform of V:
-    W is shared by every x, so an x costs its samples of G alone.  A panel's
-    two trailing coefficients estimate G's error on it, so the largest of
-    them times sum_r |w_r| phi(r) estimates the error of the sums.  The
-    coefficients also carry the samples' rounding, which no fit resolves:
+    W is shared by every x, so an x costs its samples of G alone, which
+    also give I = int_0^(1/2) G by Fejer's rule.  A panel's two trailing
+    coefficients estimate G's error on it, so the largest of them times
+    sum_r |w_r| phi(r) estimates the error of the sums, and of I times the
+    tail's count, which is smaller.
+    The coefficients also carry the samples' rounding, which no fit resolves:
     the two trailing ones of a converged fit measured at most 3.9 eps max A
     together over 2,782 converged panels, A the moduli of G's terms (Re s in
     (1.2, 4], |Im s| <= 10, y in [0.5, 2.5]).  So _ROUNDING eps max A is
@@ -369,14 +373,20 @@ def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im:
     holds phi(r) / 2 of shell r's k.  Where that, doubled for the samples'
     max and taken at the largest |G| and |first| of the call, in place of
     |S| leaves every x's estimate at or above _MOMENT_TOL max(1, |S|), no x
-    can take the moment path: the sums are returned as first, and the table
-    is neither built nor read.
+    can take the moment path: the sums are returned as first, I as NaN, and
+    the table is neither built nor read.
     """
     import numpy as np
 
-    transform = _chebyshev()[2]
-    mag, re, im = _shell_weights(s_re, s_im, radius)
-    weight = (mag * _totients()[2 : radius + 1]).sum()
+    _, _, transform, fejer = _chebyshev()
+    w = _shell_weights(s_re, s_im, radius)
+    # sum_r phi(r) times |w|, then Re w and Im w
+    counts = np.einsum("kj,j->k", w, _totients()[2 : radius + 1])
+    weight, parts = counts[0], w
+    partial = complex(1.0 + counts[0])
+    if s_im != 0.0:
+        parts = w[1:]
+        partial = complex(1.0 + counts[1], counts[2])
     values, moduli = _shell_function(xs, y, s_re, s_im)
     trailing = np.abs((values[:, :, None, :] * transform[-2:]).sum(axis=-1)).sum(axis=-1)
     rounding = _ROUNDING * np.finfo(np.float64).eps * moduli.max(axis=-1)
@@ -384,32 +394,30 @@ def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im:
     errors = np.maximum(trailing - rounding, 0.0).max(axis=-1) * weight
     largest = float(np.abs(first).max(initial=0.0)) + weight * float(np.abs(values).max(initial=0.0))
     if not (errors < _MOMENT_TOL * max(1.0, largest)).any():
-        return first, errors
-    table = _moment_table(radius)
-    # V by numpy's pairwise .sum along each contiguous row of the table, not
-    # by BLAS, so no result follows the thread count; the rows are taken a
-    # few at a time, at most _CHUNK products (128 kB) at once
-    v = np.empty(table.shape[0], dtype=np.float64 if im is None else np.complex128)
-    step = max(1, _CHUNK // radius)
-    for a in range(0, v.size, step):
-        rows = table[a : a + step]
-        v.real[a : a + step] = (rows * re).sum(axis=1)
-        if im is not None:
-            v.imag[a : a + step] = (rows * im).sum(axis=1)
-    weights = (transform.T * v.reshape(-1, 1, _TERMS)).sum(axis=-1)
-    sums = (values * weights).reshape(xs.size, -1).sum(axis=-1)
-    return sums + first, errors
+        return first, partial, np.full(xs.size, np.nan), errors
+    # V's real parts, then W's; then W and the Fejer weights in G's dtype,
+    # as einsum takes a buffer of 8,192 elements for an operand it casts
+    v = np.einsum("ij,kj->ki", _moment_table(radius), parts).reshape(-1, _PANELS // 2, _TERMS)
+    folded = np.einsum("kpi,ij->kpj", v, transform)
+    rows = np.empty((2, _PANELS // 2, _TERMS), dtype=values.dtype)
+    rows[0] = folded[0] if s_im == 0.0 else folded[0] + 1j * folded[1]
+    rows[1] = fejer
+    dots = np.einsum("xpj,kpj->kx", values, rows)
+    return dots[0] + first, partial, dots[1], errors
 
 
-def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> complex:
-    """S at one x."""
-    return complex(lattice_sum_batch((x,), y, s_re, s_im, radius)[0])
+def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> tuple[complex, complex, complex]:
+    """(S, P, I) at one x (lattice_sum_batch)."""
+    sums, partial, integrals = lattice_sum_batch((x,), y, s_re, s_im, radius)
+    return complex(sums[0]), partial, complex(integrals[0])
 
 
-def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
-    """S at many x values sharing one coprime enumeration, radius >= 1:
-    from the moment table where its error estimate is below _MOMENT_TOL
-    max(1, |S|), by the direct kernel at the other x."""
+def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int):
+    """(S, P, I) for many x values sharing one coprime enumeration,
+    radius >= 1: S at each x, from the moment table where its error estimate
+    is below _MOMENT_TOL max(1, |S|), by the direct kernel at the other x;
+    P = 1 + sum_(r=2..R) phi(r) r^(-2s); and I = int_0^1 F at each x that
+    took the moment path, NaN at the others."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
@@ -417,14 +425,15 @@ def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int) -> np
     # F can overflow where the terms do not (F(x) ~ y^(-2s), a term at most
     # (2y)^(-2s)); a sum or estimate that is not finite fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
-        out, errors = _moment_sums(xs, first, y, s_re, s_im, radius)
+        out, partial, integrals, errors = _moment_sums(xs, first, y, s_re, s_im, radius)
         direct = ~(errors < _MOMENT_TOL * np.maximum(1.0, np.abs(out)))
     if direct.any():
+        integrals[direct] = np.nan
         rest = np.zeros(np.count_nonzero(direct), dtype=np.complex128)
         _accumulate(rest, xs[direct], y, s_re, s_im, *_cached_entries(radius))
         rest += first[direct]
         out[direct] = rest
-    return out
+    return out, partial, integrals
 
 
 def bessel_k_trapezoid(a: float, b: float, y: float, h: float, nsteps: int) -> complex:

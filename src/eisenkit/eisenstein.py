@@ -26,9 +26,11 @@ y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
 blows up as y -> 0.  The lattice sum's tail is estimated and added
 (_tail_correction): the shells past the radius hold a known number of
 coprime pairs, sum phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) less the
-shells summed (Hardy & Wright, Thm 288), and a shell's terms average to an
-integral over the image of the box's boundary.  The tail bound adds the
-estimate's size to the bound on the tail itself.
+shells summed (Hardy & Wright, Thm 288), which the kernels count as they
+sum, and a shell's terms average to I, the integral of the kernels' shell
+function F: from the kernels' own samples of F where their fit passed its
+gate, elsewhere over the image of the box's boundary.  The tail bound adds
+the estimate's size to the bound on the tail itself.
 
 eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
@@ -77,9 +79,10 @@ _MODES = 30
 _NODE_BOUND = 4096  # most x-nodes extract_coefficient_by_quadrature samples
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
-# largest |Im s| the lattice routines accept: _tail_correction's panel count
+# largest |Im s| the lattice routines accept: _edge_integrals' panel count
 # grows linearly with |Im s| (1.3 s a sum at 1e6), and C is tested up to here
 _LATTICE_MAX_IM = 100.0
+_MAX_ORDER = 100.0  # largest |s - 1/2|, the modes' K order, that bessel_k accepts
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,13 @@ def _lattice_parameter(s, what: str) -> complex:
             f"{what} needs |Im s| <= {_LATTICE_MAX_IM:g}, got {s} "
             f"(see the {what} row of the README's accuracy contracts)"
         )
+    return s
+
+
+def _mode_parameter(s: complex, what: str) -> complex:
+    """s, unless its modes' K order is past bessel_k's: DomainError naming s."""
+    if not abs(s - 0.5) <= _MAX_ORDER:
+        raise DomainError(f"{what} needs |s - 1/2| <= {_MAX_ORDER:g}, got s = {s}")
     return s
 
 
@@ -199,42 +209,54 @@ def _gauss_legendre():
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _tail_correction(xs, y: float, s: complex, radius: int):
+def _tail_correction(xs, y: float, s: complex, partial: complex, integrals):
     """Estimate C of the tail of S (the kernels' half-lattice sum) past
-    max-norm radius R, at z = x + i y for each x in xs.
+    max-norm radius R, at z = x + i y for each x in xs, from the P and I
+    that _kernels.lattice_sum_batch returns.
 
     Shell r sums to r^(-2s) times F(k / r) summed over the phi(r) k coprime
-    to r, with F(u) = sum over +- of |z +- u|^(-2s) + |u z +- 1|^(-2s)
-    (_kernels._moment_sums).  The k / r are equidistributed in [0, 1], so
-    the tail is about I = int_0^1 F(u) du times the exact weighted count of
-    the coprime pairs past R,
+    to r, with F(u) = sum over +- of |z +- u|^(-2s) + |u z +- 1|^(-2s).
+    The k / r are equidistributed in [0, 1], so the tail is about
+    I = int_0^1 F(u) du times the exact weighted count of the coprime pairs
+    past R (Hardy & Wright, An Introduction to the Theory of Numbers,
+    Thm 288):
 
-        T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - sum_(r <= R) phi(r) r^(-2s)
+        T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - P.
 
-    (Hardy & Wright, An Introduction to the Theory of Numbers, Thm 288;
-    _coprime_tail).  (m, n) -> w = m z + n has Jacobian y
-    and maps the box max(|m|, |n|) <= 1 to P, the parallelogram with
-    corners +-z +-1; in polar coordinates about 0, I = 1/(2y) times the
-    integral of r(theta)^(2-2s) over the angle, so
-
-        C = T / (2y) * int_0^(2 pi) r(theta)^(2-2s) dtheta,
-
-    with r(theta) the distance from 0 to P's boundary.  P is symmetric about
-    0: its edges from 1 - z to 1 + z (n = 1) and from 1 + z to z - 1 (m = 1)
-    are taken twice.  On an edge whose line lies at distance d from 0, put
-    u = d sinh v along it from the foot of the perpendicular: then r = d cosh v
-    and dtheta = dv / cosh v, so the edge gives d^(2-2s) int cosh(v)^(1-2s) dv.
-    In v the integrand is analytic in |Im v| < pi/2 however small d / |P| is
-    (in theta it steepens at the ends of the edge as y falls, in u it peaks),
-    and its exponent moves at a rate of at most |2s - 1|.  So composite
-    16-point Gauss-Legendre on panels at most min(1, 8 / |2s - 1|) wide
-    reaches rounding level for any y and |Im s|; the panel count, the same
-    for every x, grows with |Im s|, and the panels are summed in blocks of at
-    most 2^16 nodes, so memory stays bounded as it grows.
+    I comes from the kernels where their fit of F passed its gate, from
+    _edge_integrals at the other x (NaN in I).
     """
     import numpy as np
 
-    xs = np.asarray(xs, dtype=np.float64)
+    integrals = np.array(integrals, dtype=np.complex128)
+    missing = np.isnan(integrals)
+    if missing.any():
+        integrals[missing] = _edge_integrals(np.asarray(xs, dtype=np.float64)[missing], y, s)
+    return (zeta(2.0 * s - 1.0) / zeta(2.0 * s) - partial) * integrals
+
+
+def _edge_integrals(xs, y: float, s: complex):
+    """I = int_0^1 F(u) du at z = x + i y for each x in xs.
+
+    (m, n) -> w = m z + n has Jacobian y and maps the box
+    max(|m|, |n|) <= 1 to Q, the parallelogram with corners +-z +-1; in
+    polar coordinates about 0, I = 1/(2y) times the integral of
+    r(theta)^(2-2s) over the angle, r(theta) the distance from 0 to Q's
+    boundary.  Q is symmetric about 0: its edges from 1 - z to 1 + z
+    (n = 1) and from 1 + z to z - 1 (m = 1) are taken twice.  On an edge
+    whose line lies at distance d from 0, put u = d sinh v along it from the
+    foot of the perpendicular: then r = d cosh v and dtheta = dv / cosh v, so
+    the edge gives d^(2-2s) int cosh(v)^(1-2s) dv.  In v the integrand is
+    analytic in |Im v| < pi/2 however small d / |Q| is (in theta it steepens
+    at the ends of the edge as y falls, in u it peaks), and its exponent
+    moves at a rate of at most |2s - 1|.  So composite 16-point
+    Gauss-Legendre on panels at most min(1, 8 / |2s - 1|) wide reaches
+    rounding level for any y and |Im s|; the panel count, the same for every
+    x, grows with |Im s|, and the panels are summed in blocks of at most
+    2^16 nodes, so memory stays bounded as it grows.
+    """
+    import numpy as np
+
     abs_z2 = xs * xs + y * y
     # v at the ends of the n = 1 edge (d = y / |z|) and the m = 1 edge (d = y)
     ends = np.arcsinh(np.array([xs - abs_z2, -1.0 - xs, xs + abs_z2, 1.0 - xs]) / y)
@@ -250,15 +272,7 @@ def _tail_correction(xs, y: float, s: complex, radius: int):
         # numpy's own sum, not BLAS, so the result does not follow the thread count
         edges = edges + (integrand * weights).sum(axis=(-2, -1))
     edges = edges * width / (2 * panels)
-    edge_sum = np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1]
-    return _coprime_tail(s, radius) * _cpow(y, 1.0 - 2.0 * s) * edge_sum
-
-
-def _coprime_tail(s: complex, radius: int) -> complex:
-    """T = sum_(r > R) phi(r) r^(-2s), the coprime pairs past the radius
-    weighted as the kernels weight their shells: zeta(2s - 1) / zeta(2s)
-    less the shells summed."""
-    return zeta(2.0 * s - 1.0) / zeta(2.0 * s) - _kernels.totient_sum(s.real, s.imag, radius)
+    return _cpow(y, 1.0 - 2.0 * s) * (np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1])
 
 
 def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> SeriesValue:
@@ -281,8 +295,8 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> Ser
     x, y = _pullback(*_point(z))
     s = _lattice_parameter(s, "eval_lattice_sum")
     radius = policy.lattice_radius
-    raw = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
-    correction = complex(_tail_correction((x,), y, s, radius)[0])
+    raw, partial, integral = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
+    correction = complex(_tail_correction((x,), y, s, partial, (integral,))[0])
     y_s = _cpow(y, s)
     bound = _lattice_tail_bound(y, s.real, radius) + abs(y_s * correction)
     return SeriesValue(y_s * (raw + correction), bound)
@@ -322,6 +336,7 @@ def fourier_coefficient(n: int, y: float, s) -> complex:
     if n == 0:
         return _constant_term(y, s, _xi_and_ratio(s)[1])
     n = abs(n)
+    _mode_parameter(s, "fourier_coefficient with n != 0")
     if s.real < 0.5:
         # the same factor as n^(1/2-s) sigma_(2s-1)(n), whose divisor powers
         # have Re <= 0: sigma_(1-2s)(n) alone leaves double range far left
@@ -380,7 +395,7 @@ def eval_fourier(z, s) -> SeriesValue:
     modes.
     """
     x, y = _pullback(*_point(z))
-    s = _require_off_poles(s, "eval_fourier")
+    s = _mode_parameter(_require_off_poles(s, "eval_fourier"), "eval_fourier")
     xi_2s, ratio = _xi_and_ratio(s)
     total = _constant_term(y, s, ratio)
     target = TARGET_ABS_ERROR * max(1.0, abs(total))
@@ -468,8 +483,8 @@ def _extraction(n: int, y: float, s, policy: TruncationPolicy, source: str = "la
     # y: SL2(Z) images would give each node its own truncation error, which
     # measured about half a digit worse on n != 0 at y < 1
     half = xs[: nodes // 2 + 1]
-    raw = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
-    correction = _tail_correction(half, y, s, policy.lattice_radius)
+    raw, partial, integrals = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
+    correction = _tail_correction(half, y, s, partial, integrals)
     raw += correction
     y_s = _cpow(y, s)
     values = y_s * raw[np.minimum(k, nodes - k)]

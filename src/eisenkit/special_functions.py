@@ -97,13 +97,22 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
-def _sinpi(z: complex) -> complex:
-    # sin(pi z) with argument reduction; exact zeros at integers, full
-    # accuracy near them (plain sin(pi*z) loses digits for |Re z| >> 1).
+def _sinpi(z: complex) -> tuple[complex, float]:
+    """(m, e) with sin(pi z) = m e^e: sin(pi z) itself and e = 0 wherever it
+    is in double range, else e = pi |Im z|, for callers to fold into an
+    exponent they already carry.  Argument reduction gives exact zeros at
+    integers and full accuracy near them (plain sin(pi*z) loses digits for
+    |Re z| >> 1)."""
     n = math.floor(z.real + 0.5)
     r = z.real - n
-    val = cmath.sin(complex(r, z.imag) * math.pi)
-    return -val if n % 2 else val
+    try:
+        val, scale = cmath.sin(complex(r, z.imag) * math.pi), 0.0
+    except OverflowError:
+        # past overflow, e > 709, cosh(pi t) and |sinh(pi t)| round to e^e / 2,
+        # so sin(pi (r + i t)) = e^e (sin(pi r) + i sign(t) cos(pi r)) / 2
+        scale = math.pi * abs(z.imag)
+        val = 0.5 * complex(math.sin(math.pi * r), math.copysign(math.cos(math.pi * r), z.imag))
+    return (-val if n % 2 else val), scale
 
 
 def gamma(s: complex) -> complex:
@@ -122,7 +131,13 @@ def gamma(s: complex) -> complex:
 
 def _gamma_unchecked(s: complex) -> complex:
     if s.real < 0.5:
-        return math.pi / (_sinpi(s) * _gamma_unchecked(1.0 - s))
+        sine, scale = _sinpi(s)
+        if not scale:
+            return math.pi / (sine * _gamma_unchecked(1.0 - s))
+        # sin(pi s) and Gamma(1 - s) = sqrt(2 pi) e^P A in one exp: each
+        # alone can leave double range where Gamma(s) does not
+        log_power, acc = _lanczos(1.0 - s)
+        return math.sqrt(0.5 * math.pi) * cmath.exp(-log_power - scale) / (sine * acc)
     log_power, acc = _lanczos(s)
     return math.sqrt(2.0 * math.pi) * cmath.exp(log_power) * acc
 
@@ -185,12 +200,14 @@ def zeta(s: complex) -> complex:
         raise PoleError("zeta has its pole at s = 1")
     if s.real >= 0.45 or abs(s) <= 0.45:
         return _finite(_zeta_euler_maclaurin(s), "zeta")
-    # 2^s pi^(s-1) and the sqrt(2 pi) e^P of Gamma(1 - s) = sqrt(2 pi) e^P A
-    # in one exp: Gamma(1 - s) alone leaves double range left of
-    # Re s = -171, long before zeta(s) does
+    # 2^s pi^(s-1), the sqrt(2 pi) e^P of Gamma(1 - s) = sqrt(2 pi) e^P A
+    # and sin(pi s / 2)'s scale in one exp: Gamma(1 - s) alone leaves double
+    # range left of Re s = -171, and the sine past |Im s| = 452, long before
+    # zeta(s) does
     log_power, acc = _lanczos(1.0 - s)
-    chi = cmath.exp(s * math.log(2.0 * math.pi) + 0.5 * math.log(2.0 / math.pi) + log_power)
-    chi *= _sinpi(0.5 * s) * acc
+    sine, scale = _sinpi(0.5 * s)
+    chi = cmath.exp(s * math.log(2.0 * math.pi) + 0.5 * math.log(2.0 / math.pi) + log_power + scale)
+    chi *= sine * acc
     return _finite(chi * _zeta_euler_maclaurin(1.0 - s), "zeta")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from eisenkit import _kernels, cli
+from eisenkit import _kernels, cli, eisenstein
 from eisenkit.eisenstein import fourier_coefficient
 from eisenkit.special_functions import xi_completed
 
@@ -111,6 +111,25 @@ def test_eval_lattice_past_the_im_s_limit_exits_2(capsys, monkeypatch):
     assert "DomainError" in err and "eval_lattice_sum row of the README" in err
 
 
+def test_fourier_past_the_bessel_orders_names_s_and_exits_2(capsys, monkeypatch):
+    # |s - 1/2| > 100 is past every order bessel_k accepts: the Fourier
+    # routines refuse the user's s, naming its limit, before any mode runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Bessel kernel ran")
+
+    monkeypatch.setattr(eisenstein, "bessel_k", refuse)
+    monkeypatch.setattr(_kernels, "bessel_k_trapezoid", refuse)
+    for argv in (
+        ["fourier", "--n", "1", "--y", "1", "--s", "2.5+101i"],
+        ["eval", "--z", "0.3+1.2i", "--s", "2.5+101i", "--method", "fourier"],
+        ["eval", "--z", "0.3+1.2i", "--s", "-100+1i", "--method", "fourier"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "DomainError" in err and "|s - 1/2| <= 100" in err and "bessel_k" not in err, argv
+        assert f"s = {complex(argv[argv.index('--s') + 1].replace('i', 'j'))}" in err, argv
+
+
 def test_eval_both_seeded_panel_exits_0(capsys):
     # the ranges of the benchmark's eval ops: Re s in [1.2, 4], |Im s| <= 10,
     # radius 100..300, y in [0.5, 3], x in [-3, 3]
@@ -182,6 +201,15 @@ def test_xi_pole_exits_4(capsys):
     code, _, err = run_cli(["xi", "--s", "1"], capsys)
     assert code == 4
     assert "PoleError" in err
+
+
+def test_xi_far_up_the_critical_line_exits_0(capsys):
+    # the reflection of Gamma(s/2) takes sin(pi s/2), past double range there,
+    # though xi is 2.7e-205
+    code, out, _ = run_cli(["xi", "--s", "0.5+600i", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert abs(complex(report["xi_re"], report["xi_im"]) - 2.66585982409481e-205) <= 1e-12 * 2.67e-205
 
 
 def test_xi_evaluates_xi_twice(capsys, monkeypatch):

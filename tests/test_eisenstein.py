@@ -22,7 +22,7 @@ from eisenkit.eisenstein import (
     scattering_ratio,
 )
 from eisenkit.errors import AccuracyError, DivergenceError, DomainError, PoleError
-from eisenkit.special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed
+from eisenkit.special_functions import TARGET_ABS_ERROR, bessel_k, sigma_power, xi_completed, zeta
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -143,39 +143,72 @@ def test_lattice_tail_bound_is_honest():
             assert err < rel * abs(want) and err <= got.tail_bound, (z, s)
 
 
-def test_tail_correction_matches_the_closed_form(monkeypatch):
-    # C = T y^(1 - 2s) (edge integral), checked in its two factors.  The
-    # edge integral, T divided out on both sides: the package's composite
-    # Gauss-Legendre in v, two edges doubled, against the oracle's
-    # hypergeometric closed form on all four edges (worst 8.3e-14); y reaches
-    # the extraction's unpulled rows, where the edges' ends steepen in the
-    # polar angle, and |Im s| the phase's fastest swing.  T = zeta(2s - 1) /
-    # zeta(2s) - sum_(r <= R) phi(r) r^(-2s) cancels as R^(2 - 2 Re s) falls,
-    # so it is held to zeta's 1e-14 of the ratio (worst seen 1.6e-15) apart
+def test_tail_correction_matches_the_closed_form():
+    # C = T I, checked in its two factors against the oracle's C and T.  I
+    # on both of its routes, against the oracle's hypergeometric closed form
+    # on all four edges, C / T (worst 8.3e-14): Fejer's rule on the samples
+    # of F wherever the sum took the moment path, and composite
+    # Gauss-Legendre in v over two edges doubled at every x, as at the x
+    # that fall back.  y reaches the extraction's unpulled rows, where the
+    # edges' ends steepen in the polar angle, and |Im s| the phase's fastest
+    # swing; both send most x to the edges.  T = zeta(2s - 1) / zeta(2s) - P
+    # cancels as R^(2 - 2 Re s) falls, so it is held to zeta's 1e-14 of the
+    # ratio (worst seen 1.6e-15)
     pytest.importorskip("mpmath")
-    package_tail = eisenstein._coprime_tail
-    monkeypatch.setattr(eisenstein, "_coprime_tail", lambda s, radius: 1.0)
 
-    def check(got, z, s, radius):
+    def check(xs, y, s, radius):
+        _, partial, integrals = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)
+        edges = eisenstein._edge_integrals(np.asarray(xs, dtype=float), y, s)
         tail, ratio = oracles.coprime_tail(s, radius)
-        want = oracles.lattice_tail_correction(z, s, radius) / complex(tail)
-        assert abs(got - want) <= 1e-12 * abs(want), (z, s, radius)
-        assert abs(package_tail(s, radius) - complex(tail)) <= 1e-14 * abs(complex(ratio)), (s, radius)
+        got_tail = zeta(2.0 * s - 1.0) / zeta(2.0 * s) - partial
+        assert abs(got_tail - complex(tail)) <= 1e-14 * abs(complex(ratio)), (s, radius)
+        fejer = ~np.isnan(integrals)
+        for k, x in enumerate(xs):
+            want = oracles.lattice_tail_correction(complex(x, y), s, radius) / complex(tail)
+            routes = (edges[k], integrals[k]) if fejer[k] else (edges[k],)
+            for got in routes:
+                assert abs(eisenstein._cpow(y, s) * got - want) <= 1e-12 * abs(want), (x, y, s, radius)
+        # C takes I from the kernels where they give it, from the edges elsewhere
+        both = np.where(fejer, integrals, edges)
+        assert eisenstein._tail_correction(xs, y, s, partial, integrals).tobytes() == (got_tail * both).tobytes()
+        return int(fejer.sum()), int((~fejer).sum())
 
+    counts = np.zeros(2, dtype=int)
     rng = random.Random(330)
     for _ in range(40):
         x = rng.uniform(-0.5, 1.0)
         y = math.exp(rng.uniform(math.log(2e-3), math.log(3.0)))
         s = complex(rng.uniform(1.0, 4.0), rng.choice((0.0, rng.uniform(-100.0, 100.0))))
-        radius = rng.choice((10, 200, 2000))
-        got = eisenstein._cpow(y, s) * complex(eisenstein._tail_correction((x,), y, s, radius)[0])
-        check(got, complex(x, y), s, radius)
+        counts += check([x], y, s, rng.choice((10, 200, 2000)))
+    # the moment path's x, and its fallbacks at |Im s| = 40 and on an
+    # extraction's nodes at y = 0.1
+    for s, radius in ((2.5, 300), (1.3 + 4j, 10), (3.6 - 8j, 2000), (2.2 + 40j, 300)):
+        counts += check([-0.4, 0.1, 0.5], 1.1, complex(s), radius)
+    counts += check([0.0, 0.25, 0.5], 0.1, complex(2.5, 1.0), 200)
+    assert counts[0] >= 15 and counts[1] >= 30, counts
     # as the extraction calls it: many x at once, whose panels take blocks
-    xs = np.linspace(0.0, 0.5, 300)
-    y, s = 0.01, complex(1.5, 60.0)
-    got = eisenstein._cpow(y, s) * eisenstein._tail_correction(xs, y, s, 300)
+    xs, y, s = np.linspace(0.0, 0.5, 300), 0.01, complex(1.5, 60.0)
+    edges = eisenstein._edge_integrals(xs, y, s)
+    tail = complex(oracles.coprime_tail(s, 300)[0])
     for k in (0, 77, 299):
-        check(got[k], complex(xs[k], y), s, 300)
+        want = oracles.lattice_tail_correction(complex(xs[k], y), s, 300) / tail
+        assert abs(eisenstein._cpow(y, s) * edges[k] - want) <= 1e-12 * abs(want), k
+
+
+def test_fejer_and_the_edges_agree_on_the_moment_path():
+    # on lattice_extract-like points, where every sum takes the moment path,
+    # C from the kernels' Fejer integral and C from the edge integral agree
+    # far below what the sum itself is held to (worst seen 2.0e-17)
+    rng = random.Random(44)
+    for _ in range(300):
+        s = complex(rng.uniform(1.2, 4.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+        y = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        radius, x = rng.randint(200, 1000), rng.uniform(-0.5, 0.5)
+        sums, partial, integrals = _kernels.lattice_sum_batch([x], y, s.real, s.imag, radius)
+        assert not math.isnan(integrals[0].real), (x, y, s, radius)
+        edge = eisenstein._edge_integrals(np.array([x]), y, s)[0]
+        difference = abs((zeta(2.0 * s - 1.0) / zeta(2.0 * s) - partial) * (integrals[0] - edge))
+        assert difference <= 1e-16 * max(1.0, abs(sums[0])), (x, y, s, radius)
 
 
 def test_lattice_sum_on_the_cm_panel():
@@ -198,7 +231,7 @@ def test_lattice_sum_on_the_cm_panel():
                 error = abs(got.value - want)
                 assert got.tail_bound >= error, (d, s, radius)
                 # z_D lies in the fundamental domain, where eval_lattice_sum sums
-                plain = eisenstein._cpow(z.imag, s) * _kernels.lattice_sum(z.real, z.imag, s.real, s.imag, radius)
+                plain = eisenstein._cpow(z.imag, s) * _kernels.lattice_sum(z.real, z.imag, s.real, s.imag, radius)[0]
                 plain_errors.append(abs(plain - want) / abs(want))
                 errors.append(error / abs(want))
     assert np.median(plain_errors) >= 2000.0 * np.median(errors)
@@ -390,9 +423,12 @@ def test_spectral_record_is_paid_once_per_s(monkeypatch):
     fourier_coefficient(-3, 0.4, s)
     assert calls[2:] == [2.0 * s]
     assert tables() == built
-    # a raising call keeps nothing: xi(2s) overflows at s = 200
+    # a raising call keeps nothing: xi(2s) overflows at s = 200, where
+    # eval_fourier refuses s before any xi, past the orders of its modes
     _clear_memos()
     with pytest.raises(OverflowError):
+        fourier_coefficient(0, 1.1, 200.0)
+    with pytest.raises(DomainError):
         eval_fourier(0.2 + 1.1j, 200.0)
     assert eisenstein._xi.cache_info().currsize == 0
     assert eisenstein._divisor_factors.cache_info().currsize == 0

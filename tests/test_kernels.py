@@ -22,12 +22,14 @@ def test_selected_backend_reports_name():
 
 
 def test_batch_consistent_with_single_point():
+    # S, P and I alike, on the moment path and past its reach (I NaN there)
     xs = np.array([0.0, 0.25, -0.3])
-    batch = np.asarray(_kernels.lattice_sum_batch(xs, 1.3, 2.7, 0.4, 40))
-    for x, value in zip(xs, batch):
-        single = _kernels.lattice_sum(float(x), 1.3, 2.7, 0.4, 40)
-        assert single.real == value.real
-        assert single.imag == value.imag
+    for s_im in (0.4, 40.0):
+        sums, partial, integrals = _kernels.lattice_sum_batch(xs, 1.3, 2.7, s_im, 40)
+        assert np.isnan(integrals).all() == (s_im == 40.0)
+        for x, value, integral in zip(xs.tolist(), sums.tolist(), integrals.tolist()):
+            single = _kernels.lattice_sum(x, 1.3, 2.7, s_im, 40)
+            assert repr(single) == repr((value, partial, complex(integral)))
 
 
 def _direct(monkeypatch):
@@ -48,9 +50,9 @@ def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
     assert _kernels._cached_entries(radius)[0].size % 250 == 127
     xs = np.array([-0.4, 0.0, 0.3])
     for s in (complex(2.5), complex(3, 1), complex(2.2, -7)):
-        batch = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)
+        batch = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0]
         for x, value in zip(xs.tolist(), batch.tolist()):
-            single = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
+            single = _kernels.lattice_sum(x, y, s.real, s.imag, radius)[0]
             assert (single.real, single.imag) == (value.real, value.imag)
             want = oracles.eisenstein_brute(complex(x, y), s, radius) / complex(y) ** s
             assert abs(single - want) < 1e-12 * abs(want)
@@ -60,23 +62,30 @@ def test_buffers_carry_nothing_between_calls(monkeypatch):
     # a large sum fills every buffer; the small sum after it must not see that
     _direct(monkeypatch)
     xs = np.array([-0.25, 0.1, 0.45])
-    fresh = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40).tolist()
+    fresh = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40)[0].tolist()
     _kernels.lattice_sum_batch(xs, 1.7, 3.1, -2.0, 300)
-    again = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40).tolist()
+    again = _kernels.lattice_sum_batch(xs, 0.9, 2.3, 4.0, 40)[0].tolist()
     assert [(v.real, v.imag) for v in again] == [(v.real, v.imag) for v in fresh]
 
 
 def test_results_do_not_depend_on_the_thread_count():
     # a radius-300 sum from the moment table, and one at |Im s| = 40, past
-    # the fit's reach, by the direct kernel over several blocks; the Fourier
-    # path is scalar
+    # the fit's reach, by the direct kernel over several blocks, each with
+    # its P and I; whole lattice values and extractions, the tail estimate C
+    # included, on both routes of its I; the Fourier path is scalar
     code = (
         "import numpy as np\n"
         "import eisenkit\n"
         "from eisenkit import _kernels\n"
         "xs = np.array([-0.3, 0.0, 0.2])\n"
-        "values = list(_kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, 300))\n"
-        "values += list(_kernels.lattice_sum_batch(xs, 1.1, 2.6, 40.0, 300))\n"
+        "values = []\n"
+        "for s_im in (3.0, 40.0):\n"
+        "    sums, partial, integrals = _kernels.lattice_sum_batch(xs, 1.1, 2.6, s_im, 300)\n"
+        "    values += [*sums, partial, *integrals]\n"
+        "policy = eisenkit.TruncationPolicy(300)\n"
+        "for s in (2.6 + 3j, 2.6 + 40j):\n"
+        "    values += eisenkit.eval_lattice_sum(0.3 + 1.1j, s, policy)\n"
+        "    values.append(eisenkit.extract_coefficient_by_quadrature(1, 0.8, s, policy))\n"
         "values.append(eisenkit.eval_fourier(0.3 + 1.2j, 2.5 + 3j).value)\n"
         "print(' '.join(f'{v.real.hex()} {v.imag.hex()}' for v in map(complex, values)))\n"
     )
@@ -88,7 +97,7 @@ def test_results_do_not_depend_on_the_thread_count():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         outputs.append(out.stdout)
-    assert len(outputs[0].split()) == 14
+    assert len(outputs[0].split()) == 42
     assert outputs[0] == outputs[1]
 
 
@@ -102,13 +111,13 @@ def _paths(monkeypatch, xs, y, s, radius):
     # of its error
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_MOMENT_TOL", math.inf)
-        moment = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
+        moment = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0].tolist()
         _direct(patch)
-        direct = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
-    kernel = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius).tolist()
+        direct = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0].tolist()
+    kernel = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         # the estimate does not read the terms outside the table
-        estimate = _kernels._moment_sums(xs, np.zeros(xs.size, complex), y, s.real, s.imag, radius)[1].tolist()
+        estimate = _kernels._moment_sums(xs, np.zeros(xs.size, complex), y, s.real, s.imag, radius)[-1].tolist()
     return kernel, moment, direct, estimate
 
 
@@ -193,7 +202,7 @@ def test_moment_sums_do_not_depend_on_growth_history(monkeypatch):
     monkeypatch.setattr(_kernels, "_MOMENT_TOL", math.inf)
 
     def state(radius):
-        sums = _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius).tolist()
+        sums = _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius)[0].tolist()
         return _bits(sums), _kernels._moment_table(radius).tobytes()
 
     fresh = {}
@@ -366,7 +375,7 @@ def test_sums_do_not_depend_on_growth_history(monkeypatch):
     xs = np.array([-0.4, 0.0, 0.3])
 
     def bits(radius):
-        return [(v.real, v.imag) for v in _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius).tolist()]
+        return [(v.real, v.imag) for v in _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, radius)[0].tolist()]
 
     fresh = {}
     for radius in radii:

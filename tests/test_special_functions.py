@@ -169,6 +169,23 @@ def test_zeta_far_left_matches_mpmath_or_overflows():
                 assert abs(zeta(s) - complex(want)) < 5e-13 * abs(complex(want)), s
 
 
+def test_reflections_fold_the_sines_scale_into_their_exponent():
+    # sin(pi s) leaves double range past |Im s| = 226 where Gamma(s),
+    # zeta(s) and xi(s) do not: |zeta(-5+500i)| = 2.9e10,
+    # |Gamma(0.3+300i)| = 1.8e-205, |xi(0.5+600i)| = 2.7e-205 (relative
+    # errors seen 2e-13, the phases' rounding at |Im s| log |s|)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for f, exact, s in (
+            (zeta, mp.zeta, complex(-5.0, 500.0)),
+            (gamma, mp.gamma, complex(0.3, 300.0)),
+            (gamma, mp.gamma, complex(0.3, -300.0)),
+            (xi_completed, lambda u: mp.pi ** (-u / 2) * mp.gamma(u / 2) * mp.zeta(u), complex(0.5, 600.0)),
+        ):
+            want = complex(exact(mp.mpc(s.real, s.imag)))
+            assert abs(f(s) - want) <= 1e-12 * abs(want), (f.__name__, s)
+
+
 def test_zeta_trivial_zeros_and_pole():
     assert zeta(-10) == 0.0
     assert abs(zeta(-2)) < 1e-15
