@@ -29,12 +29,14 @@ With S they return the tail estimate's inputs they already hold: the
 weighted count P = 1 + sum_(r=2..R) phi(r) r^(-2s) on both paths, and
 I = int_0^1 F where the moment path ran (NaN elsewhere).
 
-Both tables are built once per process, shell by shell from the _shells
-sieve blocks, and grow with the radius; a table's column or prefix for
-radius R depends on the shells up to R alone, so no sum depends on the radii
-asked for before it.  A process whose sums all take the moment path never
-builds the pair table, and a call where no x can pass the moment path's
-test builds no moment table (_moment_sums).  The pair table keeps one
+Both tables are built once per process and grow with the radius: the
+pair table from the _shells sieve blocks, the moment table from sums over
+every fraction j / r by discrete Gauss rules less its divisors' columns
+(_moment_table), about 5 ms to R = 1000 on a 2-core Xeon.  A table's
+column or prefix for radius R depends on the shells up to R alone, so no
+sum depends on the radii asked for before it.  A process whose sums all
+take the moment path never builds the pair table, and a call where no x
+can pass the moment path's test builds no moment table (_moment_sums).  The pair table keeps one
 entry (r, k) per four pairs, in two int16 arrays r and k, shell by shell,
 k ascending: sum phi(r) ~ 3 R^2 / pi^2 entries, 4 bytes each.  So the entries of radius R are the
 table's prefix up to the end of shell R.  Each array is allocated once for
@@ -90,6 +92,14 @@ _ROUNDING = 4.0  # the samples' rounding in two trailing coefficients, in eps ti
 # (M, [top]): the moment table, one float64 column per shell up to
 # MAX_RADIUS (0.77 MB), filled for the shells 2..top; None until the first sum
 _moments = None
+
+_DIRECT = 50  # a run of at most this many fractions is summed point by point
+_COPRIME = 4 * _DIRECT + 2  # the last shell of such runs alone, summed over its coprime k
+_NODES = _TERMS // 2  # a Gram rule's nodes: exact to degree 2 _NODES - 1 = _TERMS - 1
+
+# (nodes, weights) of the Gram rules (_gram_rules), row L for a run of L
+# fractions; None until a table column needs one
+_rules = None
 
 
 def _shells(lo: int, hi: int, cells: int):
@@ -207,6 +217,135 @@ def _first_terms(x: float, y: float, s_re: float, s_im: float) -> complex:
     return total
 
 
+def _gram_rules(length: int):
+    """(nodes, weights), with a row for every run length up to at least
+    length: row L > _DIRECT holds the positions in 0..L - 1 and the weights
+    of the _NODES-point Gauss rule of the counting measure on j = 0..L - 1,
+    which sums every polynomial of degree below _TERMS over the run exactly
+    (Golub & Welsch, Math. Comp. 23, 1969), without LAPACK.
+
+    The measure's monic orthogonal polynomials, the discrete Chebyshev
+    (Gram) polynomials of t = j - (L - 1) / 2, satisfy p_(k+1) = t p_k -
+    beta_k p_(k-1), beta_k = k^2 (L^2 - k^2) / (4 (4 k^2 - 1)).  In
+    v = 2 t / L they tend to Legendre's as L grows, so Newton steps on p_12
+    from the estimates cos(pi (k - 1/4) / 12.5) of the Legendre roots, as in
+    eisenstein._gauss_legendre, reach rounding in four for L > _DIRECT.  Six
+    are taken, the weights L beta_1 ... beta_11 / (p_11 p_12') in v at the
+    sixth's start, within 3e-14 relative.  The rule is symmetric, so only
+    the positive v are iterated.  A row is computed element by element, in a
+    fixed number of steps, so its bits do not depend on the rows computed
+    with it; the rows grow to at least twice their length, so a growing
+    table computes rules a few times.
+    """
+    global _rules
+    import numpy as np
+
+    have = _DIRECT + 1 if _rules is None else len(_rules[0])
+    if length >= have:
+        top = min(max(length, 2 * have), MAX_RADIUS // 4 + 1)
+        size = np.arange(have, top + 1, dtype=np.float64)[:, None]
+        k2 = np.arange(1.0, _NODES) ** 2
+        beta = k2 * (1.0 - k2 / (size * size)) / (4.0 * k2 - 1.0)
+        v = np.cos(np.pi * (np.arange(_NODES // 2) + 0.75) / (_NODES + 0.5)) + np.zeros_like(size)
+        for _ in range(6):
+            # p_k and p_k' side by side in three buffers:
+            # (p, p')_(k+1) = v (p, p')_k - beta_k (p, p')_(k-1) + (0, p_k)
+            prev, this, spare = np.empty((3, 2) + v.shape)
+            prev[0], prev[1], this[0], this[1] = 1.0, 0.0, v, 1.0
+            for k in range(_NODES - 1):
+                np.multiply(v, this, out=spare)
+                np.multiply(beta[:, k : k + 1], prev, out=prev)
+                spare -= prev
+                spare[1] += this[0]
+                prev, this, spare = this, spare, prev
+            v = v - this[0] / this[1]
+        weight = size * np.prod(beta, axis=1, keepdims=True) / (prev[0] * this[1])
+        nodes, weights = np.zeros((2, top + 1, _NODES))
+        if _rules is not None:
+            nodes[:have], weights[:have] = _rules
+        nodes[have:] = np.concatenate(((size - 1.0) / 2.0 - size / 2.0 * v, (size - 1.0) / 2.0 + size / 2.0 * v), axis=1)
+        weights[have:] = np.concatenate((weight, weight), axis=1)
+        _rules = nodes, weights
+    return _rules
+
+
+@functools.cache
+def _coprime() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, first, count) for the shells n <= _COPRIME, whose runs are all
+    short: k lists the k <= (n - 1) / 2 coprime to n, shell by shell, k
+    ascending, by the sieve of the primes, and panel p of shell n holds
+    k[first[n, p] : first[n, p] + count[n, p]]; read-only."""
+    import numpy as np
+
+    n, j = np.arange(_COPRIME + 1)[:, None], np.arange(_COPRIME // 2 + 1)
+    grid = (j >= 1) & (j <= (n - 1) // 2)
+    for p in primes_up_to(_COPRIME // 2):
+        grid[::p, ::p] = False
+    low = grid & (j <= (n - 1) // 4)
+    count = np.stack((np.count_nonzero(low, axis=1), np.count_nonzero(grid & ~low, axis=1)), axis=1)
+    first = np.cumsum(count).reshape(-1, 2) - count
+    k = np.nonzero(grid)[1].astype(np.int16)
+    for array in (k, first, count):
+        array.setflags(write=False)
+    return k, first, count
+
+
+def _fraction_sums(ns: np.ndarray, starts: np.ndarray, lengths: np.ndarray, parts: np.ndarray, rules) -> np.ndarray:
+    """Columns n in ns, laid out as the moment table's, of sums of
+    T_i(xi_p(j / n)) over the run of lengths[n, p] j from starts[n, p]: all
+    of them, or for n <= _COPRIME those coprime to n, which make M(n).
+
+    Each run takes parts[n, p] groups of _NODES slots: its Gram rule's nodes
+    and weights from rules where it holds more than _DIRECT j, else its
+    j in order at weight 1 and weight 0 past its end.  A slot axis of
+    _NODES rows is summed in order for every group at once; a lone group,
+    as shell 3, 4 or 6 alone makes, holds one point, exact in any order."""
+    import numpy as np
+
+    starts, lengths, parts = starts.ravel(), lengths.ravel(), parts.ravel()
+    first = np.cumsum(parts) - parts
+    run = np.repeat(np.arange(parts.size), parts)
+    size, n = lengths[run], ns[run // 2]
+    slot = np.arange(_NODES)[:, None] + _NODES * (np.arange(run.size) - first[run])
+    w = (slot < size).astype(np.float64)
+    slot += starts[run]
+    if ns[0] <= _COPRIME:
+        # a short shell's slots index its coprime k, the pads the last one
+        ks, short = _coprime()[0], n <= _COPRIME
+        slot[:, short] = ks[np.minimum(slot[:, short], ks.size - 1)]
+    twice = slot.astype(np.float64)
+    del slot
+    rule = size > _DIRECT
+    if rule.any():
+        nodes, weights = rules
+        twice[:, rule] = nodes[size[rule]].T + starts[run[rule]]
+        w[:, rule] = weights[size[rule]].T
+    # 2 xi = (16 j - (4 p + 2) n) / n, in place
+    twice *= 16.0
+    twice -= (4 * (run % 2) + 2) * n
+    twice /= n
+    # row i: w T_i summed over each group, T_i by its recurrence, weighted
+    # from the start, into the buffer of T_(i-2)
+    sums = np.empty((_TERMS, run.size))
+    t_prev, t, product = w, np.multiply(twice, w), np.empty_like(w)
+    t *= 0.5
+    np.add.reduce(t_prev, axis=0, out=sums[0])
+    np.add.reduce(t, axis=0, out=sums[1])
+    for i in range(2, _TERMS):
+        np.multiply(twice, t, out=product)
+        np.subtract(product, t_prev, out=t_prev)
+        t_prev, t = t, t_prev
+        np.add.reduce(t, axis=0, out=sums[i])
+    del twice, w, t_prev, t, product
+    # the groups of each run, added in order
+    nonempty = np.flatnonzero(parts)
+    if nonempty.size < run.size:
+        sums = np.add.reduceat(sums, first[nonempty], axis=1)
+    block = np.zeros((parts.size, _TERMS))
+    block[nonempty] = sums.T
+    return block.reshape(ns.size, -1).T
+
+
 def _moment_table(radius: int) -> np.ndarray:
     """Columns r = 2..radius <= MAX_RADIUS of the moment table M.
 
@@ -217,46 +356,75 @@ def _moment_table(radius: int) -> np.ndarray:
     which takes panel p to panel P - 1 - p and xi to -xi, so the other half
     of the panels need no rows: their sums are (-1)^i times these.  Shell
     2's one entry, k / r = 1/2, is its own mirror image, so it counts half.
-    Each _shells block lists its entries shell by shell, k ascending, so
-    each (shell, panel) group is a run that np.add.reduceat sums on its own:
-    a column depends on its shell alone, whatever radii came before.  The
-    blocks take _CHUNK grid cells, so a block's arrays peak at 0.37 MB,
-    below the direct kernel's 0.9 MB of buffers.
+
+    A panel's fractions j / r form a run of j, and T_i(xi_p(j / r)) has
+    degree i < _TERMS in j, so a run longer than _DIRECT is summed exactly by
+    its 12-node Gram rule (_gram_rules).  Each j / r, 0 < j <= r / 2, reduces
+    to one k / m, k coprime to m | r, m > 1 (the sum of phi(m) over m | r
+    is r: Hardy & Wright, An Introduction to the Theory of Numbers), so past
+    _COPRIME, where the rules begin, M(r) = A(r) - sum of M(m) over m | r,
+    1 < m < r, with A(r) the sums over every j / r, u = 1/2 at half weight
+    (shell 2's half, which every even shell takes off again).  Up to
+    _COPRIME every run is summed point by point over its coprime k
+    (_coprime), and no rule is needed.  To MAX_RADIUS that is 52k points
+    where the coprime k are 608k.
+
+    The sums take blocks of about _CHUNK / 4 points (32 kB per array).  The
+    divisors are taken in blocks of columns [lo, hi], hi < 2 lo, so that a
+    column's divisors lie in earlier blocks, each of about _CHUNK / 64
+    (column, divisor) pairs (0.1 MB of gathered columns).  A column's
+    arithmetic depends on r alone, in one order, so no column depends on
+    the radii asked for before.
     """
     global _moments
     import numpy as np
 
-    half = _PANELS // 2
     if _moments is None:
-        _moments = (np.empty((half * _TERMS, MAX_RADIUS + 1)), [1])
+        _moments = (np.empty((_PANELS // 2 * _TERMS, MAX_RADIUS + 1)), [1])
     table, top = _moments
-    if radius > top[0]:
-        for r, k, phi in _shells(top[0] + 1, radius, _CHUNK):
-            r0 = int(r[0])
-            lower = 2 * k <= r
-            # int16 throughout: no integer below passes 4 MAX_RADIUS
-            r, k = r[lower], k[lower]
-            panel = np.minimum(_PANELS * k // r, half - 1)
-            xi = (2 * _PANELS * k - (2 * panel + 1) * r) / r
-            group = (r - r0) * half + panel
-            starts = np.flatnonzero(np.diff(group, prepend=-1))
-            # row i: T_i summed over each (shell, panel) run
-            sums = np.empty((_TERMS, starts.size))
-            sums[0] = np.diff(starts, append=xi.size)
-            t_prev, t, twice, product = np.ones_like(xi), xi, 2.0 * xi, np.empty_like(xi)
-            np.add.reduceat(t, starts, out=sums[1])
-            for i in range(2, _TERMS):
-                # T_(i) = 2 xi T_(i-1) - T_(i-2), into the buffer of T_(i-2)
-                np.multiply(twice, t, out=product)
-                np.subtract(product, t_prev, out=t_prev)
-                t_prev, t = t, t_prev
-                np.add.reduceat(t, starts, out=sums[i])
-            block = np.zeros((phi.size * half, _TERMS))
-            block[group[starts]] = sums.T
-            if r0 == 2:
-                block[:half] *= 0.5
-            table[:, r0 : r0 + phi.size] = block.reshape(phi.size, -1).T
-        top[0] = radius
+    lo = top[0] + 1
+    if radius < lo:
+        return table[:, 2 : radius + 1]
+    ns = np.arange(lo, radius + 1)
+    # panel 0 holds j = 1..(n - 1) // 4, panel 1 the j on to (n - 1) // 2
+    quarter = (ns - 1) // 4
+    starts = np.stack((np.ones_like(ns), quarter + 1), axis=1)
+    lengths = np.stack((quarter, (ns - 1) // 2 - quarter), axis=1)
+    del quarter
+    short = ns <= _COPRIME
+    if short.any():
+        starts[short], lengths[short] = (array[ns[short]] for array in _coprime()[1:])
+    parts = np.where(lengths > _DIRECT, 1, -(-lengths // _NODES))
+    ends = np.cumsum(parts.sum(axis=1))
+    rules = _gram_rules(int(lengths.max()))
+    a = 0
+    while a < ns.size:
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _CHUNK // (4 * _NODES), side="right")))
+        table[:, lo + a : lo + b] = _fraction_sums(ns[a:b], starts[a:b], lengths[a:b], parts[a:b], rules)
+        a = b
+    # u = 1/2 at half weight: shell 2's one k, and in A of every even n past _COPRIME
+    even = ns[(ns % 2 == 0) & ((ns == 2) | (ns > _COPRIME))]
+    table[_TERMS :, even] += 0.5
+    del ns, starts, lengths, short, parts, ends, even
+    if radius > _COPRIME:
+        # the pairs (m, r = m q), m, q > 1, r >= lo past _COPRIME, by r and then q
+        q = np.arange(2, radius // 2 + 1)
+        first = np.maximum(-(-max(lo, _COPRIME + 1) // q), 2)
+        number = np.maximum(radius // q - first + 1, 0)
+        m = np.arange(number.sum()) + np.repeat(first - np.cumsum(number) + number, number)
+        r = m * np.repeat(q, number)
+        order = np.argsort(r, kind="stable")
+        m = m[order]
+        r = r[order]
+        del order
+        a = 0
+        while a < r.size:
+            hi = min(2 * r[a] - 1, r[min(a + max(1, _CHUNK // 64), r.size) - 1])
+            b = int(np.searchsorted(r, hi, side="right"))
+            heads = np.flatnonzero(np.diff(r[a:b], prepend=0))
+            table[:, r[a:b][heads]] -= np.add.reduceat(table[:, m[a:b]], heads, axis=1)
+            a = b
+    top[0] = radius
     return table[:, 2 : radius + 1]
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,10 @@ def test_moment_sums_do_not_depend_on_growth_history(monkeypatch):
     monkeypatch.setattr(_kernels, "_moments", None)
     _kernels._moment_table(_kernels.MAX_RADIUS)
     assert {radius: state(radius) for radius in radii} == fresh
+    # one-column blocks, 37 shells at a time, and the Gram rules grown
+    # from none as those shells ask for them
     monkeypatch.setattr(_kernels, "_moments", None)
+    monkeypatch.setattr(_kernels, "_rules", None)
     chunk = _kernels._CHUNK
     monkeypatch.setattr(_kernels, "_CHUNK", 16)
     for radius in range(2, _kernels.MAX_RADIUS + 1, 37):
@@ -223,20 +227,92 @@ def test_moment_sums_do_not_depend_on_growth_history(monkeypatch):
 
 
 def test_moment_table_sums_chebyshev_polynomials_over_each_shell():
-    # column r against its definition, summed by hand: T_i at the folded
-    # coordinate of each k < r/2 coprime to r, and shell 2's k = 1 at half
-    # weight
+    # column r against its definition, summed exactly: T_i at the folded
+    # coordinate xi = a / r of each k < r/2 coprime to r, and shell 2's
+    # k = 1 at half weight, as T_i = N_i / r^i with the integers
+    # N_i = 2 a N_(i-1) - r^2 N_(i-2).  The shells are summed point by point
+    # up to 202, and past it by Gram rules less the columns of their
+    # divisors, many (210, 840, 1428, 1680, 2000) or few (97, 997).  The
+    # worst error over every shell to MAX_RADIUS is 2.1e-14 of the column's
+    # largest entry, at shell 1428; no shell may pass 4e-14
     half, terms = _kernels._PANELS // 2, _kernels._TERMS
-    table = _kernels._moment_table(60)
-    for r in (2, 3, 12, 59, 60):
-        want = np.zeros((half, terms))
+    table = _kernels._moment_table(_kernels.MAX_RADIUS)
+    for r in (2, 3, 12, 59, 60, 97, 202, 210, 840, 997, 1428, 1680, 2000):
+        sums = np.zeros((half, terms), dtype=object)
         for k in range(1, r // 2 + 1):
             if math.gcd(k, r) != 1:
                 continue
             panel = min(_kernels._PANELS * k // r, half - 1)
-            xi = 2 * _kernels._PANELS * k / r - (2 * panel + 1)
-            want[panel] += np.cos(np.arange(terms) * math.acos(xi)) * (0.5 if 2 * k == r else 1.0)
-        assert np.allclose(table[:, r - 2], want.ravel(), rtol=0.0, atol=1e-12), r
+            a = 2 * _kernels._PANELS * k - (2 * panel + 1) * r
+            n_prev, n = 1, a
+            for i in range(terms):
+                # twice each term, over r^i, so that shell 2's half stays an integer
+                sums[panel, i] += (2 if 2 * k < r else 1) * (n_prev if i == 0 else n)
+                if i:
+                    n_prev, n = n, 2 * a * n - r * r * n_prev
+        want = np.array([float(Fraction(sums[p, i], 2 * r**i)) for p in range(half) for i in range(terms)])
+        error = np.abs(table[:, r - 2] - want).max()
+        assert error <= 4e-14 * max(1.0, np.abs(want).max()), (r, error)
+
+
+def test_gram_rules_sum_every_power_over_their_run():
+    # every rule the table can use, runs of _DIRECT + 1 to MAX_RADIUS / 4 + 1
+    # fractions: positive weights, nodes strictly inside the run, and
+    # sum_j j^m over j = 1..L to 1e-13 relative for m < _TERMS, the degree
+    # that makes a Gram rule exact on the table's polynomials
+    nodes, weights = _kernels._gram_rules(_kernels.MAX_RADIUS // 4 + 1)
+    lengths = range(_kernels._DIRECT + 1, _kernels.MAX_RADIUS // 4 + 2)
+    assert len(nodes) == len(weights) == lengths[-1] + 1
+    powers = [0] * _kernels._TERMS
+    for j in range(1, lengths[-1] + 1):
+        powers = [p + j**m for m, p in enumerate(powers)]
+        if j not in lengths:
+            continue
+        t, w = nodes[j], weights[j]
+        assert (w > 0).all() and (t > 0).all() and (t < j - 1).all(), j
+        for m, want in enumerate(powers):
+            assert abs(float((w * (t + 1.0) ** m).sum()) - want) <= 1e-13 * want, (j, m)
+
+
+def test_moment_table_evaluates_an_eighth_of_the_coprime_entries(monkeypatch):
+    # the table's slots (a run's points or its Gram rule's nodes, in groups
+    # of _NODES) to MAX_RADIUS, against the phi(r) / 2 coprime k of each
+    # shell that a sum over the k would take; no rule up to radius 200
+    count = []
+    spy = _kernels._fraction_sums
+
+    def counted(ns, starts, lengths, parts, rules):
+        count.append(_kernels._NODES * int(parts.sum()))
+        return spy(ns, starts, lengths, parts, rules)
+
+    monkeypatch.setattr(_kernels, "_fraction_sums", counted)
+    monkeypatch.setattr(_kernels, "_moments", None)
+    monkeypatch.setattr(_kernels, "_rules", None)
+    _kernels._moment_table(200)
+    assert _kernels._rules is None
+    _kernels._moment_table(_kernels.MAX_RADIUS)
+    entries = _kernels._totients()[2:].sum() / 2
+    assert entries > 608_000 and 8 * sum(count) <= entries, sum(count)
+
+
+def test_moment_path_agrees_with_the_direct_kernel_near_re_s_1(monkeypatch):
+    # Re s in (1, 1.1], where sum_r |r^(-2s)| phi(r) grows with R, to
+    # MAX_RADIUS: where the gate lets the moment path run it agrees with
+    # the direct kernel within 4e-15 relative
+    rng = random.Random(451)
+    taken = 0
+    for _ in range(12):
+        s = complex(1.0 + rng.uniform(1e-3, 0.1), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+        y = rng.uniform(math.sqrt(3.0) / 2.0, 2.0)
+        radius = rng.choice((300, 1000, _kernels.MAX_RADIUS))
+        xs = np.array([rng.uniform(-0.5, 0.5) for _ in range(3)])
+        _, moment, direct, estimate = _paths(monkeypatch, xs, y, s, radius)
+        for m, d, e in zip(moment, direct, estimate):
+            scale = max(1.0, abs(m))
+            if e < 1e-15 * scale:
+                taken += 1
+                assert abs(m - d) <= 4e-15 * scale, (s, y, radius)
+    assert taken >= 30, taken
 
 
 # ---------------------------------------------------------------------------
