@@ -9,49 +9,45 @@ which is the full coprime box sum folded along (m,n) -> (-m,-n); the leading
 
 The pairs are taken shell by shell in the max-norm r = max(m, |n|).  Shell
 r >= 2 holds the four pairs (r, -k), (r, k), (k, -r), (k, r) for each
-1 <= k < r coprime to r; shell 1, (1, -1), (1, 0), (1, 1), fits no such
-pattern and is summed apart in scalar code with the leading 1.  With
-u = k / r the four pairs' terms are r^(-2s) F(u), one function F of u for
-every shell, so S has two paths:
+1 <= k < r coprime to r.  One evaluator (_side_sums) sums the terms
+|a z + b|^(-2s) of four sides' rows (a, b), w^(-s) from log w by _power,
+which also weighs the shells by r^(-2s).  It takes two sets of rows:
 
-* the moment path (_moment_sums), O(R) per sum: F is fitted by Chebyshev
-  polynomials on fixed panels of u (Trefethen, Approximation Theory and
-  Approximation Practice, 2013), and a table of the sums of those
-  polynomials over each shell's k (_moment_table), which depends on
-  neither z nor s, sums every shell at once.  Its error is estimated from
-  the fit's trailing coefficients, and a sum takes this path only where
-  that estimate is below _MOMENT_TOL max(1, |S|), so not where F varies
-  too fast for the fit: at large |Im s|, at y well above 2 or close to 0;
-* the direct kernel (_accumulate), O(R^2) per sum, at every other x: it
-  evaluates each term from a table of the pairs.
+* the moment path's (_moment_sums), O(R) per sum: with u = k / r the four
+  pairs' terms are r^(-2s) F(u), F(v) the sum at the rows (1, +-v) and
+  (v, +-1), one function for every shell.  F is fitted by Chebyshev
+  polynomials on fixed panels of v (Trefethen, Approximation Theory and
+  Approximation Practice, 2013), and a table of those polynomials' sums
+  over each shell's k (_moment_table), free of z and s, sums every shell
+  at once.  A sum takes this path only where an estimate from the fit's
+  trailing coefficients is below _MOMENT_TOL max(1, |S|), so not where F
+  varies too fast for the fit: at large |Im s|, at y well above 2 or
+  close to 0.  F(0) + F(1) = 2 (1 + shell 1's terms) gives the leading 1
+  and shell 1, (1, -1), (1, 0), (1, 1), on both paths;
+* the direct sum's (_direct_sums), O(R^2) per sum, at every other x: the
+  integer rows a = (r, r, k, k), b = (-k, k, -r, r) of the pair table's
+  entries (r, k).
 
-With S they return the tail estimate's inputs they already hold: the
-weighted count P = 1 + sum_(r=2..R) phi(r) r^(-2s) on both paths, and
-I = int_0^1 F where the moment path ran (NaN elsewhere).
+With S they return the tail estimate's inputs: P = 1 +
+sum_(r=2..R) phi(r) r^(-2s), and I = int_0^1 F, by Fejer's rule on the
+moment path's samples where it ran, else over the image of the box's
+boundary (_edge_integrals).  A sum past double range raises OverflowError.
 
 Both tables are built once per process and grow with the radius: the
-pair table from the _shells sieve blocks, the moment table from sums over
-every fraction j / r by discrete Gauss rules less its divisors' columns
+pair table from _shells sieve blocks, two int16 arrays of one entry
+(r, k) per four pairs, shell by shell, k ascending, allocated once to
+MAX_RADIUS (2.4 MB, under numpy's 4 MiB hugepage threshold, so only the
+filled prefix becomes resident); the moment table by discrete Gauss rules
 (_moment_table), about 5 ms to R = 1000 on a 2-core Xeon.  A table's
-column or prefix for radius R depends on the shells up to R alone, so no
-sum depends on the radii asked for before it.  A process whose sums all
-take the moment path never builds the pair table, and a call where no x
-can pass the moment path's test builds no moment table (_moment_sums).  The pair table keeps one
-entry (r, k) per four pairs, in two int16 arrays r and k, shell by shell,
-k ascending: sum phi(r) ~ 3 R^2 / pi^2 entries, 4 bytes each.  So the entries of radius R are the
-table's prefix up to the end of shell R.  Each array is allocated once for
-every shell up to MAX_RADIUS, the only radius bound, 2.4 MB, under numpy's
-4 MiB hugepage threshold, and filled in place by _shells blocks, so growth
-copies no table and only the filled prefix becomes resident.
-A prefix is summed in blocks of _CHUNK / 4 entries, at most _CHUNK = 2^14
-pairs: each block first writes its four sides into full-length m and n
-rows.  Every array pass writes into seven float64 buffers of one block each
-(0.9 MB, inside a 2 MB L2 cache), allocated once per call, so the transient
-memory of a sum is bounded whatever the radius and no pass makes a
-temporary.  The direct kernel reduces by numpy's pairwise ``.sum()``, the
-moment path by ``np.einsum``, which makes no temporary; neither calls BLAS
-(no ``@``, ``np.dot`` or ``matmul``), whose split of the work can follow
-the thread count, so a sum does not depend on the thread count.
+prefix for radius R depends on the shells up to R alone, so no sum
+depends on the radii asked for before it.  A process whose sums all take
+the moment path never builds the pair table, and a call where no x can
+pass the moment path's test builds no moment table.  The direct sum takes
+the pairs in blocks of _CHUNK = 2^14, so its transient memory is a few
+arrays of 128 kB whatever the radius.  It reduces by numpy's pairwise
+``.sum()``, the moment path by ``np.einsum``; neither calls BLAS (no
+``@``, ``np.dot`` or ``matmul``), whose split of the work can follow the
+thread count, so a sum does not depend on the thread count.
 
 numpy is imported inside the lattice functions only, so the Bessel path and
 everything that never sums the lattice run without it.
@@ -156,65 +152,82 @@ def _cached_entries(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return rs[: ends[radius]], ks[: ends[radius]]
 
 
-def _accumulate(out: np.ndarray, xs: np.ndarray, y: float, s_re: float, s_im: float, rs, ks) -> None:
-    """out[i] += sum over the entries (r, k) and their four pairs
-    (m, n) = (r, -k), (r, k), (k, -r), (k, r) of ((m xs[i] + n)^2 + (m y)^2)^(-s)."""
+def _power(logw: np.ndarray, s_re: float, s_im: float):
+    """(|w^(-s)|, Re w^(-s), Im w^(-s)) from logw = log w, w > 0, which it
+    overwrites; for real s the second is the first and the third None.  The
+    phase goes through tau = tan(t log w / 2), t = Im s:
+    w^(-s) = e^(-sigma log w) ((1 - tau^2) - 2 i tau) / (1 + tau^2), within
+    1 ulp of 1 of the true value, at 2.2 ns per element for np.tan against
+    49 for np.cos plus np.sin (numpy 2.4, 2-core Xeon).  No double lies
+    within 1e-19 of an odd multiple of pi/2, so tau^2 cannot overflow.
+    """
     import numpy as np
 
+    mag = np.multiply(logw, -s_re)
+    np.exp(mag, out=mag)
+    if s_im == 0.0:
+        return mag, mag, None
+    logw *= 0.5 * s_im
+    tau = np.tan(logw, out=logw)
+    tau2 = np.multiply(tau, tau)
+    scale = np.add(tau2, 1.0)
+    np.divide(mag, scale, out=scale)
+    np.subtract(1.0, tau2, out=tau2)
+    tau2 *= scale
+    tau *= scale
+    tau *= -2.0
+    return mag, tau2, tau
+
+
+def _side_sums(a: np.ndarray, b: np.ndarray, ay2: np.ndarray, x, s_re: float, s_im: float):
+    """(T, A): the sums over the first axis, the four sides, of the terms
+    |a z + b|^(-2s) = ((a x + b)^2 + ay2)^(-s), ay2 = (a y)^2, at z = x + i y,
+    and of their moduli, in one order; x broadcasts against the rows.  T is
+    complex for complex s, else A itself."""
+    import numpy as np
+
+    logw = a * x
+    logw += b
+    logw *= logw
+    logw += ay2
+    np.log(logw, out=logw)
+    mag, re, im = _power(logw, s_re, s_im)
+    moduli = mag[0] + mag[1]
+    moduli += mag[2]
+    moduli += mag[3]
+    if im is None:
+        return moduli, moduli
+    total = np.empty(moduli.shape, dtype=np.complex128)
+    for part, sides in ((total.real, re), (total.imag, im)):
+        np.add(sides[0], sides[1], out=part)
+        part += sides[2]
+        part += sides[3]
+    return total, moduli
+
+
+def _direct_sums(xs: np.ndarray, y: float, s_re: float, s_im: float, radius: int) -> np.ndarray:
+    """The terms of shells 2..radius at each x, summed by _side_sums over
+    the rows a = (r, r, k, k), b = (-k, k, -r, r) of each block of table
+    entries (r, k)."""
+    import numpy as np
+
+    rs, ks = _cached_entries(radius)
+    sums = np.zeros(xs.size, dtype=np.complex128)
     quarter = _CHUNK // 4
-    # every pass below writes into these rows; a short last block uses prefixes
-    rows = np.empty((7, 4 * min(quarter, rs.size)))
-    for a in range(0, rs.size, quarter):
-        r, k = rs[a : a + quarter], ks[a : a + quarter]
-        m, n, my2, logw, mag, tau2, den = rows[:, : 4 * r.size]
-        # the block's pairs, side by side: m = (r, r, k, k), n = (-k, k, -r, r);
-        # each int16 quarter is cast once, the rest copied or negated in float64
-        sides_m, sides_n = m.reshape(4, r.size), n.reshape(4, r.size)
-        sides_n[1] = k
-        sides_n[3] = r
-        np.negative(sides_n[1], out=sides_n[0])
-        np.negative(sides_n[3], out=sides_n[2])
-        sides_m[:2] = sides_n[3]
-        sides_m[2:] = sides_n[1]
-        np.multiply(m, y, out=my2)
-        my2 *= my2
-        for i, x in enumerate(xs):
-            np.multiply(m, x, out=logw)
-            logw += n
-            logw *= logw
-            logw += my2
-            np.log(logw, out=logw)
-            np.multiply(logw, -s_re, out=mag)
-            np.exp(mag, out=mag)
-            if s_im == 0.0:
-                out[i] += mag.sum()
-                continue
-            # w^(-s) = e^(-sigma log w) (cos(t log w) - i sin(t log w)) on real
-            # arrays, the phase through tau = tan(t log w / 2):
-            # cos = (1 - tau^2) / (1 + tau^2), sin = 2 tau / (1 + tau^2), each
-            # within 1 ulp of 1 of the true value.  numpy 2.4 on a 2-core Xeon
-            # takes 2.2 ns per element for np.tan against 49 for np.cos plus
-            # np.sin.  No double lies within 1e-19 of an odd multiple of pi/2,
-            # so tau^2 stays far below overflow.
-            logw *= 0.5 * s_im
-            tau = np.tan(logw, out=logw)
-            np.multiply(tau, tau, out=tau2)
-            np.add(tau2, 1.0, out=den)
-            mag /= den
-            np.subtract(1.0, tau2, out=tau2)
-            tau2 *= mag
-            np.multiply(mag, tau, out=den)
-            out[i] += complex(tau2.sum(), -2.0 * den.sum())
-
-
-def _first_terms(x: float, y: float, s_re: float, s_im: float) -> complex:
-    """1 plus the terms of shell 1, (m, n) = (1, -1), (1, 0), (1, 1): the part
-    of S outside the table."""
-    total = 1.0
-    for n in (-1.0, 0.0, 1.0):
-        logw = math.log((x + n) ** 2 + y * y)
-        total += cmath.exp(complex(-s_re * logw, -s_im * logw))
-    return total
+    # one buffer for every block's a, b and (a y)^2: arrays made anew for
+    # each block cost a sum at one x a sixth more
+    rows = np.empty((3, 4, min(quarter, rs.size)))
+    for start in range(0, rs.size, quarter):
+        r, k = rs[start : start + quarter], ks[start : start + quarter]
+        a, b, ay2 = rows[:, :, : r.size]
+        a[:2], a[2:] = r, k
+        b[1::2] = a[2::-2]
+        np.negative(b[1::2], out=b[::2])
+        np.multiply(a, y, out=ay2)
+        ay2 *= ay2
+        for i, x in enumerate(xs.tolist()):
+            sums[i] += _side_sums(a, b, ay2, x, s_re, s_im)[0].sum()
+    return sums
 
 
 def _gram_rules(length: int):
@@ -229,7 +242,7 @@ def _gram_rules(length: int):
     beta_k p_(k-1), beta_k = k^2 (L^2 - k^2) / (4 (4 k^2 - 1)).  In
     v = 2 t / L they tend to Legendre's as L grows, so Newton steps on p_12
     from the estimates cos(pi (k - 1/4) / 12.5) of the Legendre roots, as in
-    eisenstein._gauss_legendre, reach rounding in four for L > _DIRECT.  Six
+    _gauss_legendre, reach rounding in four for L > _DIRECT.  Six
     are taken, the weights L beta_1 ... beta_11 / (p_11 p_12') in v at the
     sixth's start, within 3e-14 relative.  The rule is symmetric, so only
     the positive v are iterated.  A row is computed element by element, in a
@@ -436,16 +449,14 @@ def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     transform takes a panel's values at its points to its Chebyshev
     coefficients (exact for degree < _TERMS), and fejer them to their
     integral over the panel, Fejer's first rule (Trefethen, SIAM Review 50,
-    2008), from int_-1^1 T_i = 2 / (1 - i^2), i even.  With
-    v = u, then v = 1 - u, on one axis of P _TERMS points, a and b, shape
-    (4, 1, P _TERMS), give the four |.|^2 of F(v) as (a x + b)^2 + (a y)^2:
-    (a, b) = (1, +-v) for |z +- v|^2 and (v, +-1) for |v z +- 1|^2.
-    """
+    2008), from int_-1^1 T_i = 2 / (1 - i^2), i even.  a and b, shape
+    (4, 1, P _TERMS + 2), are F(v)'s rows (1, +-v) and (v, +-1) at v = u,
+    then v = 1 - u, then v = 0 and its mirror v = 1."""
     import numpy as np
 
     theta = np.pi * (np.arange(_TERMS) + 0.5) / _TERMS
     u = ((np.arange(_PANELS // 2)[:, None] + 0.5 * (np.cos(theta) + 1.0)) / _PANELS).ravel()
-    v = np.concatenate((u, 1.0 - u))
+    v = np.concatenate((u, 1.0 - u, (0.0, 1.0)))
     one = np.ones_like(v)
     a = np.stack((one, one, v, v))[:, None, :]
     b = np.stack((v, -v, one, -one))[:, None, :]
@@ -460,93 +471,46 @@ def _chebyshev() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def _shell_weights(s_re: float, s_im: float, radius: int) -> np.ndarray:
     """w_r = r^(-2s), r = 2..radius, as the rows |w|, Re w, Im w (|w| alone
-    for real s), the phase through tau = tan(-t log r) as in _accumulate:
-    about half the time of numpy's complex exp."""
+    for real s), by _power: about half the time of numpy's complex exp."""
     import numpy as np
 
-    log_r = np.log(np.arange(2, radius + 1, dtype=np.float64))
-    mag = np.exp(-2.0 * s_re * log_r)
-    if s_im == 0.0:
-        return mag[None]
-    tau = np.tan(-s_im * log_r)
-    tau2 = tau * tau
-    scale = mag / (1.0 + tau2)
-    return np.stack((mag, scale * (1.0 - tau2), 2.0 * scale * tau))
+    mag, re, im = _power(2.0 * np.log(np.arange(2, radius + 1, dtype=np.float64)), s_re, s_im)
+    return mag[None] if im is None else np.stack((mag, re, im))
 
 
-def _shell_function(xs: np.ndarray, y: float, s_re: float, s_im: float):
-    """(G, A): G(u) = F(u) + F(1 - u) at each x and each Chebyshev point u
-    of the table's half, shape (xs.size, _PANELS // 2, _TERMS), with
-    F(u) = sum over +- of (|z +- u|^2)^(-s) + (|u z +- 1|^2)^(-s), and A
-    the sum of the moduli of G's eight terms at the same points, the scale
-    of G's rounding.  The four sides and the two halves are summed in one
-    order, whatever the x, so a sum does not depend on the other x of its
-    batch."""
-    import numpy as np
+def _moment_sums(xs: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
+    """(S, P, I, errors, first): S at each x from the moment table, P and I
+    as lattice_sum_batch returns them, an estimate of each sum's error, and
+    first = G(0) / 2 = 1 + |z - 1|^(-2s) + |z|^(-2s) + |z + 1|^(-2s), the
+    leading 1 and shell 1's terms.
 
-    a, b, _, _ = _chebyshev()
-    logw = a * xs[:, None]
-    logw += b
-    logw *= logw
-    logw += (a * y) ** 2
-    np.log(logw, out=logw)
-    mag = np.exp(-s_re * logw)
-    moduli = mag[0] + mag[1] + mag[2] + mag[3]
-    if s_im == 0.0:
-        total = moduli
-    else:
-        # w^(-s) through tau = tan(t log w / 2), as in _accumulate
-        logw *= 0.5 * s_im
-        tau = np.tan(logw, out=logw)
-        tau2 = tau * tau
-        mag /= 1.0 + tau2
-        np.subtract(1.0, tau2, out=tau2)
-        tau2 *= mag
-        tau *= mag
-        total = tau2[0] + tau2[1] + tau2[2] + tau2[3]
-        total = total - 2j * (tau[0] + tau[1] + tau[2] + tau[3])
-    half = total.shape[-1] // 2
-    shape = (xs.size, _PANELS // 2, _TERMS)
-    return (total[:, :half] + total[:, half:]).reshape(shape), (moduli[:, :half] + moduli[:, half:]).reshape(shape)
-
-
-def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im: float, radius: int):
-    """(S, P, I, errors): S at each x from the moment table, first being
-    each x's terms outside the table (_first_terms); P and I as
-    lattice_sum_batch returns them; and an estimate of each sum's error.
-
-    Shell r's terms are r^(-2s) F(k / r), k coprime to r, one function F
-    for every shell (_shell_function).  The k are symmetric under
-    k -> r - k, so shell r is r^(-2s) times the sum of G(u) = F(u) + F(1 - u)
-    over the table's half.  With g the Chebyshev coefficients of G on its
-    panels and V = sum_r w_r M[r], the shells sum to sum g V, which is
-    sum G W over G's values at the Chebyshev points, W the transform of V:
-    W is shared by every x, so an x costs its samples of G alone, which
-    also give I = int_0^(1/2) G by Fejer's rule.  A panel's two trailing
-    coefficients estimate G's error on it, so the largest of them times
-    sum_r |w_r| phi(r) estimates the error of the sums, and of I times the
-    tail's count, which is smaller.
-    The coefficients also carry the samples' rounding, which no fit resolves:
-    the two trailing ones of a converged fit measured at most 3.9 eps max A
-    together over 2,782 converged panels, A the moduli of G's terms (Re s in
-    (1.2, 4], |Im s| <= 10, y in [0.5, 2.5]).  So _ROUNDING eps max A is
-    taken off each panel's two before they are weighted: where they are at
-    their rounding floor, the fit has converged to the samples' precision,
-    and what the sum leaves is rounding, as the direct kernel's does.
-    Without it the floor alone, weighted by sum_r |w_r| phi(r) near 1 at
-    Re s near 1.2, reaches the tolerance and sends converged sums to the
-    direct kernel.
+    The k coprime to r are symmetric under k -> r - k, so shell r is
+    r^(-2s) times the sum of G(u) = F(u) + F(1 - u) over the table's half;
+    the sides and halves are added in one order, whatever the x, so a sum
+    does not depend on the other x of its batch.  With g the Chebyshev
+    coefficients of G on its panels and V = sum_r w_r M[r], the shells sum
+    to sum g V, which is sum G W over G's values at the Chebyshev points, W
+    the transform of V: W is shared by every x, so an x costs its samples
+    of G alone, which also give I = int_0^(1/2) G by Fejer's rule.  A
+    panel's two trailing coefficients estimate G's error on it, so the
+    largest of them times sum_r |w_r| phi(r) estimates the error of the
+    sums, and of I times the tail's count, which is smaller.  They also
+    carry the samples' rounding, which no fit resolves: at most 3.9 eps
+    max A together over 2,782 converged panels, A the sum of the moduli of
+    G's eight terms (Re s in (1.2, 4], |Im s| <= 10, y in [0.5, 2.5]).  So
+    _ROUNDING eps max A is taken off each panel's two before they are
+    weighted; without it the floor alone, weighted by sum_r |w_r| phi(r)
+    near 1 at Re s near 1.2, reaches the tolerance and sends converged sums
+    to the direct sum.  G(0) is in neither the fit nor the estimate.
 
     The shells sum to at most sum_r |w_r| phi(r) max |G| / 2, as the half
-    holds phi(r) / 2 of shell r's k.  Where that, doubled for the samples'
-    max and taken at the largest |G| and |first| of the call, in place of
-    |S| leaves every x's estimate at or above _MOMENT_TOL max(1, |S|), no x
-    can take the moment path: the sums are returned as first, I as NaN, and
-    the table is neither built nor read.
-    """
+    holds phi(r) / 2 of shell r's k.  Where that, doubled and taken at the
+    call's largest |G| and |first| in place of |S|, leaves every estimate at
+    or above _MOMENT_TOL max(1, |S|), S is returned as first and I as 0, for
+    the direct sum to replace, and the table is neither built nor read."""
     import numpy as np
 
-    _, _, transform, fejer = _chebyshev()
+    a, b, transform, fejer = _chebyshev()
     w = _shell_weights(s_re, s_im, radius)
     # sum_r phi(r) times |w|, then Re w and Im w
     counts = np.einsum("kj,j->k", w, _totients()[2 : radius + 1])
@@ -555,14 +519,18 @@ def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im:
     if s_im != 0.0:
         parts = w[1:]
         partial = complex(1.0 + counts[1], counts[2])
-    values, moduli = _shell_function(xs, y, s_re, s_im)
+    total, moduli = _side_sums(a, b, (a * y) ** 2, xs[:, None], s_re, s_im)
+    half, shape = _PANELS // 2 * _TERMS, (xs.size, _PANELS // 2, _TERMS)
+    values = (total[:, :half] + total[:, half : 2 * half]).reshape(shape)
+    moduli = (moduli[:, :half] + moduli[:, half : 2 * half]).reshape(shape)
+    first = ((total[:, -2] + total[:, -1]) / 2.0).astype(np.complex128)
     trailing = np.abs((values[:, :, None, :] * transform[-2:]).sum(axis=-1)).sum(axis=-1)
     rounding = _ROUNDING * np.finfo(np.float64).eps * moduli.max(axis=-1)
     # np.maximum keeps a NaN, so a sum whose samples overflow still fails the test
     errors = np.maximum(trailing - rounding, 0.0).max(axis=-1) * weight
     largest = float(np.abs(first).max(initial=0.0)) + weight * float(np.abs(values).max(initial=0.0))
     if not (errors < _MOMENT_TOL * max(1.0, largest)).any():
-        return first, partial, np.full(xs.size, np.nan), errors
+        return first.copy(), partial, np.zeros_like(first), errors, first
     # V's real parts, then W's; then W and the Fejer weights in G's dtype,
     # as einsum takes a buffer of 8,192 elements for an operand it casts
     v = np.einsum("ij,kj->ki", _moment_table(radius), parts).reshape(-1, _PANELS // 2, _TERMS)
@@ -571,7 +539,66 @@ def _moment_sums(xs: np.ndarray, first: np.ndarray, y: float, s_re: float, s_im:
     rows[0] = folded[0] if s_im == 0.0 else folded[0] + 1j * folded[1]
     rows[1] = fejer
     dots = np.einsum("xpj,kpj->kx", values, rows)
-    return dots[0] + first, partial, dots[1], errors
+    return dots[0] + first, partial, dots[1].astype(np.complex128), errors, first
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built once:
+    Newton steps on the Legendre recurrence from the estimates
+    cos(pi (k - 1/4) / 16.5) of the roots, which converge to rounding in
+    four, and w = 2 / ((1 - x^2) P_16'(x)^2).  numpy.polynomial's leggauss
+    would cost an import of 3 ms and 1 MB."""
+    import numpy as np
+
+    x = np.cos(np.pi * (np.arange(16) + 0.75) / 16.5)
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, 17):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = 16 * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _edge_integrals(xs, y: float, s: complex):
+    """I = int_0^1 F(u) du at z = x + i y for each x in xs.
+
+    (m, n) -> w = m z + n has Jacobian y and maps the box
+    max(|m|, |n|) <= 1 to Q, the parallelogram with corners +-z +-1; in
+    polar coordinates about 0, I = 1/(2y) times the integral of
+    r(theta)^(2-2s) over the angle, r(theta) the distance from 0 to Q's
+    boundary.  Q is symmetric about 0: its edges from 1 - z to 1 + z
+    (n = 1) and from 1 + z to z - 1 (m = 1) are taken twice.  On an edge
+    whose line lies at distance d from 0, put u = d sinh v along it from the
+    foot of the perpendicular: then r = d cosh v and dtheta = dv / cosh v, so
+    the edge gives d^(2-2s) int cosh(v)^(1-2s) dv.  In v the integrand is
+    analytic in |Im v| < pi/2 however small d / |Q| is (in theta it steepens
+    at the ends of the edge as y falls, in u it peaks), and its exponent
+    moves at a rate of at most |2s - 1|.  So composite 16-point
+    Gauss-Legendre on panels at most min(1, 8 / |2s - 1|) wide reaches
+    rounding level for any y and |Im s|; the panel count, the same for every
+    x, grows with |Im s|, and the panels are summed in blocks of at most
+    2^16 nodes, so memory stays bounded as it grows.
+    """
+    import numpy as np
+
+    abs_z2 = xs * xs + y * y
+    # v at the ends of the n = 1 edge (d = y / |z|) and the m = 1 edge (d = y)
+    ends = np.arcsinh(np.array([xs - abs_z2, -1.0 - xs, xs + abs_z2, 1.0 - xs]) / y)
+    lo, width = ends[:2], ends[2:] - ends[:2]
+    panels = math.ceil(float(width.max()) * max(1.0, abs(2.0 * s - 1.0) / 8.0))
+    nodes, weights = _gauss_legendre()
+    step = max(1, 2048 // xs.size)  # panels per block of at most 2^16 nodes
+    edges = 0.0
+    for first in range(0, panels, step):
+        frac = (np.arange(first, min(first + step, panels))[:, None] + 0.5 * (nodes + 1.0)) / panels
+        v = lo[..., None, None] + width[..., None, None] * frac
+        integrand = np.exp((1.0 - 2.0 * s) * np.log(np.cosh(v)))
+        # numpy's own sum, not BLAS, so the result does not follow the thread count
+        edges = edges + (integrand * weights).sum(axis=(-2, -1))
+    edges = edges * width / (2 * panels)
+    return cmath.exp((1.0 - 2.0 * s) * math.log(y)) * (np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1])
 
 
 def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> tuple[complex, complex, complex]:
@@ -583,24 +610,23 @@ def lattice_sum(x: float, y: float, s_re: float, s_im: float, radius: int) -> tu
 def lattice_sum_batch(xs, y: float, s_re: float, s_im: float, radius: int):
     """(S, P, I) for many x values sharing one coprime enumeration,
     radius >= 1: S at each x, from the moment table where its error estimate
-    is below _MOMENT_TOL max(1, |S|), by the direct kernel at the other x;
-    P = 1 + sum_(r=2..R) phi(r) r^(-2s); and I = int_0^1 F at each x that
-    took the moment path, NaN at the others."""
+    is below _MOMENT_TOL max(1, |S|), by the direct sum at the other x;
+    P = 1 + sum_(r=2..R) phi(r) r^(-2s); and I = int_0^1 F at each x.
+    OverflowError where an S leaves double range."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
-    first = np.array([_first_terms(x, y, s_re, s_im) for x in xs.tolist()], dtype=np.complex128)
     # F can overflow where the terms do not (F(x) ~ y^(-2s), a term at most
-    # (2y)^(-2s)); a sum or estimate that is not finite fails the test below
+    # (2y)^(-2s)): its estimate then fails the test below; an overflowing S raises
     with np.errstate(over="ignore", invalid="ignore"):
-        out, partial, integrals, errors = _moment_sums(xs, first, y, s_re, s_im, radius)
+        out, partial, integrals, errors, first = _moment_sums(xs, y, s_re, s_im, radius)
         direct = ~(errors < _MOMENT_TOL * np.maximum(1.0, np.abs(out)))
+        if direct.any():
+            out[direct] = _direct_sums(xs[direct], y, s_re, s_im, radius) + first[direct]
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the lattice sum at y = {y}, s = {complex(s_re, s_im)} leaves double range")
     if direct.any():
-        integrals[direct] = np.nan
-        rest = np.zeros(np.count_nonzero(direct), dtype=np.complex128)
-        _accumulate(rest, xs[direct], y, s_re, s_im, *_cached_entries(radius))
-        rest += first[direct]
-        out[direct] = rest
+        integrals[direct] = _edge_integrals(xs[direct], y, complex(s_re, s_im))
     return out, partial, integrals
 
 

@@ -23,14 +23,11 @@ y >= sqrt(3)/2, so every Fourier mode decays at least like e^(-5.44 n) and
 30 modes meet the accuracy target for any z, however close to the real
 axis; and every lattice term at max-norm radius r is at most
 y^sigma (r^2/4)^(-sigma), sigma = Re s, so the lattice tail bound no longer
-blows up as y -> 0.  The lattice sum's tail is estimated and added
-(_tail_correction): the shells past the radius hold a known number of
-coprime pairs, sum phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) less the
-shells summed (Hardy & Wright, Thm 288), which the kernels count as they
-sum, and a shell's terms average to I, the integral of the kernels' shell
-function F: from the kernels' own samples of F where their fit passed its
-gate, elsewhere over the image of the box's boundary.  The tail bound adds
-the estimate's size to the bound on the tail itself.
+blows up as y -> 0.  The lattice sum's tail is estimated from the exact
+count of the coprime pairs past the radius and the mean of a shell's
+terms, both of which the kernels return with the sum, and added
+(_tail_correction).  The tail bound adds the estimate's size to the
+bound on the tail itself.
 
 eval_fourier holds E to the target 1e-14 max(1, |a_0|) and splits it across
 its modes.  Mode n adds 2 a_n cos(2 pi n x'), with
@@ -79,7 +76,7 @@ _MODES = 30
 _NODE_BOUND = 4096  # most x-nodes extract_coefficient_by_quadrature samples
 _PULLBACK_STEPS = 10_000  # far above the O(log 1/y) steps of any double-precision z
 _POLE_RADIUS = 1e-6  # s this close to a pole point raises PoleError
-# largest |Im s| the lattice routines accept: _edge_integrals' panel count
+# largest |Im s| the lattice routines accept: _kernels._edge_integrals' panel count
 # grows linearly with |Im s| (1.3 s a sum at 1e6), and C is tested up to here
 _LATTICE_MAX_IM = 100.0
 _MAX_ORDER = 100.0  # largest |s - 1/2|, the modes' K order, that bessel_k accepts
@@ -92,7 +89,7 @@ class TruncationPolicy:
     The radius is an integer in 10.._kernels.MAX_RADIUS (2000), the reach of
     the kernels' tables: a sum's tail shrinks only as radius^(2 - 2 Re s),
     while its cost grows as radius on the moment path and as radius^2 on
-    the direct kernel (see _kernels).  The Fourier mode count and the
+    the direct sum (see _kernels).  The Fourier mode count and the
     extraction's node count follow from bounds on a_n instead.
     """
 
@@ -190,89 +187,16 @@ def _lattice_tail_bound(y: float, sigma: float, radius: int) -> float:
     return 8.0 * (y / min(0.25, y * y)) ** sigma * radius ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], built once:
-    Newton steps on the Legendre recurrence from the estimates
-    cos(pi (k - 1/4) / 16.5) of the roots, which converge to rounding in
-    four, and w = 2 / ((1 - x^2) P_16'(x)^2).  numpy.polynomial's leggauss
-    would cost an import of 3 ms and 1 MB."""
+def _tail_correction(s: complex, partial: complex, integrals):
+    """C = T I, the estimate of the tail of S (the kernels' half-lattice
+    sum) past max-norm radius R at each x of a _kernels.lattice_sum_batch
+    call, from its P and I: a shell's terms average to I, and
+    T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - P is the
+    exact weighted count of the coprime pairs past R (Hardy & Wright, An
+    Introduction to the Theory of Numbers, Thm 288)."""
     import numpy as np
 
-    x = np.cos(np.pi * (np.arange(16) + 0.75) / 16.5)
-    for _ in range(6):
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, 17):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        slope = 16 * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / slope
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
-
-
-def _tail_correction(xs, y: float, s: complex, partial: complex, integrals):
-    """Estimate C of the tail of S (the kernels' half-lattice sum) past
-    max-norm radius R, at z = x + i y for each x in xs, from the P and I
-    that _kernels.lattice_sum_batch returns.
-
-    Shell r sums to r^(-2s) times F(k / r) summed over the phi(r) k coprime
-    to r, with F(u) = sum over +- of |z +- u|^(-2s) + |u z +- 1|^(-2s).
-    The k / r are equidistributed in [0, 1], so the tail is about
-    I = int_0^1 F(u) du times the exact weighted count of the coprime pairs
-    past R (Hardy & Wright, An Introduction to the Theory of Numbers,
-    Thm 288):
-
-        T = sum_(r > R) phi(r) r^(-2s) = zeta(2s - 1) / zeta(2s) - P.
-
-    I comes from the kernels where their fit of F passed its gate, from
-    _edge_integrals at the other x (NaN in I).
-    """
-    import numpy as np
-
-    integrals = np.array(integrals, dtype=np.complex128)
-    missing = np.isnan(integrals)
-    if missing.any():
-        integrals[missing] = _edge_integrals(np.asarray(xs, dtype=np.float64)[missing], y, s)
-    return (zeta(2.0 * s - 1.0) / zeta(2.0 * s) - partial) * integrals
-
-
-def _edge_integrals(xs, y: float, s: complex):
-    """I = int_0^1 F(u) du at z = x + i y for each x in xs.
-
-    (m, n) -> w = m z + n has Jacobian y and maps the box
-    max(|m|, |n|) <= 1 to Q, the parallelogram with corners +-z +-1; in
-    polar coordinates about 0, I = 1/(2y) times the integral of
-    r(theta)^(2-2s) over the angle, r(theta) the distance from 0 to Q's
-    boundary.  Q is symmetric about 0: its edges from 1 - z to 1 + z
-    (n = 1) and from 1 + z to z - 1 (m = 1) are taken twice.  On an edge
-    whose line lies at distance d from 0, put u = d sinh v along it from the
-    foot of the perpendicular: then r = d cosh v and dtheta = dv / cosh v, so
-    the edge gives d^(2-2s) int cosh(v)^(1-2s) dv.  In v the integrand is
-    analytic in |Im v| < pi/2 however small d / |Q| is (in theta it steepens
-    at the ends of the edge as y falls, in u it peaks), and its exponent
-    moves at a rate of at most |2s - 1|.  So composite 16-point
-    Gauss-Legendre on panels at most min(1, 8 / |2s - 1|) wide reaches
-    rounding level for any y and |Im s|; the panel count, the same for every
-    x, grows with |Im s|, and the panels are summed in blocks of at most
-    2^16 nodes, so memory stays bounded as it grows.
-    """
-    import numpy as np
-
-    abs_z2 = xs * xs + y * y
-    # v at the ends of the n = 1 edge (d = y / |z|) and the m = 1 edge (d = y)
-    ends = np.arcsinh(np.array([xs - abs_z2, -1.0 - xs, xs + abs_z2, 1.0 - xs]) / y)
-    lo, width = ends[:2], ends[2:] - ends[:2]
-    panels = math.ceil(float(width.max()) * max(1.0, abs(2.0 * s - 1.0) / 8.0))
-    nodes, weights = _gauss_legendre()
-    step = max(1, 2048 // xs.size)  # panels per block of at most 2^16 nodes
-    edges = 0.0
-    for first in range(0, panels, step):
-        frac = (np.arange(first, min(first + step, panels))[:, None] + 0.5 * (nodes + 1.0)) / panels
-        v = lo[..., None, None] + width[..., None, None] * frac
-        integrand = np.exp((1.0 - 2.0 * s) * np.log(np.cosh(v)))
-        # numpy's own sum, not BLAS, so the result does not follow the thread count
-        edges = edges + (integrand * weights).sum(axis=(-2, -1))
-    edges = edges * width / (2 * panels)
-    return _cpow(y, 1.0 - 2.0 * s) * (np.exp((s - 1.0) * np.log(abs_z2)) * edges[0] + edges[1])
+    return (zeta(2.0 * s - 1.0) / zeta(2.0 * s) - partial) * np.asarray(integrals, dtype=np.complex128)
 
 
 def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> SeriesValue:
@@ -296,7 +220,7 @@ def eval_lattice_sum(z, s, policy: TruncationPolicy = TruncationPolicy()) -> Ser
     s = _lattice_parameter(s, "eval_lattice_sum")
     radius = policy.lattice_radius
     raw, partial, integral = _kernels.lattice_sum(x, y, s.real, s.imag, radius)
-    correction = complex(_tail_correction((x,), y, s, partial, (integral,))[0])
+    correction = complex(_tail_correction(s, partial, (integral,))[0])
     y_s = _cpow(y, s)
     bound = _lattice_tail_bound(y, s.real, radius) + abs(y_s * correction)
     return SeriesValue(y_s * (raw + correction), bound)
@@ -484,7 +408,7 @@ def _extraction(n: int, y: float, s, policy: TruncationPolicy, source: str = "la
     # measured about half a digit worse on n != 0 at y < 1
     half = xs[: nodes // 2 + 1]
     raw, partial, integrals = _kernels.lattice_sum_batch(half, y, s.real, s.imag, policy.lattice_radius)
-    correction = _tail_correction(half, y, s, partial, integrals)
+    correction = _tail_correction(s, partial, integrals)
     raw += correction
     y_s = _cpow(y, s)
     values = y_s * raw[np.minimum(k, nodes - k)]

@@ -125,25 +125,40 @@ def _tail_estimate(data: LFunctionData, abscissa: float, s: complex, max_q: int,
     of q <= max_q, count of them multiplied.
 
     Every |lambda q^(-s)| is at most q^(-a), a = Re s - abscissa + 1 > 1,
-    and |log(1 - z)| <= |z| / (1 - |z|), so the omitted primes add at most
-    dim sum_(p > Q) p^(-a) / (1 - Q^(-a)) to the log.  By partial summation
-    with pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6,
-    1962, Cor. 1), sum_(p > Q) p^(-a) <= 1.25506 a Q^(1 - a) / ((a - 1) ln Q).
+    and |log(1 - z)| <= |z| / (1 - |z|), so the omitted places add at most
+    dim sum_(q > Q) q^(-a) / (1 - Q^(-a)) to the log, q over the prime
+    powers.  By partial summation with pi(x) < 1.25506 x / ln x (Rosser &
+    Schoenfeld, Illinois J. Math. 6, 1962, Cor. 1), the primes give
+    sum_(p > Q) p^(-a) <= 1.25506 a Q^(1 - a) / ((a - 1) ln Q).  The powers
+    p^f > Q, f >= 2, are bounded over every integer n >= 2 in place of p:
+    from the least n = N_f with n^f > Q, sum n^(-f a) <= N_f^(-f a) +
+    N_f^(1 - f a) / (f a - 1) by the integral test, and once 2^f > Q every
+    n counts, so the f from there on, F and past, add at most
+    2^(-F a) (1 + 2 / (F a - 1)) / (1 - 2^(-a)), a geometric tail.
     A place costs dim powers, dim products and dim differences, a
     reciprocal and one product into the value: 3 dim + 2 complex operations,
     charged sqrt(5) u each, the bound of a complex product (Higham, Accuracy
     and Stability of Numerical Algorithms, 3.6; Brent, Percival &
-    Zimmermann, Math. Comp. 76, 2007), give the rounding to first order.
-    Omitted places at prime powers q > max_q are not covered."""
+    Zimmermann, Math. Comp. 76, 2007), give the rounding to first order."""
     if not data.places:
         return 0.0
     dim = len(data.places[0].eigenvalues)
     a = complex(s).real - abscissa + 1.0
     q = max(max_q, 2)
-    primes = 1.25506 * a * q ** (1.0 - a) / ((a - 1.0) * math.log(q))
+    omitted = 1.25506 * a * q ** (1.0 - a) / ((a - 1.0) * math.log(q))
     if max_q < 2:
-        primes += 2.0**-a
-    return dim * primes / (1.0 - q**-a) + count * (3 * dim + 2) * math.sqrt(5.0) * 2.0**-53
+        omitted += 2.0**-a
+    f = 2
+    while 2**f <= q:
+        n = max(2, int(q ** (1.0 / f)))
+        while n**f > q:
+            n -= 1
+        while n**f <= q:
+            n += 1
+        omitted += n ** -(f * a) + n ** (1.0 - f * a) / (f * a - 1.0)
+        f += 1
+    omitted += 2.0 ** -(f * a) * (1.0 + 2.0 / (f * a - 1.0)) / (1.0 - 2.0**-a)
+    return dim * omitted / (1.0 - q**-a) + count * (3 * dim + 2) * math.sqrt(5.0) * 2.0**-53
 
 
 def partial_l(data: LFunctionData, s: complex, max_q: int) -> LProductValue:

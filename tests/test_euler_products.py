@@ -173,6 +173,28 @@ def test_tail_bound_covers_truncation_and_rounding():
             assert error <= math.expm1(result.tail_bound), (s, max_q, error, result.tail_bound)
 
 
+def test_tail_bound_covers_omitted_prime_powers():
+    # a place at every prime power q <= 10^4, each with eigenvalue 1: the
+    # full product is prod_(f >= 1) zeta(f s), so a cutoff omits prime powers
+    # as well as primes, and the figure must bound |log| of the error
+    mpmath = pytest.importorskip("mpmath")
+    places = []
+    for p in range(2, 10**4 + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            places += [PlaceDatum(p**f, (1.0,)) for f in range(1, 14) if p**f <= 10**4]
+    data = LFunctionData(tuple(places))
+    rng = random.Random(49)
+    with mpmath.workdps(40):
+        for s in (3.0, 5.0, 8.0):
+            exact = mpmath.mpf(1)
+            for f in range(1, 60):
+                exact *= mpmath.zeta(f * s)
+            for max_q in [10, 10**4] + [round(10 ** rng.uniform(1.0, 4.0)) for _ in range(8)]:
+                result = partial_l(data, s, max_q)
+                error = float(abs(mpmath.log(mpmath.mpc(result.value) / exact)))
+                assert error <= result.tail_bound, (s, max_q, error, result.tail_bound)
+
+
 def test_partial_l_empty_product():
     data = LFunctionData(())
     result = partial_l(data, 2.0, 100)

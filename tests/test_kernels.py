@@ -23,14 +23,20 @@ def test_selected_backend_reports_name():
 
 
 def test_batch_consistent_with_single_point():
-    # S, P and I alike, on the moment path and past its reach (I NaN there)
+    # S and P alike, on the moment path and past its reach, and I on the
+    # moment path; past it I is the edge integral, whose panel count follows
+    # the widest x of its batch, so a lone x may differ in its last bits
     xs = np.array([0.0, 0.25, -0.3])
     for s_im in (0.4, 40.0):
         sums, partial, integrals = _kernels.lattice_sum_batch(xs, 1.3, 2.7, s_im, 40)
-        assert np.isnan(integrals).all() == (s_im == 40.0)
+        assert np.isfinite(integrals).all()
         for x, value, integral in zip(xs.tolist(), sums.tolist(), integrals.tolist()):
             single = _kernels.lattice_sum(x, 1.3, 2.7, s_im, 40)
-            assert repr(single) == repr((value, partial, complex(integral)))
+            assert repr(single[:2]) == repr((value, partial))
+            if s_im == 0.4:
+                assert repr(single[2]) == repr(complex(integral))
+            else:
+                assert abs(single[2] - integral) <= 1e-14 * abs(integral)
 
 
 def _direct(monkeypatch):
@@ -57,6 +63,36 @@ def test_blocks_with_a_short_last_one_match_the_brute_loop(monkeypatch):
             assert (single.real, single.imag) == (value.real, value.imag)
             want = oracles.eisenstein_brute(complex(x, y), s, radius) / complex(y) ** s
             assert abs(single - want) < 1e-12 * abs(want)
+
+
+def test_direct_sum_matches_the_brute_loop_at_large_im_s(monkeypatch):
+    # the integer rows of the direct sum and the shell-1 sample on both
+    # paths, against the brute loop out to |Im s| = 100 and y from 2e-3 to
+    # 20: the direct sum at every point (worst seen 1.0e-14), the kernel's
+    # own answer where the moment path's gate passes (worst seen 2.7e-15)
+    rng = random.Random(100)
+    passed = 0
+    for _ in range(24):
+        s = complex(rng.uniform(1.0, 4.0), rng.choice((rng.uniform(-10.0, 10.0), rng.uniform(-100.0, 100.0))))
+        y = math.exp(rng.uniform(math.log(2e-3), math.log(20.0)))
+        radius = rng.randint(10, 60)
+        xs = np.array([rng.uniform(-0.5, 0.5) for _ in range(2)])
+        kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, radius)
+        for x, got, m, d, e in zip(xs.tolist(), kernel, moment, direct, estimate):
+            want = oracles.eisenstein_brute(complex(x, y), s, radius) / complex(y) ** s
+            assert abs(d - want) <= 1e-12 * abs(want), (x, y, s, radius)
+            if e < 1e-15 * max(1.0, abs(m)):
+                passed += 1
+                assert abs(got - want) <= 1e-12 * abs(want), (x, y, s, radius)
+    assert passed >= 4, passed
+
+
+def test_an_overflowing_sum_raises():
+    # at x = 0 shell 1 holds the largest term, y^(-2 Re s), past double range
+    with pytest.raises(OverflowError):
+        _kernels.lattice_sum(0.0, 0.01, 80.0, 0.0, 50)
+    with pytest.raises(OverflowError):
+        eisenkit.extract_coefficient_by_quadrature(0, 0.1, 200, eisenkit.TruncationPolicy(50))
 
 
 def test_buffers_carry_nothing_between_calls(monkeypatch):
@@ -117,8 +153,7 @@ def _paths(monkeypatch, xs, y, s, radius):
         direct = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0].tolist()
     kernel = _kernels.lattice_sum_batch(xs, y, s.real, s.imag, radius)[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        # the estimate does not read the terms outside the table
-        estimate = _kernels._moment_sums(xs, np.zeros(xs.size, complex), y, s.real, s.imag, radius)[-1].tolist()
+        estimate = _kernels._moment_sums(xs, y, s.real, s.imag, radius)[3].tolist()
     return kernel, moment, direct, estimate
 
 
@@ -176,7 +211,7 @@ def test_fallback_is_the_direct_kernel(monkeypatch):
     # past the fit's reach, at |Im s| = 40 or y = 10, the gate's estimate is
     # above its tolerance and the sum is the direct kernel's, bit for bit;
     # only then is the coprime table filled, and a call that no moment sum
-    # can pass builds no moment table.  At y = 0.01, s = 80, F overflows
+    # can pass builds no moment table.  At y = 0.01, s = 77.3, F overflows
     # (F(x) ~ y^(-2s)) where no term does, and the sum falls back without a
     # warning
     monkeypatch.setattr(_kernels, "_table", None)
@@ -187,7 +222,7 @@ def test_fallback_is_the_direct_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "_table", None)
     _kernels.lattice_sum_batch(xs, 1.1, 2.6, 3.0, 300)
     assert _kernels._moments is not None and _kernels._table is None
-    for y, s in ((1.1, complex(2.6, 40.0)), (10.0, complex(2.6, 3.0)), (10.0, complex(3.0)), (0.01, complex(80.0))):
+    for y, s in ((1.1, complex(2.6, 40.0)), (10.0, complex(2.6, 3.0)), (10.0, complex(3.0)), (0.01, complex(77.3))):
         kernel, moment, direct, estimate = _paths(monkeypatch, xs, y, s, 300)
         assert not any(e < 1e-15 * max(1.0, abs(m)) for m, e in zip(moment, estimate)), (y, s)
         assert _bits(kernel) == _bits(direct)
